@@ -10,6 +10,7 @@ Includes the lazy-heap ablation from DESIGN.md §7: lazy NVD-driven heap
 population versus materialising the full inverted heap up front.
 """
 
+from repro.api import Query
 from repro.bench import print_table, save_result, time_queries
 from repro.core.heap_generator import InvertedHeap
 
@@ -23,21 +24,17 @@ VERTICES_PER_VECTOR = 3
 
 def _methods(suite):
     return {
-        "KS-PHL": lambda q, k, kw: suite.ks_phl.bknn(q, k, kw),
-        "KS-CH": lambda q, k, kw: suite.ks_ch.bknn(q, k, kw),
-        "G-tree": lambda q, k, kw: suite.gtree_sk.bknn(q, k, kw),
+        "KS-PHL": suite.ks_phl,
+        "KS-CH": suite.ks_ch,
+        "G-tree": suite.gtree_sk,
     }
 
 
 def _sweep(methods, workload, k):
     row = {}
-    for name, bknn in methods.items():
-        summary = time_queries(
-            [
-                (lambda q=q: bknn(q.vertex, k, list(q.keywords)))
-                for q in workload
-            ]
-        )
+    queries = [Query(q.vertex, q.keywords, k=k) for q in workload]
+    for name, method in methods.items():
+        summary = time_queries([(lambda q=q: method.execute(q)) for q in queries])
         row[name] = summary.mean_milliseconds
     return row
 
@@ -61,8 +58,9 @@ def test_fig10a_disjunctive_bknn_vs_k(primary_suite, benchmark):
         assert series[k]["KS-PHL"] < series[k]["G-tree"]
 
     query = workload[0]
+    timed = Query(query.vertex, query.keywords, k=DEFAULT_K)
     benchmark.pedantic(
-        lambda: suite.ks_phl.bknn(query.vertex, DEFAULT_K, list(query.keywords)),
+        lambda: suite.ks_phl.execute(timed),
         rounds=5,
         iterations=1,
     )
@@ -90,10 +88,9 @@ def test_fig10b_disjunctive_bknn_vs_terms(primary_suite, benchmark):
         assert series[terms]["KS-PHL"] < series[terms]["G-tree"]
 
     workload = generator.queries(DEFAULT_TERMS, 1, 1)
+    timed = Query(workload[0].vertex, workload[0].keywords, k=DEFAULT_K)
     benchmark.pedantic(
-        lambda: suite.ks_ch.bknn(
-            workload[0].vertex, DEFAULT_K, list(workload[0].keywords)
-        ),
+        lambda: suite.ks_ch.execute(timed),
         rounds=5,
         iterations=1,
     )

@@ -9,6 +9,7 @@ of a longer vector has an even smaller inverted list.
 Includes the least-frequent-keyword ablation from DESIGN.md §7.
 """
 
+from repro.api import Query
 from repro.bench import print_table, save_result, time_queries
 from repro.core.query_processor import QueryStats
 
@@ -22,21 +23,19 @@ VERTICES_PER_VECTOR = 3
 
 def _methods(suite):
     return {
-        "KS-PHL": lambda q, k, kw: suite.ks_phl.bknn(q, k, kw, conjunctive=True),
-        "KS-CH": lambda q, k, kw: suite.ks_ch.bknn(q, k, kw, conjunctive=True),
-        "G-tree": lambda q, k, kw: suite.gtree_sk.bknn(q, k, kw, conjunctive=True),
+        "KS-PHL": suite.ks_phl,
+        "KS-CH": suite.ks_ch,
+        "G-tree": suite.gtree_sk,
     }
 
 
 def _sweep(methods, workload, k):
+    queries = [Query(q.vertex, q.keywords, k=k, mode="and") for q in workload]
     return {
         name: time_queries(
-            [
-                (lambda q=q: bknn(q.vertex, k, list(q.keywords)))
-                for q in workload
-            ]
+            [(lambda q=q: method.execute(q)) for q in queries]
         ).mean_milliseconds
-        for name, bknn in methods.items()
+        for name, method in methods.items()
     }
 
 
@@ -59,10 +58,9 @@ def test_fig11a_conjunctive_bknn_vs_k(primary_suite, benchmark):
         assert series[k]["KS-CH"] < series[k]["G-tree"]
 
     query = workload[0]
+    timed = Query(query.vertex, query.keywords, k=DEFAULT_K, mode="and")
     benchmark.pedantic(
-        lambda: suite.ks_phl.bknn(
-            query.vertex, DEFAULT_K, list(query.keywords), conjunctive=True
-        ),
+        lambda: suite.ks_phl.execute(timed),
         rounds=5,
         iterations=1,
     )
@@ -94,13 +92,9 @@ def test_fig11b_conjunctive_bknn_vs_terms(primary_suite, benchmark):
     assert series[4]["KS-PHL"] < 4 * series[2]["KS-PHL"] + 0.5
 
     workload = generator.queries(DEFAULT_TERMS, 1, 1)
+    timed = Query(workload[0].vertex, workload[0].keywords, k=DEFAULT_K, mode="and")
     benchmark.pedantic(
-        lambda: suite.ks_ch.bknn(
-            workload[0].vertex,
-            DEFAULT_K,
-            list(workload[0].keywords),
-            conjunctive=True,
-        ),
+        lambda: suite.ks_ch.execute(timed),
         rounds=5,
         iterations=1,
     )
@@ -161,10 +155,9 @@ def test_fig11_ablation_least_frequent_keyword(primary_suite, benchmark):
     assert iterations["least"] <= iterations["most"]
 
     query = workload[0]
+    timed = Query(query.vertex, query.keywords, k=DEFAULT_K, mode="and")
     benchmark.pedantic(
-        lambda: suite.ks_ch.bknn(
-            query.vertex, DEFAULT_K, list(query.keywords), conjunctive=True
-        ),
+        lambda: suite.ks_ch.execute(timed),
         rounds=5,
         iterations=1,
     )

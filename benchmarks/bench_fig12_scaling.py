@@ -8,6 +8,7 @@ hierarchy node, degrading their pruning).
 
 import pytest
 
+from repro.api import Query
 from repro.bench import build_methods, print_table, save_result, time_queries
 from repro.datasets import DATASET_ORDER
 
@@ -30,30 +31,18 @@ def _run(suites, kind):
     for name, suite in suites.items():
         generator = suite.workload(seed=121)
         workload = generator.queries(DEFAULT_TERMS, NUM_VECTORS, VERTICES_PER_VECTOR)
+        queries = [
+            Query(q.vertex, q.keywords, k=DEFAULT_K, kind=kind) for q in workload
+        ]
         methods = {
-            "KS-PHL": lambda q, kw, s=suite: (
-                s.ks_phl.top_k(q, DEFAULT_K, kw)
-                if kind == "topk"
-                else s.ks_phl.bknn(q, DEFAULT_K, kw)
-            ),
-            "KS-CH": lambda q, kw, s=suite: (
-                s.ks_ch.top_k(q, DEFAULT_K, kw)
-                if kind == "topk"
-                else s.ks_ch.bknn(q, DEFAULT_K, kw)
-            ),
-            "G-tree": lambda q, kw, s=suite: (
-                s.gtree_sk.top_k(q, DEFAULT_K, kw)
-                if kind == "topk"
-                else s.gtree_sk.bknn(q, DEFAULT_K, kw)
-            ),
+            "KS-PHL": suite.ks_phl,
+            "KS-CH": suite.ks_ch,
+            "G-tree": suite.gtree_sk,
         }
         row = {}
-        for label, run in methods.items():
+        for label, method in methods.items():
             summary = time_queries(
-                [
-                    (lambda q=q, run=run: run(q.vertex, list(q.keywords)))
-                    for q in workload
-                ]
+                [(lambda q=q, method=method: method.execute(q)) for q in queries]
             )
             row[label] = summary.mean_milliseconds
         series[name] = row
@@ -86,8 +75,9 @@ def test_fig12a_topk_vs_dataset(suites, benchmark):
     suite = suites[SCALING_DATASETS[0]]
     generator = suite.workload(seed=121)
     query = generator.queries(DEFAULT_TERMS, 1, 1)[0]
+    timed = Query(query.vertex, query.keywords, k=DEFAULT_K, kind="topk")
     benchmark.pedantic(
-        lambda: suite.ks_phl.top_k(query.vertex, DEFAULT_K, list(query.keywords)),
+        lambda: suite.ks_phl.execute(timed),
         rounds=5,
         iterations=1,
     )
@@ -112,8 +102,9 @@ def test_fig12b_bknn_vs_dataset(suites, benchmark):
     suite = suites[SCALING_DATASETS[0]]
     generator = suite.workload(seed=122)
     query = generator.queries(DEFAULT_TERMS, 1, 1)[0]
+    timed = Query(query.vertex, query.keywords, k=DEFAULT_K)
     benchmark.pedantic(
-        lambda: suite.ks_phl.bknn(query.vertex, DEFAULT_K, list(query.keywords)),
+        lambda: suite.ks_phl.execute(timed),
         rounds=5,
         iterations=1,
     )

@@ -8,6 +8,7 @@ setting is G-tree's *best* case (no multi-keyword aggregation damage),
 so the KS-CH gap is smaller here than in Figures 9-11.
 """
 
+from repro.api import Query
 from repro.bench import print_table, save_result, time_queries
 
 DEFAULT_K = 10
@@ -23,24 +24,23 @@ def test_fig13_keyword_frequency(primary_suite, benchmark):
     )
 
     methods = {
-        "KS-PHL": lambda q, kw: suite.ks_phl.bknn(q, DEFAULT_K, kw),
-        "KS-CH": lambda q, kw: suite.ks_ch.bknn(q, DEFAULT_K, kw),
-        "G-tree": lambda q, kw: suite.gtree_sk.bknn(q, DEFAULT_K, kw),
+        "KS-PHL": suite.ks_phl,
+        "KS-CH": suite.ks_ch,
+        "G-tree": suite.gtree_sk,
     }
 
     series = {}
     rows = []
     for bucket in DENSITY_BUCKETS:
-        queries = workloads[bucket]
+        queries = [
+            Query(q.vertex, q.keywords, k=DEFAULT_K) for q in workloads[bucket]
+        ]
         if not queries:
             continue
         row = {}
-        for name, run in methods.items():
+        for name, method in methods.items():
             summary = time_queries(
-                [
-                    (lambda q=q, run=run: run(q.vertex, list(q.keywords)))
-                    for q in queries
-                ]
+                [(lambda q=q, method=method: method.execute(q)) for q in queries]
             )
             row[name] = summary.mean_milliseconds
         series[str(bucket)] = row
@@ -63,8 +63,9 @@ def test_fig13_keyword_frequency(primary_suite, benchmark):
 
     bucket = next(b for b in DENSITY_BUCKETS if workloads[b])
     query = workloads[bucket][0]
+    timed = Query(query.vertex, query.keywords, k=DEFAULT_K)
     benchmark.pedantic(
-        lambda: suite.ks_phl.bknn(query.vertex, DEFAULT_K, list(query.keywords)),
+        lambda: suite.ks_phl.execute(timed),
         rounds=5,
         iterations=1,
     )

@@ -15,6 +15,7 @@ operations — direct evidence that keyword separation, not implementation
 detail, removes the false positives.
 """
 
+from repro.api import Query
 from repro.bench import print_table, save_result, time_queries
 
 DEFAULT_K = 10
@@ -27,25 +28,26 @@ VERTICES_PER_VECTOR = 3
 def _measure(suite, workload, k):
     """Query time and matrix operations per method at one k."""
     methods = {
-        "KS-GT": lambda q, kw: suite.ks_gt.top_k(q, k, kw),
-        "Gtree-Opt": lambda q, kw: suite.gtree_opt.top_k(q, k, kw),
-        "G-tree": lambda q, kw: suite.gtree_sk.top_k(q, k, kw),
+        "KS-GT": suite.ks_gt,
+        "Gtree-Opt": suite.gtree_opt,
+        "G-tree": suite.gtree_sk,
     }
+    queries = [Query(q.vertex, q.keywords, k=k, kind="topk") for q in workload]
     times = {}
     operations = {}
-    for name, run in methods.items():
+    for name, method in methods.items():
         suite.gtree.reset_counters()
         # KS-GT's oracle cache must not leak between methods: clear it
         # like the baselines clear theirs per query.
         summary = time_queries(
             [
                 (
-                    lambda q=q, run=run: (
+                    lambda q=q, method=method: (
                         suite.gtree.clear_cache(),
-                        run(q.vertex, list(q.keywords)),
+                        method.execute(q),
                     )
                 )
-                for q in workload
+                for q in queries
             ]
         )
         times[name] = summary.mean_milliseconds
@@ -101,8 +103,9 @@ def test_fig15_16_false_positive_deep_dive(primary_suite, benchmark):
         assert times["KS-GT"] < times["G-tree"]
 
     query = workload[0]
+    timed = Query(query.vertex, query.keywords, k=DEFAULT_K, kind="topk")
     benchmark.pedantic(
-        lambda: suite.ks_gt.top_k(query.vertex, DEFAULT_K, list(query.keywords)),
+        lambda: suite.ks_gt.execute(timed),
         rounds=5,
         iterations=1,
     )

@@ -17,6 +17,7 @@ Plus the ALT landmark-count ablation called out in DESIGN.md §7.
 
 import time
 
+from repro.api import Query
 from repro.bench import megabytes, print_table, save_result, time_queries
 from repro.core import KSpin
 from repro.datasets import DATASET_ORDER, WorkloadGenerator
@@ -92,7 +93,7 @@ def test_fig6b_query_time_flat_in_rho(rho_dataset, benchmark):
         kspin = KSpin(graph, keywords, oracle=ch, lower_bounder=alt, rho=rho)
         summary = time_queries(
             [
-                (lambda q=q, ks=kspin: ks.bknn(q.vertex, DEFAULT_K, list(q.keywords)))
+                (lambda q=q, ks=kspin: ks.execute(Query(q.vertex, q.keywords, k=DEFAULT_K)))
                 for q in workload
             ]
         )
@@ -111,8 +112,9 @@ def test_fig6b_query_time_flat_in_rho(rho_dataset, benchmark):
 
     kspin = KSpin(graph, keywords, oracle=ch, lower_bounder=alt, rho=5)
     query = workload[0]
+    timed = Query(query.vertex, query.keywords, k=DEFAULT_K)
     benchmark.pedantic(
-        lambda: kspin.bknn(query.vertex, DEFAULT_K, list(query.keywords)),
+        lambda: kspin.execute(timed),
         rounds=5,
         iterations=1,
     )
@@ -263,7 +265,7 @@ def test_fig6_ablation_alt_landmarks(rho_dataset, benchmark):
         kspin = KSpin(graph, keywords, oracle=ch, lower_bounder=alt, rho=5)
         distances = 0
         for q in workload:
-            kspin.bknn(q.vertex, DEFAULT_K, list(q.keywords))
+            kspin.execute(Query(q.vertex, q.keywords, k=DEFAULT_K))
             distances += kspin.last_stats.distance_computations
         series[str(m)] = {
             "tightness": tightness,

@@ -13,6 +13,7 @@ x% of each diagram's object count, and reports:
 
 import copy
 
+from repro.api import Query
 from repro.bench import print_table, save_result, time_queries
 from repro.core import KSpin
 from repro.core.updates import apply_lazy_inserts, pick_update_keywords
@@ -40,7 +41,7 @@ def test_fig8a_query_time_after_lazy_inserts(rho_dataset, benchmark):
         row = {"keyword": keyword, "inv_size": keywords.inverted_size(keyword)}
         baseline = time_queries(
             [
-                (lambda q=q, ks=kspin: ks.bknn(q, DEFAULT_K, [keyword]))
+                (lambda q=q, ks=kspin: ks.execute(Query(q, [keyword], k=DEFAULT_K)))
                 for q in vertices
             ]
         ).mean_milliseconds
@@ -63,7 +64,7 @@ def test_fig8a_query_time_after_lazy_inserts(rho_dataset, benchmark):
             applied = fraction
             timing = time_queries(
                 [
-                    (lambda q=q, ks=kspin: ks.bknn(q, DEFAULT_K, [keyword]))
+                    (lambda q=q, ks=kspin: ks.execute(Query(q, [keyword], k=DEFAULT_K)))
                     for q in vertices
                 ]
             ).mean_milliseconds
@@ -87,8 +88,9 @@ def test_fig8a_query_time_after_lazy_inserts(rho_dataset, benchmark):
 
     kspin = KSpin(graph, keywords, oracle=ch, lower_bounder=alt, rho=5)
     keyword = chosen["large"]
+    timed = Query(vertices[0], [keyword], k=DEFAULT_K)
     benchmark.pedantic(
-        lambda: kspin.bknn(vertices[0], DEFAULT_K, [keyword]),
+        lambda: kspin.execute(timed),
         rounds=5,
         iterations=1,
     )

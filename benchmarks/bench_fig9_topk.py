@@ -9,6 +9,7 @@ Includes the pseudo-lower-bound ablation called out in DESIGN.md §7:
 Algorithm 2's pseudo bounds versus the valid all-unseen bound.
 """
 
+from repro.api import Query
 from repro.bench import log_series_chart, print_table, save_result, time_queries
 
 K_VALUES = [1, 5, 10, 25, 50]
@@ -21,22 +22,18 @@ VERTICES_PER_VECTOR = 3
 
 def _methods(suite):
     return {
-        "KS-PHL": suite.ks_phl.top_k,
-        "KS-CH": suite.ks_ch.top_k,
-        "G-tree": suite.gtree_sk.top_k,
-        "ROAD": suite.road.top_k,
+        "KS-PHL": suite.ks_phl,
+        "KS-CH": suite.ks_ch,
+        "G-tree": suite.gtree_sk,
+        "ROAD": suite.road,
     }
 
 
 def _sweep(methods, workloads, k):
     row = {}
-    for name, top_k in methods.items():
-        summary = time_queries(
-            [
-                (lambda q=q: top_k(q.vertex, k, list(q.keywords)))
-                for q in workloads
-            ]
-        )
+    queries = [Query(q.vertex, q.keywords, k=k, kind="topk") for q in workloads]
+    for name, method in methods.items():
+        summary = time_queries([(lambda q=q: method.execute(q)) for q in queries])
         row[name] = summary.mean_milliseconds
     return row
 
@@ -82,8 +79,9 @@ def test_fig9a_topk_vs_k(primary_suite, benchmark):
     assert series[DEFAULT_K]["KS-CH"] < 3 * series[DEFAULT_K]["G-tree"]
 
     query = workload[0]
+    timed = Query(query.vertex, query.keywords, k=DEFAULT_K, kind="topk")
     benchmark.pedantic(
-        lambda: suite.ks_phl.top_k(query.vertex, DEFAULT_K, list(query.keywords)),
+        lambda: suite.ks_phl.execute(timed),
         rounds=5,
         iterations=1,
     )
@@ -114,10 +112,9 @@ def test_fig9b_topk_vs_terms(primary_suite, benchmark):
         assert series[terms]["KS-PHL"] < series[terms]["ROAD"]
 
     workload = generator.queries(DEFAULT_TERMS, 1, 1)
+    timed = Query(workload[0].vertex, workload[0].keywords, k=DEFAULT_K, kind="topk")
     benchmark.pedantic(
-        lambda: suite.ks_ch.top_k(
-            workload[0].vertex, DEFAULT_K, list(workload[0].keywords)
-        ),
+        lambda: suite.ks_ch.execute(timed),
         rounds=5,
         iterations=1,
     )
@@ -138,9 +135,8 @@ def test_fig9_ablation_pseudo_lower_bound(primary_suite, benchmark):
         summary = time_queries(
             [
                 (
-                    lambda q=q: suite.ks_ch.top_k(
-                        q.vertex, DEFAULT_K, list(q.keywords),
-                        use_pseudo_lower_bound=flag,
+                    lambda q=q: suite.ks_ch.processor.top_k(
+                        q.vertex, DEFAULT_K, q.keywords, use_pseudo_lower_bound=flag
                     )
                 )
                 for q in workload
@@ -148,9 +144,13 @@ def test_fig9_ablation_pseudo_lower_bound(primary_suite, benchmark):
         )
         times[label] = summary.mean_milliseconds
     for q in workload:
-        suite.ks_ch.top_k(q.vertex, DEFAULT_K, list(q.keywords), use_pseudo_lower_bound=True)
+        suite.ks_ch.processor.top_k(
+            q.vertex, DEFAULT_K, q.keywords, use_pseudo_lower_bound=True
+        )
         costs["pseudo"] += suite.ks_ch.last_stats.distance_computations
-        suite.ks_ch.top_k(q.vertex, DEFAULT_K, list(q.keywords), use_pseudo_lower_bound=False)
+        suite.ks_ch.processor.top_k(
+            q.vertex, DEFAULT_K, q.keywords, use_pseudo_lower_bound=False
+        )
         costs["valid"] += suite.ks_ch.last_stats.distance_computations
 
     print_table(
@@ -165,8 +165,9 @@ def test_fig9_ablation_pseudo_lower_bound(primary_suite, benchmark):
     assert costs["pseudo"] <= costs["valid"]
 
     query = workload[0]
+    timed = Query(query.vertex, query.keywords, k=DEFAULT_K, kind="topk")
     benchmark.pedantic(
-        lambda: suite.ks_ch.top_k(query.vertex, DEFAULT_K, list(query.keywords)),
+        lambda: suite.ks_ch.execute(timed),
         rounds=5,
         iterations=1,
     )

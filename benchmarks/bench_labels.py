@@ -284,12 +284,11 @@ def _seeding_suite(world, smoke: bool) -> dict:
 
 
 def _memory_report(labeling: HubLabeling) -> dict:
-    """The memory satellite: real array bytes vs the old dict estimate."""
+    """The memory satellite: label counts and the real array bytes."""
     return {
         "label_entries": labeling.num_label_entries(),
         "average_label_size": labeling.average_label_size(),
         "array_bytes": labeling.memory_bytes(),
-        "legacy_dict_bytes": labeling.legacy_dict_bytes(),
     }
 
 
@@ -411,8 +410,7 @@ if __name__ == "__main__":
           "(must be >= 1)")
     print(f"  label seeding BkNN p50:  {gates['seeding_speedup_p50']:.2f}x "
           "vs NVD+ALT (full-run target > 1)")
-    print(f"  memory: {result['memory']['array_bytes']} B arrays vs "
-          f"{result['memory']['legacy_dict_bytes']} B legacy dict estimate")
+    print(f"  memory: {result['memory']['array_bytes']} B label arrays")
     assert gates["phl_vs_dijkstra_p2p"] >= 1.0, gates
     assert not gates["dominated_classes"], result["composite"]
     if not args.smoke:

@@ -10,6 +10,7 @@ model on one workload and validates its predictions on a fresh one;
 (c) confirms the distance term dominates for the slow-oracle variant.
 """
 
+from repro.api import Query
 from repro.bench import print_table, save_result
 from repro.core import fit_cost_model, measure_kappa, model_accuracy
 
@@ -27,13 +28,15 @@ def test_sec51_kappa_bounds(primary_suite, benchmark):
     payload = {}
     for k in K_VALUES:
         bknn = measure_kappa(
-            lambda q, k=k: suite.ks_ch.bknn(q.vertex, k, list(q.keywords)),
+            lambda q, k=k: suite.ks_ch.execute(Query(q.vertex, q.keywords, k=k)),
             lambda: suite.ks_ch.last_stats,
             workload,
             k,
         )
         topk = measure_kappa(
-            lambda q, k=k: suite.ks_ch.top_k(q.vertex, k, list(q.keywords)),
+            lambda q, k=k: suite.ks_ch.execute(
+                Query(q.vertex, q.keywords, k=k, kind="topk")
+            ),
             lambda: suite.ks_ch.last_stats,
             workload,
             k,
@@ -101,8 +104,9 @@ def test_sec51_kappa_bounds(primary_suite, benchmark):
     assert error < 1.0  # the 2-term model explains the bulk of the time
 
     query = workload[0]
+    timed = Query(query.vertex, query.keywords, k=10)
     benchmark.pedantic(
-        lambda: suite.ks_ch.bknn(query.vertex, 10, list(query.keywords)),
+        lambda: suite.ks_ch.execute(timed),
         rounds=5,
         iterations=1,
     )

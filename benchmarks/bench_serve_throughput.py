@@ -170,7 +170,7 @@ def run_benchmark() -> dict:
     # Ground truth from the same (single-threaded) instance, pre-computed
     # so the comparison cannot be satisfied by a stale cache.
     expected = {
-        (q.vertex, q.keywords): kspin.bknn(q.vertex, K, list(q.keywords))
+        (q.vertex, q.keywords): kspin.execute(Query(q.vertex, q.keywords, k=K)).pairs()
         for q in queries
     }
 
@@ -193,7 +193,9 @@ def run_benchmark() -> dict:
         # Exactness under the highest concurrency: every distinct query
         # answered through the server equals the direct KSpin answer.
         for query in {(q.vertex, q.keywords): q for q in queries}.values():
-            served = client.bknn(query.vertex, K, list(query.keywords))
+            served = client.query(
+                {"vertex": query.vertex, "k": K, "keywords": list(query.keywords)}
+            )
             assert [
                 (obj, value) for obj, value in served["results"]
             ] == expected[(query.vertex, query.keywords)], query

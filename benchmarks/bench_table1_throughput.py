@@ -13,6 +13,7 @@ faster than G-tree, ROAD slowest with no BkNN support, FS-FBS
 unbuildable on this rung (policy guard mirroring the paper).
 """
 
+from repro.api import Query
 from repro.bench import megabytes, print_table, save_result, time_queries
 
 DEFAULT_K = 10
@@ -27,17 +28,8 @@ def _workload(suite):
 
 
 def _measure(method, workload, kind):
-    if kind == "topk":
-        runs = [
-            (lambda q=q: method.top_k(q.vertex, DEFAULT_K, list(q.keywords)))
-            for q in workload
-        ]
-    else:
-        runs = [
-            (lambda q=q: method.bknn(q.vertex, DEFAULT_K, list(q.keywords)))
-            for q in workload
-        ]
-    return time_queries(runs)
+    queries = [Query(q.vertex, q.keywords, k=DEFAULT_K, kind=kind) for q in workload]
+    return time_queries([(lambda q=q: method.execute(q)) for q in queries])
 
 
 def test_table1_throughput(primary_suite, benchmark):
@@ -106,8 +98,9 @@ def test_table1_throughput(primary_suite, benchmark):
 
     # The registered pytest-benchmark kernel: default-setting KS-PHL top-k.
     query = workload[0]
+    timed = Query(query.vertex, query.keywords, k=DEFAULT_K, kind="topk")
     benchmark.pedantic(
-        lambda: suite.ks_phl.top_k(query.vertex, DEFAULT_K, list(query.keywords)),
+        lambda: suite.ks_phl.execute(timed),
         rounds=5,
         iterations=1,
     )

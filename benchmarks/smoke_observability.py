@@ -211,7 +211,7 @@ def check_profiler_overhead(server, client, queries) -> None:
 
 def check_flight_recorder(server, client) -> None:
     """The run's cache evictions must appear, causally ordered."""
-    client.bknn(0, K, ["kw0000"])  # ensure one cached entry ...
+    client.query({"vertex": 0, "k": K, "keywords": ["kw0000"]})  # ensure one cached entry ...
     client.update(op="insert", object=1, document=["kw0000"])  # ... evicted
     payload = json.loads(_get(f"{server.url}/v1/debug/events"))["result"]
     events = payload["events"]
@@ -244,7 +244,7 @@ def check_slo_burn_cycle(server, client) -> None:
     assert 'repro_slo_burning{objective="availability"} 1' in text
     assert "repro_admission_pressure 0.5" in text
     for _ in range(10):  # recovery traffic, then wait out the window
-        client.bknn(0, K, ["kw0000"])
+        client.query({"vertex": 0, "k": K, "keywords": ["kw0000"]})
     time.sleep(0.25)
     server.evaluate_slo()
     time.sleep(0.05)

@@ -12,6 +12,7 @@ Run:  python examples/city_poi_search.py
 
 import time
 
+from repro.api import Query
 from repro.bench import megabytes
 from repro.core import KSpin
 from repro.datasets import WorkloadGenerator, load_dataset
@@ -47,20 +48,18 @@ def main() -> None:
           f"(2 keywords each, k=10)...")
 
     for label, kspin in (("KS-CH", ks_ch),):
-        for query_kind in ("top-k", "BkNN-disjunctive", "BkNN-conjunctive"):
+        for query_kind, kind, mode in (
+            ("top-k", "topk", "or"),
+            ("BkNN-disjunctive", "bknn", "or"),
+            ("BkNN-conjunctive", "bknn", "and"),
+        ):
             start = time.perf_counter()
             answered = 0
             distance_computations = 0
             for query in workload:
-                if query_kind == "top-k":
-                    kspin.top_k(query.vertex, 10, list(query.keywords))
-                else:
-                    kspin.bknn(
-                        query.vertex,
-                        10,
-                        list(query.keywords),
-                        conjunctive=query_kind.endswith("conjunctive"),
-                    )
+                kspin.execute(
+                    Query(query.vertex, query.keywords, k=10, kind=kind, mode=mode)
+                )
                 distance_computations += kspin.last_stats.distance_computations
                 answered += 1
             elapsed = time.perf_counter() - start
@@ -71,7 +70,7 @@ def main() -> None:
 
     # A taste of the result quality: one concrete query.
     query = workload[0]
-    results = ks_ch.top_k(query.vertex, 3, list(query.keywords))
+    results = ks_ch.execute(Query(query.vertex, query.keywords, k=3, kind="topk")).pairs()
     print(f"\nSample query from vertex {query.vertex} for {list(query.keywords)}:")
     for rank, (obj, score) in enumerate(results, start=1):
         doc = sorted(keywords.document(obj))

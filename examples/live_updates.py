@@ -10,6 +10,7 @@ amortised rebuild that folds the lazy updates in.
 Run:  python examples/live_updates.py
 """
 
+from repro.api import Query
 from repro.core import KSpin, brute_force_bknn
 from repro.datasets import load_dataset
 from repro.distance import ContractionHierarchy
@@ -31,7 +32,8 @@ def main() -> None:
     q = graph.num_vertices // 2
     print(f"World: {dataset.name}, query vertex {q}, keywords {popular}")
 
-    before = kspin.bknn(q, 5, popular)
+    nearby = Query(q, popular, k=5)
+    before = kspin.execute(nearby).pairs()
     print("\nTop-5 nearest matches before any update:")
     for obj, distance in before:
         print(f"  vertex {obj} at distance {distance:.3f}")
@@ -42,7 +44,7 @@ def main() -> None:
     )
     print(f"\n* A new POI opens at vertex {new_vertex} with {popular[:1]}")
     kspin.insert_object(new_vertex, popular[:1])
-    after_insert = kspin.bknn(q, 5, popular)
+    after_insert = kspin.execute(nearby).pairs()
     assert after_insert[0][0] == new_vertex, "the new neighbor should now win"
     print(f"  nearest match is now vertex {after_insert[0][0]} "
           f"at distance {after_insert[0][1]:.3f} (lazy insert, no rebuild)")
@@ -51,7 +53,7 @@ def main() -> None:
     closing = before[0][0]
     print(f"\n* The previous winner (vertex {closing}) closes down")
     kspin.delete_object(closing)
-    after_delete = kspin.bknn(q, 5, popular)
+    after_delete = kspin.execute(nearby).pairs()
     assert closing not in {o for o, _ in after_delete}
     print(f"  it no longer appears; top result: vertex {after_delete[0][0]}")
 
@@ -59,7 +61,7 @@ def main() -> None:
     editor = after_delete[1][0]
     print(f"\n* Vertex {editor} adds the keyword 'rooftop-bar'")
     kspin.add_keyword(editor, "rooftop-bar")
-    rooftop = kspin.bknn(q, 1, ["rooftop-bar"])
+    rooftop = kspin.execute(Query(q, ["rooftop-bar"], k=1)).pairs()
     assert rooftop and rooftop[0][0] == editor
     print(f"  a query for 'rooftop-bar' now finds it at distance "
           f"{rooftop[0][1]:.3f}")
@@ -77,7 +79,7 @@ def main() -> None:
             live_documents[v] = doc
     reference = KeywordDataset(live_documents)
     expected = brute_force_bknn(graph, reference, q, 5, popular)
-    actual = kspin.bknn(q, 5, popular)
+    actual = kspin.execute(nearby).pairs()
     assert [o for o, _ in actual] == [o for o, _ in expected], (actual, expected)
     print("\nExactness check vs brute force over the live state: OK")
 
@@ -87,7 +89,7 @@ def main() -> None:
     rebuilt = kspin.rebuild_pending()
     print(f"Diagrams rebuilt (threshold {kspin.index.rebuild_threshold}): "
           f"{rebuilt or 'none needed yet'}")
-    final = kspin.bknn(q, 5, popular)
+    final = kspin.execute(nearby).pairs()
     assert [o for o, _ in final] == [o for o, _ in actual]
     print("Results unchanged after rebuild — lazy and rebuilt state agree.")
 

@@ -13,6 +13,7 @@ Run:  python examples/one_way_streets.py
 
 import random
 
+from repro.api import Query
 from repro.core import KSpin
 from repro.directed import (
     DirectedAltLowerBounder,
@@ -59,8 +60,8 @@ def main() -> None:
     differences = 0
     samples = rng.sample(range(base.num_vertices), 10)
     for q in samples:
-        u = undirected.bknn(q, 1, ["cafe"])[0]
-        d = directed_kspin.bknn(q, 1, ["cafe"])[0]
+        u = undirected.execute(Query(q, ["cafe"], k=1)).pairs()[0]
+        d = directed_kspin.execute(Query(q, ["cafe"], k=1)).pairs()[0]
         marker = "  <- differs" if (u[0] != d[0] or abs(u[1] - d[1]) > 1e-9) else ""
         differences += bool(marker)
         print(f"{q:>6d}  vertex {u[0]:>4d} at {u[1]:6.2f}  "
@@ -69,7 +70,9 @@ def main() -> None:
           f"one-way streets are respected.")
 
     q = samples[0]
-    top = directed_kspin.top_k(q, 3, ["cafe", "drive-through"])
+    top = directed_kspin.execute(
+        Query(q, ["cafe", "drive-through"], k=3, kind="topk")
+    ).pairs()
     print(f"\nDirected top-3 for 'cafe drive-through' from vertex {q}:")
     for obj, score in top:
         print(f"  vertex {obj}: score {score:.3f} "

@@ -13,6 +13,7 @@ Run:  python examples/oracle_comparison.py
 
 import time
 
+from repro.api import Query
 from repro.bench import megabytes
 from repro.core import KSpin, results_equivalent
 from repro.datasets import WorkloadGenerator, load_dataset
@@ -70,7 +71,7 @@ def main() -> None:
     for name, kspin in variants.items():
         start = time.perf_counter()
         results = [
-            kspin.top_k(query.vertex, 10, list(query.keywords))
+            kspin.execute(Query(query.vertex, query.keywords, k=10, kind="topk")).pairs()
             for query in workload
         ]
         elapsed = time.perf_counter() - start

@@ -13,6 +13,7 @@ Run:  python examples/quickstart.py
 """
 
 from repro import KSpin, KeywordDataset, RoadNetwork
+from repro.api import Query
 from repro.distance import ContractionHierarchy
 from repro.lowerbound import AltLowerBounder
 
@@ -66,19 +67,19 @@ def main() -> None:
     print(f"  objects: {len(dataset.objects())}, "
           f"keywords: {dataset.num_keywords}")
 
-    disjunctive = kspin.bknn(q, 1, ["restaurant", "takeaway"])
+    disjunctive = kspin.execute(Query(q, ["restaurant", "takeaway"], k=1)).pairs()
     print("\nBoolean 1NN, 'restaurant' OR 'takeaway':")
     for obj, distance in disjunctive:
         print(f"  vertex {obj} at network distance {distance:.0f} "
               f"with document {dataset.document(obj)}")
 
-    conjunctive = kspin.bknn(q, 1, ["thai", "restaurant"], conjunctive=True)
+    conjunctive = kspin.execute(Query(q, ["thai", "restaurant"], k=1, mode="and")).pairs()
     print("\nBoolean 1NN, 'thai' AND 'restaurant':")
     for obj, distance in conjunctive:
         print(f"  vertex {obj} at network distance {distance:.0f} "
               f"with document {dataset.document(obj)}")
 
-    top = kspin.top_k(q, 3, ["thai", "restaurant"])
+    top = kspin.execute(Query(q, ["thai", "restaurant"], k=3, kind="topk")).pairs()
     print("\nTop-3 by weighted distance d(q,o)/TR(psi,o):")
     for obj, score in top:
         print(f"  vertex {obj}: score {score:.3f}, "

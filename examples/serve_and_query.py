@@ -59,19 +59,20 @@ def main() -> None:
         print(f"Server up at {server.url}")
         print(f"Health: {client.healthz()}")
 
-        first = client.bknn(0, 2, ["thai", "restaurant"])
-        again = client.bknn(0, 2, ["thai", "restaurant"])
+        nearest = {"vertex": 0, "k": 2, "keywords": ["thai", "restaurant"]}
+        first = client.query(nearest)
+        again = client.query(nearest)
         print(f"\nBkNN thai OR restaurant from v0: {first['results']}")
         print(f"  cached on first request: {first['cached']}, "
               f"on second: {again['cached']}")
 
-        top = client.top_k(0, 3, ["thai", "restaurant"])
+        top = client.query({**nearest, "k": 3, "kind": "topk"})
         print(f"Top-3 by weighted distance:      {top['results']}")
 
         update = client.update(op="insert", object=0, document=["thai", "pop-up"])
         print(f"\nInserted a thai pop-up at v0 "
               f"(evicted {update['cache_evicted']} cache entries)")
-        fresh = client.bknn(0, 2, ["thai", "restaurant"])
+        fresh = client.query(nearest)
         print(f"BkNN now finds it:               {fresh['results']}")
         assert fresh["results"][0] == [0, 0.0], "update did not take effect"
 

@@ -9,6 +9,7 @@ together with every substrate and baseline the paper evaluates against.
 Quick start::
 
     from repro import KSpin
+    from repro.api import Query
     from repro.distance import ContractionHierarchy
     from repro.graph import perturbed_grid_network
     from repro.text import KeywordDataset
@@ -16,7 +17,7 @@ Quick start::
     graph = perturbed_grid_network(20, 20, seed=1)
     dataset = KeywordDataset({5: ["thai", "restaurant"], 17: ["hotel"]})
     kspin = KSpin(graph, dataset, oracle=ContractionHierarchy(graph))
-    kspin.bknn(query=0, k=1, keywords=["thai"])
+    kspin.execute(Query(vertex=0, keywords=("thai",), k=1)).pairs()
 """
 
 from repro.core.framework import KSpin

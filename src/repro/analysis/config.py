@@ -351,8 +351,6 @@ SURFACE_SOURCES: dict[str, str] = {
 #: *and* be emitted somewhere in the tree.
 OBSERVED_SURFACES: dict[str, tuple[str, ...]] = {
     "http:/query": ("http.query",),
-    "http:/bknn": ("http.bknn",),
-    "http:/topk": ("http.topk",),
     "http:/batch": ("http.batch",),
     "http:/update": ("http.update", "update.applied"),
     "http:/healthz": (),
@@ -407,6 +405,7 @@ INSTRUMENTATION_NAMES = frozenset({
     "profiler.start",
     "profiler.stop",
     # spans
+    "http.query",
     "http.batch",
     "http.update",
     "cluster.execute",
@@ -422,11 +421,11 @@ INSTRUMENTATION_NAMES = frozenset({
     "processor.heap_generation",
 })
 
-#: Prefixes for dynamically-built names (``"http." + endpoint``,
-#: ``f"explain.{kind}"``): an emit site whose name is a constant prefix
-#: + runtime suffix is valid when the prefix is listed here, and a
-#: registry name matching a prefix counts as emitted.
-INSTRUMENTATION_PREFIXES = ("http.", "explain.")
+#: Prefixes for dynamically-built names (``f"explain.{kind}"``): an
+#: emit site whose name is a constant prefix + runtime suffix is valid
+#: when the prefix is listed here, and a registry name matching a
+#: prefix counts as emitted.
+INSTRUMENTATION_PREFIXES = ("explain.",)
 
 # ----------------------------------------------------------------------
 # Runtime write-guard registry (REPRO_LOCK_DEBUG=1)

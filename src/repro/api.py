@@ -9,16 +9,10 @@ return the same :class:`QueryResult`, so callers (benchmark harnesses,
 the HTTP tier, correctness tests) can swap engines without translation
 code.  Index mutations travel as :class:`UpdateOp` values so they can be
 journaled, fanned out over IPC, and replayed on worker rehydration.
-
-The older positional methods (``engine.bknn(vertex, k, keywords)``,
-``engine.top_k(...)``) remain as thin shims that emit
-:class:`DeprecationWarning` and delegate here; see ``docs/api.md`` for
-the migration table.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
@@ -514,19 +508,3 @@ def execute_batch(engine, batch: QueryBatch) -> BatchResult:
                 errors.append(batch_error_object(exc))
         return BatchResult(results=tuple(results), errors=tuple(errors))
     return BatchResult(results=tuple(answers), errors=(None,) * len(answers))
-
-
-def warn_deprecated(old: str, new: str, stacklevel: int = 3) -> None:
-    """Emit the standard deprecation warning for a positional shim.
-
-    ``stacklevel=3`` attributes the warning to the *caller of the shim*
-    (frame 1 is this helper, frame 2 the shim itself, frame 3 the
-    caller).  A shim that forwards through one extra internal frame
-    passes a higher ``stacklevel`` so the warning still points at user
-    code rather than at the shim.
-    """
-    warnings.warn(
-        f"{old} is deprecated; use {new} instead",
-        DeprecationWarning,
-        stacklevel=stacklevel,
-    )

@@ -19,7 +19,6 @@ from repro.api import (
     QueryResult,
     ensure_supported,
     hits_from_pairs,
-    warn_deprecated,
 )
 from repro.graph.dijkstra import network_expansion_knn
 from repro.graph.road_network import RoadNetwork
@@ -143,28 +142,6 @@ class NetworkExpansion:
         from repro.api import execute_many_sequential
 
         return execute_many_sequential(self, queries)
-
-    def bknn(
-        self,
-        query: int,
-        k: int,
-        keywords: Sequence[str],
-        conjunctive: bool = False,
-    ) -> list[tuple[int, float]]:
-        """Deprecated shim for :meth:`execute` with ``kind="bknn"``."""
-        warn_deprecated(
-            "NetworkExpansion.bknn(...)", "NetworkExpansion.execute(Query(...))"
-        )
-        return self._bknn(query, k, keywords, conjunctive=conjunctive)
-
-    def top_k(
-        self, query: int, k: int, keywords: Sequence[str]
-    ) -> list[tuple[int, float]]:
-        """Deprecated shim for :meth:`execute` with ``kind="topk"``."""
-        warn_deprecated(
-            "NetworkExpansion.top_k(...)", "NetworkExpansion.execute(Query(...))"
-        )
-        return self._top_k(query, k, keywords)
 
     def memory_bytes(self) -> int:
         return 0  # uses only the input graph and dataset

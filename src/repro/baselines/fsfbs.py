@@ -33,7 +33,6 @@ from repro.api import (
     QueryResult,
     ensure_supported,
     hits_from_pairs,
-    warn_deprecated,
 )
 from repro.distance.hub_labeling import HubLabeling
 from repro.graph.road_network import RoadNetwork
@@ -164,17 +163,6 @@ class FsFbs:
         from repro.api import execute_many_sequential
 
         return execute_many_sequential(self, queries)
-
-    def bknn(
-        self,
-        query: int,
-        k: int,
-        keywords: Sequence[str],
-        conjunctive: bool = False,
-    ) -> list[tuple[int, float]]:
-        """Deprecated shim for :meth:`execute` with ``kind="bknn"``."""
-        warn_deprecated("FsFbs.bknn(...)", "FsFbs.execute(Query(...))")
-        return self._bknn(query, k, keywords, conjunctive=conjunctive)
 
     def _scan_infrequent(
         self,

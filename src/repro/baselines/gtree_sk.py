@@ -34,7 +34,6 @@ from repro.api import (
     QueryResult,
     ensure_supported,
     hits_from_pairs,
-    warn_deprecated,
 )
 from repro.distance.gtree import GTree
 from repro.graph.road_network import RoadNetwork
@@ -306,30 +305,6 @@ class GTreeSpatialKeyword:
         from repro.api import execute_many_sequential
 
         return execute_many_sequential(self, queries)
-
-    def bknn(
-        self,
-        query: int,
-        k: int,
-        keywords: Sequence[str],
-        conjunctive: bool = False,
-    ) -> list[tuple[int, float]]:
-        """Deprecated shim for :meth:`execute` with ``kind="bknn"``."""
-        warn_deprecated(
-            "GTreeSpatialKeyword.bknn(...)",
-            "GTreeSpatialKeyword.execute(Query(...))",
-        )
-        return self._bknn(query, k, keywords, conjunctive=conjunctive)
-
-    def top_k(
-        self, query: int, k: int, keywords: Sequence[str]
-    ) -> list[tuple[int, float]]:
-        """Deprecated shim for :meth:`execute` with ``kind="topk"``."""
-        warn_deprecated(
-            "GTreeSpatialKeyword.top_k(...)",
-            "GTreeSpatialKeyword.execute(Query(...))",
-        )
-        return self._top_k(query, k, keywords)
 
     @property
     def matrix_operations(self) -> int:

@@ -30,7 +30,6 @@ from repro.api import (
     QueryResult,
     ensure_supported,
     hits_from_pairs,
-    warn_deprecated,
 )
 from repro.graph.dijkstra import dijkstra_within
 from repro.graph.road_network import RoadNetwork
@@ -317,24 +316,6 @@ class Road:
         from repro.api import execute_many_sequential
 
         return execute_many_sequential(self, queries)
-
-    def knn(
-        self,
-        query: int,
-        k: int,
-        keywords: Sequence[str],
-        conjunctive: bool = False,
-    ) -> list[tuple[int, float]]:
-        """Deprecated shim for :meth:`execute` with ``kind="bknn"``."""
-        warn_deprecated("Road.knn(...)", "Road.execute(Query(...))")
-        return self._knn(query, k, keywords, conjunctive=conjunctive)
-
-    def top_k(
-        self, query: int, k: int, keywords: Sequence[str]
-    ) -> list[tuple[int, float]]:
-        """Deprecated shim for :meth:`execute` with ``kind="topk"``."""
-        warn_deprecated("Road.top_k(...)", "Road.execute(Query(...))")
-        return self._top_k(query, k, keywords)
 
     # ------------------------------------------------------------------
     # Accounting

@@ -45,7 +45,7 @@ Examples
     python -m repro query --index /tmp/fl.kspin --vertex 100 \
         --keywords kw0001 kw0002 --kind topk --k 5 --stats
     python -m repro serve --index /tmp/fl.kspin --port 8080 --workers 8
-    curl 'http://127.0.0.1:8080/bknn?vertex=100&k=5&keywords=kw0001'
+    curl 'http://127.0.0.1:8080/v1/query?vertex=100&k=5&keywords=kw0001'
 """
 
 from __future__ import annotations
@@ -289,7 +289,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
               f"(burst {server.rate_limiter.capacity:g}); clients keyed by "
               "X-Client-Id header, falling back to the peer address")
     print(f"Serving {kspin.graph.num_vertices}-vertex index on {server.url}")
-    print("Endpoints: /v1/query /v1/bknn /v1/topk /v1/update /v1/healthz "
+    print("Endpoints: /v1/query /v1/batch /v1/update /v1/healthz "
           "/v1/metrics /v1/debug/traces /v1/debug/events /v1/debug/profile"
           "  (Ctrl-C to stop)")
     if args.trace:
@@ -680,6 +680,7 @@ def _cmd_typecheck(args: argparse.Namespace) -> int:
 
 def _cmd_demo(args: argparse.Namespace) -> int:
     """A self-contained run of the paper's Figure-1 example queries."""
+    from repro.api import Query
     from repro.core import KSpin
     from repro.distance import DijkstraOracle
     from repro.graph import RoadNetwork
@@ -715,12 +716,12 @@ def _cmd_demo(args: argparse.Namespace) -> int:
         rho=3,
     )
     print("K-SPIN demo on the paper's Figure-1 world (q = vertex 0)")
-    disjunctive = kspin.bknn(0, 1, ["restaurant", "takeaway"])
-    print(f"  1NN for restaurant OR takeaway: {disjunctive}")
-    conjunctive = kspin.bknn(0, 1, ["thai", "restaurant"], conjunctive=True)
-    print(f"  1NN for thai AND restaurant:    {conjunctive}")
-    top = kspin.top_k(0, 3, ["thai", "restaurant"])
-    print(f"  top-3 by weighted distance:     {top}")
+    disjunctive = kspin.execute(Query(0, ("restaurant", "takeaway"), k=1))
+    print(f"  1NN for restaurant OR takeaway: {disjunctive.pairs()}")
+    conjunctive = kspin.execute(Query(0, ("thai", "restaurant"), k=1, mode="and"))
+    print(f"  1NN for thai AND restaurant:    {conjunctive.pairs()}")
+    top = kspin.execute(Query(0, ("thai", "restaurant"), k=3, kind="topk"))
+    print(f"  top-3 by weighted distance:     {top.pairs()}")
     return 0
 
 

@@ -31,6 +31,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
+from repro import api
 from repro.core.framework import KSpin
 from repro.core.query_processor import QueryStats
 from repro.datasets.workloads import Query
@@ -109,7 +110,7 @@ def fit_cost_model(
     times: list[float] = []
     for query in workload:
         start = _time.perf_counter()
-        kspin.bknn(query.vertex, k, list(query.keywords))
+        kspin.execute(api.Query(query.vertex, query.keywords, k))
         elapsed = _time.perf_counter() - start
         stats = kspin.last_stats
         rows.append(
@@ -146,7 +147,7 @@ def model_accuracy(
     errors = []
     for query in workload:
         start = _time.perf_counter()
-        kspin.bknn(query.vertex, k, list(query.keywords))
+        kspin.execute(api.Query(query.vertex, query.keywords, k))
         measured = _time.perf_counter() - start
         predicted = model.predict_seconds(kspin.last_stats)
         if measured > 0:

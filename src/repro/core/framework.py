@@ -16,8 +16,8 @@ Typical use::
     from repro.distance import ContractionHierarchy
 
     kspin = KSpin(graph, dataset, oracle=ContractionHierarchy(graph))
-    kspin.bknn(query_vertex, k=10, keywords=["thai", "restaurant"])
-    kspin.top_k(query_vertex, k=10, keywords=["hotel", "parking"])
+    kspin.execute(Query(query_vertex, ("thai", "restaurant"), k=10))
+    kspin.execute(Query(query_vertex, ("hotel", "parking"), k=10, kind="topk"))
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ from repro.api import (
     ensure_supported,
     hits_from_pairs,
     stats_to_dict,
-    warn_deprecated,
 )
 from repro import kernels
 from repro.core.heap_generator import HeapGenerator
@@ -117,14 +116,9 @@ class KSpin:
             return HeapGenerator(self.lower_bounder)
         if seeding == "labels":
             from repro.core.label_seeding import LabelHeapGenerator
-            from repro.distance.composite import CompositeOracle
-            from repro.distance.hub_labeling import HubLabeling
 
-            if isinstance(oracle, HubLabeling):
-                labeling = oracle
-            elif isinstance(oracle, CompositeOracle):
-                labeling = oracle.labeling
-            else:
+            labeling = getattr(oracle, "labeling", None)
+            if labeling is None:
                 raise ValueError(
                     "seeding='labels' needs a hub-labeling oracle "
                     "(HubLabeling or CompositeOracle), got "
@@ -154,15 +148,7 @@ class KSpin:
         distance) according to ``query.kind``/``query.mode``.
         """
         ensure_supported(query, "KSpin")
-        if query.kind == "bknn":
-            pairs = self.processor.bknn(
-                query.vertex,
-                query.k,
-                list(query.keywords),
-                conjunctive=query.conjunctive,
-            )
-        else:
-            pairs = self.processor.top_k(query.vertex, query.k, list(query.keywords))
+        pairs = self.processor.answer(query)
         return QueryResult(
             hits=hits_from_pairs(query.kind, pairs),
             stats=stats_to_dict(self.processor.last_stats),
@@ -179,51 +165,6 @@ class KSpin:
         from repro.api import execute_many_sequential
 
         return execute_many_sequential(self, queries)
-
-    def bknn(
-        self,
-        query: int,
-        k: int,
-        keywords: Sequence[str],
-        conjunctive: bool = False,
-    ) -> list[tuple[int, float]]:
-        """Deprecated shim for :meth:`execute` with ``kind="bknn"``.
-
-        Returns ``[(object, network_distance)]`` in ascending distance
-        order; disjunctive (any keyword) unless ``conjunctive=True``.
-        """
-        warn_deprecated("KSpin.bknn(...)", "KSpin.execute(Query(kind='bknn'))")
-        return self.execute(
-            Query(
-                vertex=query,
-                keywords=tuple(keywords),
-                k=k,
-                kind="bknn",
-                mode="and" if conjunctive else "or",
-            )
-        ).pairs()
-
-    def top_k(
-        self,
-        query: int,
-        k: int,
-        keywords: Sequence[str],
-        use_pseudo_lower_bound: bool = True,
-    ) -> list[tuple[int, float]]:
-        """Deprecated shim for :meth:`execute` with ``kind="topk"``.
-
-        Returns ``[(object, score)]`` with the smallest
-        ``d(q,o)/TR(psi,o)`` scores, ascending.
-        """
-        warn_deprecated("KSpin.top_k(...)", "KSpin.execute(Query(kind='topk'))")
-        if not use_pseudo_lower_bound:
-            # The ablation knob is not part of the unified surface.
-            return self.processor.top_k(
-                query, k, keywords, use_pseudo_lower_bound=False
-            )
-        return self.execute(
-            Query(vertex=query, keywords=tuple(keywords), k=k, kind="topk")
-        ).pairs()
 
     def boolean_bknn(
         self, query: int, k: int, groups: Sequence[Sequence[str]]

@@ -24,6 +24,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
+from repro.api import Query
 from repro.core.heap_generator import HeapGenerator, InvertedHeap
 from repro.core.keyword_index import KeywordSeparatedIndex
 from repro.distance.base import DistanceOracle
@@ -149,6 +150,19 @@ class QueryProcessor:
         if self._selectivity is not None:
             return self._selectivity(keyword)
         return self._index.inverted_size(keyword)
+
+    def answer(self, query: Query) -> list[tuple[int, float]]:
+        """Run the algorithm ``query.kind`` / ``query.mode`` select.
+
+        The one place a :class:`repro.api.Query` is mapped onto
+        Algorithm 1, the §4.1.2 conjunctive variant or Algorithm 3;
+        every engine's ``execute`` comes through here.
+        """
+        if query.kind == "bknn":
+            return self.bknn(
+                query.vertex, query.k, query.keywords, conjunctive=query.conjunctive
+            )
+        return self.top_k(query.vertex, query.k, query.keywords)
 
     # ------------------------------------------------------------------
     # Boolean kNN

@@ -156,37 +156,11 @@ class DirectedKSpin:
         from repro.obs.trace import span as trace_span
 
         with trace_span("directed.execute", kind=query.kind):
-            if query.kind == "bknn":
-                pairs = self.processor.bknn(
-                    query.vertex,
-                    query.k,
-                    list(query.keywords),
-                    conjunctive=query.conjunctive,
-                )
-            else:
-                pairs = self.processor.top_k(
-                    query.vertex, query.k, list(query.keywords)
-                )
+            pairs = self.processor.answer(query)
         return QueryResult(
             hits=hits_from_pairs(query.kind, pairs),
             stats=stats_to_dict(self.processor.last_stats),
         )
-
-    def bknn(
-        self,
-        query: int,
-        k: int,
-        keywords: Sequence[str],
-        conjunctive: bool = False,
-    ) -> list[tuple[int, float]]:
-        """Directed Boolean kNN by ``d(q -> o)``."""
-        return self.processor.bknn(query, k, keywords, conjunctive=conjunctive)
-
-    def top_k(
-        self, query: int, k: int, keywords: Sequence[str]
-    ) -> list[tuple[int, float]]:
-        """Directed top-k by ``d(q -> o) / TR(psi, o)``."""
-        return self.processor.top_k(query, k, keywords)
 
     def boolean_bknn(
         self, query: int, k: int, groups: Sequence[Sequence[str]]

@@ -50,11 +50,6 @@ from repro.graph.road_network import RoadNetwork
 
 INFINITY = math.inf
 
-#: Estimated CPython cost of one ``{int: float}`` dict entry — what the
-#: pre-array layout charged per label entry.  Kept so benchmarks can
-#: report the before/after footprint honestly.
-_DICT_ENTRY_BYTES = 100
-
 
 def importance_order(graph: RoadNetwork, kind: str = "ch") -> list[int]:
     """A most-to-least-important vertex permutation for label builds.
@@ -88,6 +83,12 @@ class HubLabeling(DistanceOracle):
     """
 
     name = "PHL"
+
+    @property
+    def labeling(self) -> "HubLabeling":
+        """The label store behind label seeding: this oracle itself
+        (a :class:`CompositeOracle` exposes its inner one the same way)."""
+        return self
 
     def __init__(
         self, graph: RoadNetwork, order: Sequence[int] | str = "ch"
@@ -313,24 +314,14 @@ class HubLabeling(DistanceOracle):
     # Accounting
     # ------------------------------------------------------------------
     def memory_bytes(self) -> int:
-        """The real label storage: exact array footprint plus the order.
-
-        The previous dict-of-dicts layout *estimated* ~100 bytes per
-        entry and ignored the per-vertex dict headers; the flat layout
-        makes the honest number a property of the arrays themselves
-        (12 bytes per entry + the indptr and order vectors).
-        """
+        """The real label storage: exact array footprint plus the order
+        (12 bytes per entry + the indptr and order vectors)."""
         return int(
             self._indptr.nbytes
             + self._hub_ids.nbytes
             + self._hub_dists.nbytes
             + 8 * self._n  # the ordinal -> vertex order list payload
         )
-
-    def legacy_dict_bytes(self) -> int:
-        """What the pre-array dict-of-dicts layout charged for the same
-        labels — kept so benchmarks can report the before/after."""
-        return self.num_label_entries() * _DICT_ENTRY_BYTES
 
 
 def _merge_lists(

@@ -19,7 +19,7 @@ Quick use::
     # or escape the GIL with processes:
     # backend = ClusterCoordinator(load_kspin("fl.kspin"), num_workers=4)
     with QueryServer(backend, port=8080, workers=8).start_background() as server:
-        ...  # curl http://127.0.0.1:8080/v1/bknn?vertex=5&k=3&keywords=thai
+        ...  # curl http://127.0.0.1:8080/v1/query?vertex=5&k=3&keywords=thai
 """
 
 from repro.api import (
@@ -35,7 +35,7 @@ from repro.api import (
 from repro.serve.admission import DeadlineExceeded, ServerSaturated, WorkerPool
 from repro.serve.cache import ResultCache, result_key
 from repro.serve.cluster import PLACEMENTS, ClusterCoordinator
-from repro.serve.engine import Engine, EngineResult
+from repro.serve.engine import Engine
 from repro.serve.http import QueryServer
 from repro.serve.ipc import WorkerDied, WorkerError, WorkerHandle
 from repro.serve.loadgen import LoadResult, ServeClient, replay
@@ -50,7 +50,6 @@ __all__ = [
     "ClusterCoordinator",
     "DeadlineExceeded",
     "Engine",
-    "EngineResult",
     "Hit",
     "KeywordShardRouter",
     "LatencyRecorder",

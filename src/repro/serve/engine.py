@@ -48,7 +48,6 @@ from repro.api import (
     ensure_supported,
     hits_from_pairs,
     stats_to_dict,
-    warn_deprecated,
 )
 from repro.core.framework import KSpin
 from repro.core.query_processor import QueryProcessor, QueryStats
@@ -59,25 +58,6 @@ from repro.serve.cache import HotKeywordAdmission, ResultCache, result_key
 from repro.serve.locks import ReadWriteLock
 from repro.serve.metrics import ServerMetrics
 from repro.sketch.registry import IndexSketches
-
-#: Query families the engine serves.
-KINDS = ("bknn", "topk")
-
-
-class EngineResult:
-    """One answered query: results, cache disposition, and cost counters."""
-
-    __slots__ = ("results", "cached", "stats")
-
-    def __init__(
-        self,
-        results: list[tuple[int, float]],
-        cached: bool,
-        stats: QueryStats,
-    ) -> None:
-        self.results = results
-        self.cached = cached
-        self.stats = stats
 
 
 class Engine:
@@ -234,17 +214,7 @@ class Engine:
                         continue
                     start = time.perf_counter()
                     with trace_span("engine.execute", kind=query.kind):
-                        if query.kind == "bknn":
-                            pairs = processor.bknn(
-                                query.vertex,
-                                query.k,
-                                list(query.keywords),
-                                conjunctive=query.conjunctive,
-                            )
-                        else:
-                            pairs = processor.top_k(
-                                query.vertex, query.k, list(query.keywords)
-                            )
+                        pairs = processor.answer(query)
                         stats = processor.last_stats
                     computed[key] = pairs
                     # Stored before the read lock drops: a concurrent
@@ -269,43 +239,6 @@ class Engine:
             finally:
                 self.lock.release_read()
         return [result for result in results if result is not None]
-
-    def bknn(
-        self,
-        vertex: int,
-        k: int,
-        keywords: Sequence[str],
-        conjunctive: bool = False,
-    ) -> EngineResult:
-        """Deprecated shim for :meth:`execute` with ``kind="bknn"``."""
-        warn_deprecated("Engine.bknn(...)", "Engine.execute(Query(...))")
-        query = Query(
-            vertex=vertex,
-            keywords=tuple(keywords),
-            k=k,
-            kind="bknn",
-            mode="and" if conjunctive else "or",
-        )
-        pairs, was_cached, stats = self._run(query)
-        return EngineResult(pairs, was_cached, stats)
-
-    def top_k(self, vertex: int, k: int, keywords: Sequence[str]) -> EngineResult:
-        """Deprecated shim for :meth:`execute` with ``kind="topk"``."""
-        warn_deprecated("Engine.top_k(...)", "Engine.execute(Query(...))")
-        query = Query(vertex=vertex, keywords=tuple(keywords), k=k, kind="topk")
-        pairs, was_cached, stats = self._run(query)
-        return EngineResult(pairs, was_cached, stats)
-
-    def _run(
-        self, query: Query
-    ) -> tuple[list[tuple[int, float]], bool, QueryStats]:
-        """Legacy triple for the deprecated shims, over the batch path."""
-        result = self.execute_many((query,))[0]
-        return (
-            result.pairs(),
-            result.cached,
-            QueryStats.from_dict(result.stats),
-        )
 
     # ------------------------------------------------------------------
     # Updates (write side, paper §6.2)

@@ -8,7 +8,8 @@ many sockets happen to be open.
 
 The server is **backend-agnostic**: anything implementing the
 ``execute(Query) -> QueryResult`` / ``apply(UpdateOp) -> dict`` /
-``health()`` / ``metrics_snapshot()`` protocol serves — the thread-based
+``health()`` / ``metrics_snapshot()`` / ``events_snapshot()`` /
+``profile(action, hz)`` protocol serves — the thread-based
 :class:`~repro.serve.engine.Engine` and the process-sharded
 :class:`~repro.serve.cluster.ClusterCoordinator` both qualify.
 
@@ -20,19 +21,18 @@ Every response (success and error, every endpoint) is one JSON shape::
     {"ok": false, "error": {"code": "...", "message": "...", ...}}
 
 Machine-readable error codes: ``bad_request`` (400), ``not_found``
-(404), ``rate_limited`` (429, carries ``"retry_after"`` seconds and a
-``Retry-After`` header), ``saturated`` (503, carries ``"retry": true``),
-``deadline_exceeded`` (504), ``internal`` (500).
+(404), ``payload_too_large`` (413), ``rate_limited`` (429, carries
+``"retry_after"`` seconds and a ``Retry-After`` header), ``saturated``
+(503, carries ``"retry": true``), ``deadline_exceeded`` (504),
+``internal`` (500).
 
-Endpoints (canonical under ``/v1/``; the unversioned paths are aliases
-kept for older clients and answer with a ``Deprecation`` header):
+Endpoints (all under ``/v1/``; any other path answers ``not_found``):
 
 ``GET/POST /v1/query``
-    The generic surface: a :class:`repro.api.Query` as JSON
-    (``vertex``, ``keywords``, ``k``, ``kind``, ``mode``).
-``GET/POST /v1/bknn`` / ``/v1/topk``
-    Same parameters with ``kind`` pinned; ``keywords`` may be a JSON
-    list or comma-separated, ``conjunctive`` is honoured for BkNN.
+    A :class:`repro.api.Query` as a JSON body or query string
+    (``vertex``, ``keywords``, ``k``, ``kind``, ``mode``); ``keywords``
+    may be a JSON list or comma-separated, ``kind`` defaults to
+    ``bknn``, and ``conjunctive`` is honoured when ``mode`` is absent.
 ``POST /v1/batch``
     Many queries in one request: ``{"queries": [query-object, ...]}``.
     Answers per item (``{"items": [{"ok": ..., "result"|"error": ...}]}``,
@@ -95,20 +95,16 @@ class BadRequest(ValueError):
     """Client-side parameter error, reported as HTTP 400."""
 
 
-#: Endpoint names the router recognises (without the /v1 prefix).
-_ENDPOINTS = (
-    "/query", "/batch", "/bknn", "/topk", "/update", "/healthz", "/metrics",
-)
-
-#: Query endpoints that get a root trace span at ingress.
-_TRACED = ("/query", "/bknn", "/topk")
+#: Largest request body a route reads.  A request declaring more is
+#: answered 413 before any byte of the body is read.
+_MAX_BODY_BYTES = 1 << 20
 
 #: Endpoints subject to per-client rate limits.  Health and metrics
 #: stay reachable even for a limited client — operators debugging an
 #: overload must never be locked out by the very limiter they tune.
 #: ``/batch`` is charged its *batch size* (one token per carried
 #: query), so batching cannot bypass a per-query budget.
-_RATE_LIMITED = ("/query", "/batch", "/bknn", "/topk", "/update")
+_RATE_LIMITED = ("/query", "/batch", "/update")
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -128,23 +124,19 @@ class _Handler(BaseHTTPRequestHandler):
         self,
         status: int,
         payload: dict,
-        deprecated: bool = False,
         headers: dict[str, str] | None = None,
     ) -> None:
         body = json.dumps(payload).encode()
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
-        if deprecated:
-            self.send_header("Deprecation", "true")
-            self.send_header("Link", '</v1/>; rel="successor-version"')
         for name, value in (headers or {}).items():
             self.send_header(name, value)
         self.end_headers()
         self.wfile.write(body)
 
-    def _send_ok(self, result: object, deprecated: bool = False) -> None:
-        self._send_json(200, {"ok": True, "result": result}, deprecated=deprecated)
+    def _send_ok(self, result: object) -> None:
+        self._send_json(200, {"ok": True, "result": result})
 
     def _send_text(self, text: str, content_type: str) -> None:
         body = text.encode("utf-8")
@@ -159,14 +151,12 @@ class _Handler(BaseHTTPRequestHandler):
         status: int,
         code: str,
         message: str,
-        deprecated: bool = False,
         headers: dict[str, str] | None = None,
         **extra,
     ) -> None:
         self._send_json(
             status,
             {"ok": False, "error": {"code": code, "message": message, **extra}},
-            deprecated=deprecated,
             headers=headers,
         )
 
@@ -184,6 +174,25 @@ class _Handler(BaseHTTPRequestHandler):
             params.update(body)
         return params
 
+    def _refuse(
+        self, label: str, start: float, status: int, code: str, message: str
+    ) -> None:
+        """Answer a request no handler will read: count it, reply, hang up.
+
+        Whatever body was sent stays unread, so the bytes after the
+        headers cannot be skipped and the connection ends with the reply.
+        """
+        self.close_connection = True
+        self.server.metrics.record_request(
+            label, time.perf_counter() - start, error=True
+        )
+        try:
+            self._send_error(
+                status, code, message, headers={"Connection": "close"}
+            )
+        except BrokenPipeError:
+            pass
+
     # ------------------------------------------------------------------
     # Routing
     # ------------------------------------------------------------------
@@ -195,65 +204,72 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _route(self) -> None:
         path = urlparse(self.path).path.rstrip("/") or "/"
-        if path.startswith("/v1/") or path == "/v1":
-            endpoint = path[len("/v1"):] or "/"
-            deprecated = False
-        else:
-            endpoint = path
-            deprecated = endpoint in _ENDPOINTS
         start = time.perf_counter()
         metrics = self.server.metrics
         limiter = self.server.rate_limiter
-        # A batch is charged one token per carried query, which means
-        # its body must be read *before* the limiter check (the body
-        # can only be read once; the parsed params are handed down to
-        # the handler).  A malformed envelope is a plain 400 here —
-        # per-item isolation only applies to well-formed batches.
-        batch_params: dict | None = None
-        cost = 1.0
-        if endpoint == "/batch":
-            try:
+        # Only /v1/ is routed; any other path keeps its full name as the
+        # metrics label and is refused below.
+        versioned = path.startswith("/v1/")
+        endpoint = path[len("/v1"):] if versioned else path
+        declared = self.headers.get("Content-Length") or "0"
+        length = int(declared) if declared.isascii() and declared.isdigit() else -1
+        if length < 0:
+            self._refuse(
+                endpoint, start, 400, "bad_request",
+                f"Content-Length must be a non-negative integer, got {declared!r}",
+            )
+            return
+        if length > _MAX_BODY_BYTES:
+            self._refuse(
+                endpoint, start, 413, "payload_too_large",
+                f"request body of {length} bytes exceeds the "
+                f"{_MAX_BODY_BYTES}-byte limit",
+            )
+            return
+        if not versioned:
+            self._refuse(
+                endpoint, start, 404, "not_found", f"unknown endpoint {path}"
+            )
+            return
+        text: str | None = None
+        text_type = PROMETHEUS_CONTENT_TYPE
+        try:
+            # A batch is charged one token per carried query, which
+            # means its body must be read *before* the limiter check
+            # (the body can only be read once; the parsed params are
+            # handed down to the handler).  A malformed envelope is a
+            # plain 400 — per-item isolation only applies to well-formed
+            # batches.
+            batch_params: dict | None = None
+            cost = 1.0
+            if endpoint == "/batch":
                 batch_params = self._params()
-            except BadRequest as error:
-                metrics.record_request(
-                    endpoint, time.perf_counter() - start, error=True
-                )
-                self._send_error(
-                    400, "bad_request", str(error), deprecated=deprecated
-                )
-                return
-            raw_queries = batch_params.get("queries")
-            if isinstance(raw_queries, list) and raw_queries:
-                cost = float(len(raw_queries))
-        if limiter is not None and endpoint in _RATE_LIMITED:
-            client = self.headers.get("X-Client-Id") or self.client_address[0]
-            retry_after = limiter.check(client, cost=cost)
-            if retry_after is not None:
-                metrics.record_rate_limited(time.perf_counter() - start)
-                EVENTS.emit(
-                    "query.rate_limited", endpoint=endpoint, client=client
-                )
-                try:
+                raw_queries = batch_params.get("queries")
+                if isinstance(raw_queries, list) and raw_queries:
+                    cost = float(len(raw_queries))
+            if limiter is not None and endpoint in _RATE_LIMITED:
+                client = self.headers.get("X-Client-Id") or self.client_address[0]
+                retry_after = limiter.check(client, cost=cost)
+                if retry_after is not None:
+                    metrics.record_rate_limited(time.perf_counter() - start)
+                    EVENTS.emit(
+                        "query.rate_limited", endpoint=endpoint, client=client
+                    )
                     self._send_error(
                         429,
                         "rate_limited",
                         f"client {client!r} exceeded its request rate",
-                        deprecated=deprecated,
                         headers={
                             "Retry-After": str(max(1, math.ceil(retry_after)))
                         },
                         retry=True,
                         retry_after=round(retry_after, 3),
                     )
-                except BrokenPipeError:
-                    pass
-                return
-        # Handlers *return* the response payload; metrics are recorded
-        # before any bytes go out, so a client that has received the
-        # response immediately observes the request in /metrics.
-        text: str | None = None
-        text_type = PROMETHEUS_CONTENT_TYPE
-        try:
+                    return
+            # Handlers *return* the response payload; metrics are
+            # recorded before any bytes go out, so a client that has
+            # received the response immediately observes the request in
+            # /metrics.
             if endpoint == "/healthz":
                 reply = self._handle_healthz()
             elif endpoint == "/metrics":
@@ -270,25 +286,22 @@ class _Handler(BaseHTTPRequestHandler):
                 reply, text = self._handle_profile()
                 if text is not None:
                     text_type = "text/plain; charset=utf-8"
-            elif endpoint in ("/query", "/bknn", "/topk"):
-                reply = self._handle_query(endpoint)
+            elif endpoint == "/query":
+                reply = self._handle_query()
             elif endpoint == "/batch":
                 reply = self._handle_batch(batch_params or {})
             elif endpoint == "/update":
                 reply = self._handle_update()
             else:
-                metrics.record_request(
-                    endpoint, time.perf_counter() - start, error=True
-                )
-                self._send_error(
-                    404, "not_found", f"unknown endpoint {path}"
+                self._refuse(
+                    endpoint, start, 404, "not_found", f"unknown endpoint {path}"
                 )
                 return
         except (BadRequest, UnsupportedQueryError) as error:
             metrics.record_request(
                 endpoint, time.perf_counter() - start, error=True
             )
-            self._send_error(400, "bad_request", str(error), deprecated=deprecated)
+            self._send_error(400, "bad_request", str(error))
             return
         except WorkerError as error:
             # A cluster worker answered with a classified error: keep
@@ -297,9 +310,7 @@ class _Handler(BaseHTTPRequestHandler):
             metrics.record_request(
                 endpoint, time.perf_counter() - start, error=True
             )
-            self._send_error(
-                status, error.code, str(error), deprecated=deprecated
-            )
+            self._send_error(status, error.code, str(error))
             return
         except ServerSaturated as error:
             metrics.record_shed(time.perf_counter() - start)
@@ -309,16 +320,12 @@ class _Handler(BaseHTTPRequestHandler):
                 queue_depth=self.server.pool.queue_depth,
                 pressure=self.server.pool.pressure,
             )
-            self._send_error(
-                503, "saturated", str(error), deprecated=deprecated, retry=True
-            )
+            self._send_error(503, "saturated", str(error), retry=True)
             return
         except DeadlineExceeded as error:
             metrics.record_timeout(time.perf_counter() - start)
             EVENTS.emit("query.deadline", endpoint=endpoint)
-            self._send_error(
-                504, "deadline_exceeded", str(error), deprecated=deprecated
-            )
+            self._send_error(504, "deadline_exceeded", str(error))
             return
         except BrokenPipeError:  # client went away mid-request
             return
@@ -326,17 +333,14 @@ class _Handler(BaseHTTPRequestHandler):
             metrics.record_request(
                 endpoint, time.perf_counter() - start, error=True
             )
-            self._send_error(
-                500, "internal", f"{type(error).__name__}: {error}",
-                deprecated=deprecated,
-            )
+            self._send_error(500, "internal", f"{type(error).__name__}: {error}")
             return
         metrics.record_request(endpoint, time.perf_counter() - start)
         try:
             if text is not None:
                 self._send_text(text, text_type)
             else:
-                self._send_ok(reply, deprecated=deprecated)
+                self._send_ok(reply)
         except BrokenPipeError:  # client went away mid-response
             return
 
@@ -417,7 +421,7 @@ class _Handler(BaseHTTPRequestHandler):
                 raise ValueError
         except (TypeError, ValueError):
             raise BadRequest("hz must be a positive number") from None
-        payload = self.server.profile(action, hz=hz_value)
+        payload = self.server.backend.profile(action, hz=hz_value)
         fmt = str(params.get("format") or "json")
         if fmt == "collapsed":
             return None, render_collapsed(payload.get("folded") or {})
@@ -425,13 +429,8 @@ class _Handler(BaseHTTPRequestHandler):
             raise BadRequest(f"unknown profile format {fmt!r}")
         return payload, None
 
-    def _handle_query(self, endpoint: str) -> dict:
+    def _handle_query(self) -> dict:
         params = self._params()
-        if endpoint == "/bknn":
-            params["kind"] = "bknn"
-        elif endpoint == "/topk":
-            params["kind"] = "topk"
-            params.setdefault("mode", "or")
         try:
             query = Query.from_dict(params)
         except KeyError as error:
@@ -443,7 +442,7 @@ class _Handler(BaseHTTPRequestHandler):
         # pool's worker thread via attach(), and (for cluster backends)
         # over the IPC pipe — so the whole request is one span tree.
         with TRACER.trace(
-            "http." + endpoint.lstrip("/"),
+            "http.query",
             kind=query.kind,
             k=query.k,
             keywords=len(query.keywords),
@@ -552,8 +551,8 @@ class QueryServer(ThreadingHTTPServer):
     Parameters
     ----------
     backend:
-        Any ``execute``/``apply``/``health``/``metrics_snapshot``
-        implementation: a thread-safe :class:`Engine` or a
+        Any ``execute``/``apply``/``health``/``metrics_snapshot``/
+        ``events_snapshot``/``profile`` implementation: a thread-safe :class:`Engine` or a
         :class:`~repro.serve.cluster.ClusterCoordinator`.
     host, port:
         Bind address; port 0 picks an ephemeral port (see :attr:`port`).
@@ -705,11 +704,6 @@ class QueryServer(ThreadingHTTPServer):
         return self.slo.evaluate()
 
     @property
-    def engine(self) -> Engine | ClusterCoordinator:
-        """Backward-compatible alias for :attr:`backend`."""
-        return self.backend
-
-    @property
     def port(self) -> int:
         """The actual bound port (useful with ``port=0``)."""
         return self.server_address[1]
@@ -728,8 +722,7 @@ class QueryServer(ThreadingHTTPServer):
         method); in-process backends share this process's recorder, so
         the global :data:`EVENTS` already holds everything.
         """
-        collect = getattr(self.backend, "events_snapshot", None)
-        events = collect() if collect is not None else EVENTS.events()
+        events = self.backend.events_snapshot()
         if since_ts is not None:
             events = [event for event in events if event["ts"] > since_ts]
         total = len(events)
@@ -740,33 +733,6 @@ class QueryServer(ThreadingHTTPServer):
             "count": len(events),
             "total": total,
             "recorder": EVENTS.snapshot(),
-        }
-
-    def profile(self, action: str, hz: float | None = None) -> dict:
-        """Drive the sampling profiler (this process or the cluster).
-
-        Delegates to the backend's ``profile`` protocol method when it
-        has one (the cluster coordinator scatters over IPC and merges
-        folded stacks); otherwise drives the process-global profiler.
-        """
-        drive = getattr(self.backend, "profile", None)
-        if drive is not None:
-            return drive(action, hz=hz)
-        if action == "start":
-            PROFILER.start(hz=hz)
-        elif action == "stop":
-            PROFILER.stop()
-        elif action == "reset":
-            PROFILER.reset()
-        snapshot = PROFILER.snapshot()
-        return {
-            "action": action,
-            "enabled": snapshot["enabled"],
-            "profilers": [snapshot],
-            "folded": {
-                f"{PROFILER.source};{stack}": count
-                for stack, count in PROFILER.folded().items()
-            },
         }
 
     def metrics_snapshot(self) -> dict:

@@ -77,24 +77,6 @@ class ServeClient:
         """POST a full :class:`repro.api.Query` dict to ``/v1/query``."""
         return self._request("/v1/query", payload)
 
-    def bknn(
-        self, vertex: int, k: int, keywords: list[str], conjunctive: bool = False
-    ) -> dict:
-        return self._request(
-            "/v1/bknn",
-            {
-                "vertex": vertex,
-                "k": k,
-                "keywords": list(keywords),
-                "conjunctive": conjunctive,
-            },
-        )
-
-    def top_k(self, vertex: int, k: int, keywords: list[str]) -> dict:
-        return self._request(
-            "/v1/topk", {"vertex": vertex, "k": k, "keywords": list(keywords)}
-        )
-
     def batch(self, queries: list[dict]) -> dict:
         """POST many query dicts to ``/v1/batch`` in one request.
 
@@ -173,7 +155,7 @@ def replay(
     rest.
 
     ``batch`` groups the workload into ``/v1/batch`` requests of that
-    many queries each (1 keeps the per-query endpoints).  Counters stay
+    many queries each (1 sends one ``/v1/query`` per query).  Counters stay
     *per query*: ``requests``/``ok``/``qps`` count queries so batched
     and unbatched runs compare directly; a refused batch counts every
     carried query as refused (the server charges the same way).
@@ -201,6 +183,14 @@ def replay(
     recorder = LatencyRecorder()
     outcomes = {"ok": 0, "shed": 0, "limited": 0, "errors": 0, "cache_hits": 0}
 
+    def payload(query: Query) -> dict:
+        return {
+            "vertex": query.vertex,
+            "k": k,
+            "keywords": list(query.keywords),
+            "kind": kind,
+        }
+
     def refusal_status(error: urllib.error.HTTPError) -> str:
         if error.code == 429:
             return "limited"
@@ -214,10 +204,7 @@ def replay(
         counts = {"ok": 0, "shed": 0, "limited": 0, "errors": 0, "cache_hits": 0}
         start = time.perf_counter()
         try:
-            if kind == "bknn":
-                body = sender.bknn(query.vertex, k, list(query.keywords))
-            else:
-                body = sender.top_k(query.vertex, k, list(query.keywords))
+            body = sender.query(payload(query))
             counts["ok"] = 1
             counts["cache_hits"] = 1 if body.get("cached") else 0
         except urllib.error.HTTPError as error:
@@ -236,15 +223,7 @@ def replay(
         """
         index, chunk = task
         sender = identities[index % len(identities)]
-        payloads = [
-            {
-                "vertex": query.vertex,
-                "k": k,
-                "keywords": list(query.keywords),
-                "kind": kind,
-            }
-            for query in chunk
-        ]
+        payloads = [payload(query) for query in chunk]
         counts = {"ok": 0, "shed": 0, "limited": 0, "errors": 0, "cache_hits": 0}
         start = time.perf_counter()
         try:
@@ -323,8 +302,8 @@ def main(argv: list[str] | None = None) -> int:
                         help="distinct client identities spread over the "
                              "requests (default 1)")
     parser.add_argument("--batch", type=int, default=1,
-                        help="queries per /v1/batch request; 1 keeps the "
-                             "per-query endpoints (default 1)")
+                        help="queries per /v1/batch request; 1 sends one "
+                             "/v1/query per query (default 1)")
     parser.add_argument("--kind", default="bknn", choices=["bknn", "topk"])
     parser.add_argument("--k", type=int, default=10)
     parser.add_argument("--terms", type=int, default=2,

@@ -14,9 +14,7 @@ full inverted lists:
   request shaping for the HTTP front door.
 * :class:`IndexSketches` — the registry bundling Bloom + HLL summaries
   of one keyword-separated index, with incremental update folding.
-* :class:`ConsistentHashRing` / :func:`stable_hash` /
-  :func:`stable_hash64` — process-stable hashing and the virtual-node
-  ring the elastic-cluster roadmap item builds on.
+* :func:`stable_hash` / :func:`stable_hash64` — process-stable hashing.
 
 Every sketch offers ``merge()`` (Bloom and HLL merges are *exactly*
 the pooled build; lossy counting keeps its error bound over the pooled
@@ -29,12 +27,11 @@ from repro.sketch.hll import HyperLogLog
 from repro.sketch.leaky import ClientRateLimiter, LeakyBucket
 from repro.sketch.lossy import LossyCounter
 from repro.sketch.registry import IndexSketches
-from repro.sketch.ring import ConsistentHashRing, stable_hash, stable_hash64
+from repro.sketch.ring import stable_hash, stable_hash64
 
 __all__ = [
     "BloomFilter",
     "ClientRateLimiter",
-    "ConsistentHashRing",
     "HyperLogLog",
     "IndexSketches",
     "LeakyBucket",

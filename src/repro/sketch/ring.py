@@ -1,4 +1,4 @@
-"""Stable hashing and a consistent-hash ring.
+"""Process-stable hashing.
 
 Every sketch (and the keyword-shard router) needs hashes that agree
 *across process generations*: Python's builtin ``hash`` is randomised
@@ -12,20 +12,14 @@ single home for process-stable hashing:
 * :func:`stable_hash64` — a 64-bit BLAKE2b hash for sketches that need
   more entropy than CRC-32 offers (HyperLogLog register selection,
   Bloom double hashing).
-* :class:`ConsistentHashRing` — virtual-node consistent hashing, the
-  placement groundwork for elastic clusters: adding or removing one
-  node moves only ~1/n of the key space instead of reshuffling
-  everything the way ``crc32 % n`` does.
 """
 
 from __future__ import annotations
 
-import bisect
 import hashlib
 import zlib
-from typing import Iterable
 
-__all__ = ["ConsistentHashRing", "stable_hash", "stable_hash64"]
+__all__ = ["stable_hash", "stable_hash64"]
 
 
 def stable_hash(key: str) -> int:
@@ -39,80 +33,3 @@ def stable_hash64(key: str, salt: str = "") -> int:
         key.encode("utf-8"), digest_size=8, salt=salt.encode("utf-8")[:16]
     ).digest()
     return int.from_bytes(digest, "big")
-
-
-class ConsistentHashRing:
-    """Consistent hashing with virtual nodes.
-
-    Each node is mapped onto ``vnodes`` points of a 64-bit ring; a key
-    belongs to the first node point at or clockwise after its hash.
-    Adding or removing one node therefore only remaps the keys that
-    fell between the changed node's points and their predecessors —
-    about ``1/len(nodes)`` of the key space — which is the property the
-    elastic-cluster roadmap item needs for live resharding.
-
-    Parameters
-    ----------
-    nodes:
-        Initial node names (order-insensitive; the ring is determined
-        by hashes alone, so two rings built from the same node set are
-        identical).
-    vnodes:
-        Virtual points per node; more points smooth the load spread at
-        the cost of a larger sorted index.
-    """
-
-    def __init__(self, nodes: Iterable[str] = (), vnodes: int = 64) -> None:
-        if vnodes < 1:
-            raise ValueError("vnodes must be positive")
-        self.vnodes = vnodes
-        self._points: list[tuple[int, str]] = []
-        self._nodes: set[str] = set()
-        for node in nodes:
-            self.add_node(node)
-
-    # ------------------------------------------------------------------
-    # Membership
-    # ------------------------------------------------------------------
-    @property
-    def nodes(self) -> tuple[str, ...]:
-        """The current node set, sorted for deterministic iteration."""
-        return tuple(sorted(self._nodes))
-
-    def __len__(self) -> int:
-        return len(self._nodes)
-
-    def add_node(self, node: str) -> None:
-        """Add ``node``'s virtual points to the ring (idempotent)."""
-        if node in self._nodes:
-            return
-        self._nodes.add(node)
-        for i in range(self.vnodes):
-            point = (stable_hash64(f"{node}#{i}"), node)
-            bisect.insort(self._points, point)
-
-    def remove_node(self, node: str) -> None:
-        """Remove ``node`` and all its virtual points."""
-        if node not in self._nodes:
-            raise KeyError(f"node {node!r} is not on the ring")
-        self._nodes.discard(node)
-        self._points = [p for p in self._points if p[1] != node]
-
-    # ------------------------------------------------------------------
-    # Lookup
-    # ------------------------------------------------------------------
-    def node_for(self, key: str) -> str:
-        """The node owning ``key`` (first point clockwise of its hash)."""
-        if not self._points:
-            raise LookupError("the ring has no nodes")
-        index = bisect.bisect_right(self._points, (stable_hash64(key), "￿"))
-        if index == len(self._points):
-            index = 0  # wrap around the ring
-        return self._points[index][1]
-
-    def spread(self, keys: Iterable[str]) -> dict[str, int]:
-        """How many of ``keys`` each node owns (load-balance diagnostics)."""
-        counts: dict[str, int] = {node: 0 for node in self._nodes}
-        for key in keys:
-            counts[self.node_for(key)] += 1
-        return counts

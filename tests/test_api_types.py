@@ -2,14 +2,16 @@
 
 Every engine — KSpin, the serving Engine, and all four baselines —
 accepts the same frozen :class:`Query` and returns the same
-:class:`QueryResult`; the old positional methods survive as shims that
-warn and delegate.  These tests pin the whole contract.
+:class:`QueryResult`, and ``execute`` is the only way in.  These tests
+pin the whole contract.
 """
 
+import importlib
 import pickle
 
 import pytest
 
+from repro.analysis.config import ENGINE_REGISTRY
 from repro.api import (
     Hit,
     Query,
@@ -21,6 +23,7 @@ from repro.api import (
 )
 from repro.baselines import FsFbs, GTreeSpatialKeyword, NetworkExpansion, Road
 from repro.core import KSpin, results_equivalent
+from repro.directed import DirectedKSpin
 from repro.distance import DijkstraOracle
 from repro.graph import perturbed_grid_network
 from repro.lowerbound import AltLowerBounder
@@ -133,6 +136,21 @@ class TestUpdateOp:
         ).touched_keywords() == ("z",)
         assert UpdateOp(op="rebuild").touched_keywords() == ()
 
+    def test_apply_inserts_and_deletes(self, grid, dataset):
+        kspin = KSpin(
+            grid, dataset, oracle=DijkstraOracle(grid),
+            lower_bounder=AltLowerBounder(grid, num_landmarks=4), rho=3,
+        )
+        occupied = set(dataset.objects())
+        free = next(v for v in grid.vertices() if v not in occupied)
+        summary = kspin.apply(
+            UpdateOp(op="insert", object=free, document=["kw0"])
+        )
+        assert summary["applied"] == "insert"
+        assert kspin.index.has_keyword(free, "kw0")
+        assert kspin.apply(UpdateOp(op="delete", object=free))["applied"] == "delete"
+        assert not kspin.index.has_keyword(free, "kw0")
+
 
 # ----------------------------------------------------------------------
 # QueryResult and merging
@@ -216,52 +234,21 @@ class TestEveryEngineSpeaksTheApi:
 
 
 # ----------------------------------------------------------------------
-# Deprecation shims
+# One way in: no engine keeps a positional query method
 # ----------------------------------------------------------------------
-class TestDeprecationShims:
-    def test_kspin_bknn_warns_and_matches_execute(self, kspin, dataset):
-        keywords = popular_keywords(dataset, 2)
-        query = Query(vertex=3, keywords=tuple(keywords), k=4)
-        expected = kspin.execute(query).pairs()
-        with pytest.warns(DeprecationWarning, match="KSpin.bknn"):
-            assert kspin.bknn(3, 4, list(keywords)) == expected
-
-    def test_kspin_top_k_warns_and_matches_execute(self, kspin, dataset):
-        keywords = popular_keywords(dataset, 2)
-        query = Query(vertex=3, keywords=tuple(keywords), k=4, kind="topk")
-        expected = kspin.execute(query).pairs()
-        with pytest.warns(DeprecationWarning, match="KSpin.top_k"):
-            assert kspin.top_k(3, 4, list(keywords)) == expected
-
-    def test_engine_shims_warn_and_match(self, kspin, dataset):
-        engine = Engine(kspin, cache_size=0)
-        keywords = popular_keywords(dataset, 2)
-        expected = engine.execute(
-            Query(vertex=3, keywords=tuple(keywords), k=4)
-        ).pairs()
-        with pytest.warns(DeprecationWarning, match="Engine.bknn"):
-            assert engine.bknn(3, 4, list(keywords)).results == expected
-
-    def test_baseline_shims_warn_and_match(self, grid, dataset):
-        expansion = NetworkExpansion(grid, dataset)
-        keywords = popular_keywords(dataset, 2)
-        expected = expansion.execute(
-            Query(vertex=3, keywords=tuple(keywords), k=4)
-        ).pairs()
-        with pytest.warns(DeprecationWarning):
-            assert expansion.bknn(3, 4, list(keywords)) == expected
-
-    def test_update_op_apply_matches_positional(self, grid, dataset):
-        kspin = KSpin(
-            grid, dataset, oracle=DijkstraOracle(grid),
-            lower_bounder=AltLowerBounder(grid, num_landmarks=4), rho=3,
+def registered_engine_classes():
+    for key, classes in ENGINE_REGISTRY.items():
+        module = importlib.import_module(
+            "repro." + key[: -len(".py")].replace("/", ".")
         )
-        occupied = set(dataset.objects())
-        free = next(v for v in grid.vertices() if v not in occupied)
-        summary = kspin.apply(
-            UpdateOp(op="insert", object=free, document=["kw0"])
-        )
-        assert summary["applied"] == "insert"
-        assert kspin.index.has_keyword(free, "kw0")
-        assert kspin.apply(UpdateOp(op="delete", object=free))["applied"] == "delete"
-        assert not kspin.index.has_keyword(free, "kw0")
+        for name in classes:
+            yield getattr(module, name)
+    yield DirectedKSpin
+
+
+@pytest.mark.parametrize(
+    "engine_class", list(registered_engine_classes()), ids=lambda c: c.__name__
+)
+def test_engine_has_no_positional_query_method(engine_class):
+    for name in ("bknn", "top_k", "knn"):
+        assert not hasattr(engine_class, name), (engine_class, name)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.api import Query
 from repro.distance import AStarOracle, DijkstraOracle, verify_oracle
 from repro.graph import (
     EdgePlacement,
@@ -79,7 +80,7 @@ class TestAStarOracle:
         )
         keywords = popular_keywords(dataset, 2)
         expected = brute_force_bknn(grid, dataset, 0, 5, keywords)
-        assert results_equivalent(kspin.bknn(0, 5, keywords), expected)
+        assert results_equivalent(kspin.execute(Query(0, keywords, k=5)).pairs(), expected)
 
 
 class TestEdgePlacements:
@@ -160,7 +161,7 @@ class TestEdgePlacements:
             oracle=DijkstraOracle(new),
             lower_bounder=AltLowerBounder(new, num_landmarks=4),
         )
-        result = kspin.bknn(u, 1, ["mid-edge-cafe"])
+        result = kspin.execute(Query(u, ["mid-edge-cafe"], k=1)).pairs()
         assert result[0][0] == pois[0]
         assert result[0][1] > 0.0
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.api import Query
 from repro.core import BackgroundRebuilder, KSpin, brute_force_bknn, results_equivalent
 from repro.distance import DijkstraOracle
 from repro.graph import perturbed_grid_network
@@ -63,13 +64,13 @@ class TestBackgroundRebuilder:
         with BackgroundRebuilder(kspin.index, grid) as rebuilder:
             rebuilder.schedule(keyword)
             # Queries keep working while the rebuild is in flight.
-            interim = kspin.bknn(0, 5, [keyword])
+            interim = kspin.execute(Query(0, [keyword], k=5)).pairs()
             assert interim
             rebuilder.wait()
         universe = list(dataset.objects()) + free
         reference = current_reference(grid, kspin, universe)
         expected = brute_force_bknn(grid, reference, 0, 5, [keyword])
-        actual = kspin.bknn(0, 5, [keyword])
+        actual = kspin.execute(Query(0, [keyword], k=5)).pairs()
         assert results_equivalent(actual, expected)
         assert results_equivalent(interim, expected)
 

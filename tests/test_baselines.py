@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.api import Query
 from repro.baselines import FsFbs, GTreeSpatialKeyword, NetworkExpansion, Road
 from repro.core import brute_force_bknn, brute_force_top_k, results_equivalent
 from repro.distance import GTree
@@ -65,7 +66,8 @@ class TestGTreeSpatialKeyword:
             expected = brute_force_bknn(
                 grid, dataset, q, 5, keywords, conjunctive=conjunctive
             )
-            actual = gtree_sk.bknn(q, 5, keywords, conjunctive=conjunctive)
+            mode = "and" if conjunctive else "or"
+            actual = gtree_sk.execute(Query(q, keywords, k=5, mode=mode)).pairs()
             assert results_equivalent(actual, expected), (q, actual, expected)
 
     def test_topk_matches_brute_force(self, grid, dataset, gtree_sk):
@@ -75,7 +77,7 @@ class TestGTreeSpatialKeyword:
         for _ in range(8):
             q = rng.randrange(grid.num_vertices)
             expected = brute_force_top_k(grid, dataset, relevance, q, 5, keywords)
-            actual = gtree_sk.top_k(q, 5, keywords)
+            actual = gtree_sk.execute(Query(q, keywords, k=5, kind="topk")).pairs()
             assert results_equivalent(actual, expected), (q, actual, expected)
 
     def test_optimized_variant_same_results(self, grid, dataset, gtree_sk, gtree_opt):
@@ -83,12 +85,11 @@ class TestGTreeSpatialKeyword:
         rng = random.Random(3)
         for _ in range(6):
             q = rng.randrange(grid.num_vertices)
-            assert results_equivalent(
-                gtree_sk.top_k(q, 5, keywords), gtree_opt.top_k(q, 5, keywords)
-            )
-            assert results_equivalent(
-                gtree_sk.bknn(q, 5, keywords), gtree_opt.bknn(q, 5, keywords)
-            )
+            for kind in ("topk", "bknn"):
+                query = Query(q, keywords, k=5, kind=kind)
+                assert results_equivalent(
+                    gtree_sk.execute(query).pairs(), gtree_opt.execute(query).pairs()
+                )
 
     def test_optimized_saves_pseudo_document_lookups(
         self, grid, dataset, gtree_sk, gtree_opt
@@ -100,10 +101,10 @@ class TestGTreeSpatialKeyword:
         rng = random.Random(4)
         for _ in range(6):
             q = rng.randrange(grid.num_vertices)
-            gtree_sk.top_k(q, 5, keywords)
+            gtree_sk.execute(Query(q, keywords, k=5, kind="topk"))
             lookups_original = gtree_sk.pseudo_document_lookups
             gtree_sk.reset_counters()
-            gtree_opt.top_k(q, 5, keywords)
+            gtree_opt.execute(Query(q, keywords, k=5, kind="topk"))
             lookups_optimized = gtree_opt.pseudo_document_lookups
             gtree_opt.reset_counters()
             assert lookups_optimized <= lookups_original
@@ -118,22 +119,22 @@ class TestGTreeSpatialKeyword:
         for _ in range(8):
             q = rng.randrange(grid.num_vertices)
             gtree_sk.reset_counters()
-            gtree_sk.top_k(q, 5, keywords)
+            gtree_sk.execute(Query(q, keywords, k=5, kind="topk"))
             total_original += gtree_sk.matrix_operations
             gtree_opt.reset_counters()
-            gtree_opt.top_k(q, 5, keywords)
+            gtree_opt.execute(Query(q, keywords, k=5, kind="topk"))
             total_optimized += gtree_opt.matrix_operations
         assert total_optimized >= 0.5 * total_original
 
     def test_unknown_keyword_empty(self, gtree_sk):
-        assert gtree_sk.bknn(0, 3, ["nothing"]) == []
-        assert gtree_sk.top_k(0, 3, ["nothing"]) == []
+        assert gtree_sk.execute(Query(0, ["nothing"], k=3)).pairs() == []
+        assert gtree_sk.execute(Query(0, ["nothing"], k=3, kind="topk")).pairs() == []
 
     def test_validation(self, gtree_sk):
         with pytest.raises(ValueError):
-            gtree_sk.bknn(0, 0, ["a"])
+            gtree_sk.execute(Query(0, ["a"], k=0))
         with pytest.raises(ValueError):
-            gtree_sk.top_k(0, 3, [])
+            gtree_sk.execute(Query(0, [], k=3, kind="topk"))
 
     def test_memory_reported(self, gtree_sk):
         assert gtree_sk.memory_bytes() > 0
@@ -149,7 +150,8 @@ class TestRoad:
                 expected = brute_force_bknn(
                     grid, dataset, q, 5, keywords, conjunctive=conjunctive
                 )
-                actual = road.knn(q, 5, keywords, conjunctive=conjunctive)
+                mode = "and" if conjunctive else "or"
+                actual = road.execute(Query(q, keywords, k=5, mode=mode)).pairs()
                 assert results_equivalent(actual, expected), (q, actual, expected)
 
     def test_topk_matches_brute_force(self, grid, dataset, road):
@@ -159,21 +161,21 @@ class TestRoad:
         for _ in range(8):
             q = rng.randrange(grid.num_vertices)
             expected = brute_force_top_k(grid, dataset, relevance, q, 5, keywords)
-            actual = road.top_k(q, 5, keywords)
+            actual = road.execute(Query(q, keywords, k=5, kind="topk")).pairs()
             assert results_equivalent(actual, expected), (q, actual, expected)
 
     def test_bypasses_used_for_rare_keywords(self, grid, dataset, road):
         rare = dataset.frequency_rank()[-1][0]
         road.reset_counters()
         for q in range(0, grid.num_vertices, 7):
-            road.knn(q, 1, [rare])
+            road.execute(Query(q, [rare], k=1))
         assert road.bypasses_taken > 0
 
     def test_validation(self, road):
         with pytest.raises(ValueError):
-            road.knn(0, 0, ["a"])
+            road.execute(Query(0, ["a"], k=0))
         with pytest.raises(ValueError):
-            road.top_k(0, 3, [])
+            road.execute(Query(0, [], k=3, kind="topk"))
 
     def test_rejects_degenerate_construction(self, grid, dataset):
         with pytest.raises(ValueError):
@@ -193,14 +195,15 @@ class TestFsFbs:
             expected = brute_force_bknn(
                 grid, dataset, q, 5, keywords, conjunctive=conjunctive
             )
-            actual = fsfbs.bknn(q, 5, keywords, conjunctive=conjunctive)
+            mode = "and" if conjunctive else "or"
+            actual = fsfbs.execute(Query(q, keywords, k=5, mode=mode)).pairs()
             assert results_equivalent(actual, expected), (q, actual, expected)
 
     def test_infrequent_keyword_scans_whole_list(self, grid, dataset, fsfbs):
         rare = dataset.frequency_rank()[-1][0]
         assert not fsfbs._is_frequent(rare)
         fsfbs.reset_counters()
-        fsfbs.bknn(0, 1, [rare])
+        fsfbs.execute(Query(0, [rare], k=1))
         # Every reachable object in the rare list was evaluated (no
         # early termination) even though only 1 result was requested.
         assert fsfbs.distance_computations >= min(
@@ -212,7 +215,7 @@ class TestFsFbs:
         frequent = ranked[0][0]
         rare = ranked[-1][0]
         expected = brute_force_bknn(grid, dataset, 3, 5, [frequent, rare])
-        actual = fsfbs.bknn(3, 5, [frequent, rare])
+        actual = fsfbs.execute(Query(3, [frequent, rare], k=5)).pairs()
         assert results_equivalent(actual, expected)
 
     def test_collisions_counted_with_tiny_hash(self, grid, dataset):
@@ -221,14 +224,14 @@ class TestFsFbs:
         rng = random.Random(9)
         for _ in range(15):
             q = rng.randrange(grid.num_vertices)
-            crowded.bknn(q, 3, [keywords[0]], conjunctive=True)
-            crowded.bknn(q, 3, keywords, conjunctive=True)
+            crowded.execute(Query(q, [keywords[0]], k=3, mode="and"))
+            crowded.execute(Query(q, keywords, k=3, mode="and"))
         # With a 2-bit hash, conjunctive masks collide readily.
         assert crowded.hash_false_positives >= 0  # counter wired up
         # Results stay exact despite collisions.
         expected = brute_force_bknn(grid, dataset, 0, 5, keywords, conjunctive=True)
         assert results_equivalent(
-            crowded.bknn(0, 5, keywords, conjunctive=True), expected
+            crowded.execute(Query(0, keywords, k=5, mode="and")).pairs(), expected
         )
 
     def test_largest_index_footprint(self, grid, dataset, fsfbs, gtree_sk, road):
@@ -237,9 +240,9 @@ class TestFsFbs:
 
     def test_validation(self, fsfbs, grid, dataset):
         with pytest.raises(ValueError):
-            fsfbs.bknn(0, 0, ["a"])
+            fsfbs.execute(Query(0, ["a"], k=0))
         with pytest.raises(ValueError):
-            fsfbs.bknn(0, 1, [])
+            fsfbs.execute(Query(0, [], k=1))
         with pytest.raises(ValueError):
             FsFbs(grid, dataset, hash_bits=0)
 
@@ -251,7 +254,8 @@ class TestNetworkExpansion:
             expected = brute_force_bknn(
                 grid, dataset, 5, 4, keywords, conjunctive=conjunctive
             )
-            actual = expansion.bknn(5, 4, keywords, conjunctive=conjunctive)
+            mode = "and" if conjunctive else "or"
+            actual = expansion.execute(Query(5, keywords, k=4, mode=mode)).pairs()
             assert results_equivalent(actual, expected)
 
     def test_topk_matches_brute_force(self, grid, dataset, expansion):
@@ -261,15 +265,15 @@ class TestNetworkExpansion:
         for _ in range(8):
             q = rng.randrange(grid.num_vertices)
             expected = brute_force_top_k(grid, dataset, relevance, q, 5, keywords)
-            actual = expansion.top_k(q, 5, keywords)
+            actual = expansion.execute(Query(q, keywords, k=5, kind="topk")).pairs()
             assert results_equivalent(actual, expected), (q, actual, expected)
 
     def test_validation(self, expansion):
         with pytest.raises(ValueError):
-            expansion.bknn(0, 0, ["a"])
+            expansion.execute(Query(0, ["a"], k=0))
         with pytest.raises(ValueError):
-            expansion.top_k(0, 1, [])
-        assert expansion.top_k(0, 1, ["missing"]) == []
+            expansion.execute(Query(0, [], k=1, kind="topk"))
+        assert expansion.execute(Query(0, ["missing"], k=1, kind="topk")).pairs() == []
         assert expansion.memory_bytes() == 0
 
 
@@ -293,7 +297,7 @@ def test_all_methods_agree_property(seed, k):
     ]
     for method in methods:
         if isinstance(method, Road):
-            actual = method.knn(q, k, keywords)
+            actual = method.execute(Query(q, keywords, k=k)).pairs()
         else:
-            actual = method.bknn(q, k, keywords)
+            actual = method.execute(Query(q, keywords, k=k)).pairs()
         assert results_equivalent(actual, expected), (method.name, actual, expected)

@@ -8,8 +8,6 @@ underneath.  Cluster-side equivalence lives in ``test_cluster.py``; the
 HTTP envelope in ``test_serve_http.py``.
 """
 
-import warnings
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,7 +18,6 @@ from repro.api import (
     QueryBatch,
     QueryResult,
     execute_batch,
-    warn_deprecated,
 )
 from repro.core import KSpin
 from repro.datasets import load_dataset
@@ -203,30 +200,6 @@ def test_engine_duplicate_queries_in_one_batch(kspin):
 
 def test_engine_empty_batch(kspin):
     assert Engine(kspin, cache_size=0).execute_many([]) == []
-
-
-# ----------------------------------------------------------------------
-# Deprecation shims: warnings must point at the *caller*
-# ----------------------------------------------------------------------
-class TestDeprecationAttribution:
-    def test_warning_filename_is_this_test(self, kspin):
-        engine = Engine(kspin, cache_size=0)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            engine.bknn(0, 2, ["kw0000"])
-        deprecations = [w for w in caught
-                        if issubclass(w.category, DeprecationWarning)]
-        assert deprecations, "positional shim must warn"
-        assert deprecations[0].filename == __file__
-
-    def test_warn_deprecated_default_points_past_shim(self):
-        def shim():
-            warn_deprecated("old()", "new()")
-
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            shim()
-        assert caught[0].filename == __file__
 
 
 # ----------------------------------------------------------------------

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.api import Query
 from repro.core import (
     BooleanExpression,
     KSpin,
@@ -57,7 +58,7 @@ class TestBooleanTopK:
         for _ in range(6):
             q = rng.randrange(grid.num_vertices)
             filtered = kspin.boolean_top_k(q, 5, [keywords])
-            plain = kspin.top_k(q, 5, keywords)
+            plain = kspin.execute(Query(q, keywords, k=5, kind="topk")).pairs()
             assert results_equivalent(filtered, plain)
 
     def test_unsatisfiable_filter_empty(self, world):

@@ -165,7 +165,7 @@ class TestServeCommand:
                     break
             assert url, "server never announced its URL"
             with urllib.request.urlopen(
-                f"{url}/v1/bknn?vertex=0&k=2&keywords=kw0000", timeout=30
+                f"{url}/v1/query?vertex=0&k=2&keywords=kw0000", timeout=30
             ) as response:
                 body = json.loads(response.read())
             assert body["ok"] is True

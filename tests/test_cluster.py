@@ -329,7 +329,7 @@ class TestClusterBehindHttp:
                 cluster, port=0, workers=4
             ).start_background() as server:
                 client = ServeClient(server.url)
-                body = client.bknn(0, 3, [keywords[0]])
+                body = client.query({"vertex": 0, "k": 3, "keywords": [keywords[0]]})
                 query = Query(vertex=0, keywords=(keywords[0],), k=3)
                 assert results_equivalent(
                     [(o, d) for o, d in body["results"]],
@@ -359,7 +359,7 @@ class TestClusterBehindHttp:
             with QueryServer(cluster, port=0, workers=2).start_background(
             ) as server:
                 request = urllib.request.Request(
-                    f"{server.url}/v1/topk?vertex=0&k=2"
+                    f"{server.url}/v1/query?kind=topk&vertex=0&k=2"
                     f"&keywords={keywords[0]}&mode=and"
                 )
                 with pytest.raises(urllib.error.HTTPError) as info:
@@ -464,7 +464,7 @@ class TestClusterObservability:
         ) as coordinator:
             TRACER.configure(enabled=True)
             try:
-                with TRACER.trace("http.bknn") as root:
+                with TRACER.trace("http.query") as root:
                     coordinator.execute(
                         Query(vertex=3, keywords=(keywords[0],), k=2)
                     )

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.api import Query
 from repro.core import (
     CostModel,
     KSpin,
@@ -13,7 +14,7 @@ from repro.core import (
     route_between,
 )
 from repro.core.query_processor import QueryStats
-from repro.datasets import Query, WorkloadGenerator
+from repro.datasets import WorkloadGenerator
 from repro.distance import DijkstraOracle
 from repro.graph import RoadNetwork, dijkstra_distance, perturbed_grid_network
 from repro.lowerbound import AltLowerBounder
@@ -133,7 +134,7 @@ class TestCostModel:
         grid, dataset, kspin = world
         for k in (1, 5, 10):
             report = measure_kappa(
-                lambda q: kspin.bknn(q.vertex, k, list(q.keywords)),
+                lambda q: kspin.execute(Query(q.vertex, q.keywords, k=k)),
                 lambda: kspin.last_stats,
                 self.workload(world, seed=k, count=5),
                 k,

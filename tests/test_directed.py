@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.api import Query
 from repro.directed import (
     DirectedAltLowerBounder,
     DirectedApproximateNVD,
@@ -237,7 +238,8 @@ class TestDirectedKSpin:
             expected = brute_force_directed_bknn(
                 g, dataset, q, 5, keywords, conjunctive=conjunctive
             )
-            actual = kspin.bknn(q, 5, keywords, conjunctive=conjunctive)
+            mode = "and" if conjunctive else "or"
+            actual = kspin.execute(Query(q, keywords, k=5, mode=mode)).pairs()
             assert [o for o, _ in actual] == [o for o, _ in expected] or (
                 [d for _, d in actual] == pytest.approx([d for _, d in expected])
             ), (q, actual, expected)
@@ -257,7 +259,7 @@ class TestDirectedKSpin:
                 and (tr := kspin.relevance.textual_relevance(keywords, o, impacts)) > 0
             )
             expected = [(o, s) for s, o in scored[:5]]
-            actual = kspin.top_k(q, 5, keywords)
+            actual = kspin.execute(Query(q, keywords, k=5, kind="topk")).pairs()
             assert [s for _, s in actual] == pytest.approx(
                 [s for _, s in expected]
             ), (q, actual, expected)
@@ -274,21 +276,21 @@ class TestDirectedKSpin:
         dataset = KeywordDataset({1: ["cafe"], 3: ["cafe"]})
         kspin = DirectedKSpin(g, dataset, rho=1)
         # From 0, vertex 1 is 1 hop forward; vertex 3 is 3 hops.
-        assert kspin.bknn(0, 2, ["cafe"]) == [(1, 1.0), (3, 3.0)]
+        assert kspin.execute(Query(0, ["cafe"], k=2)).pairs() == [(1, 1.0), (3, 3.0)]
         # From 2, the ring makes vertex 3 closest.
-        assert kspin.bknn(2, 2, ["cafe"]) == [(3, 1.0), (1, 3.0)]
+        assert kspin.execute(Query(2, ["cafe"], k=2)).pairs() == [(3, 1.0), (1, 3.0)]
 
     def test_deletion(self, world):
         g, dataset, kspin = world
         keywords = popular_keywords(dataset, 1)
         victim = dataset.inverted_list(keywords[0])[0]
         kspin.delete_object(victim)
-        result = kspin.bknn(0, dataset.inverted_size(keywords[0]), keywords)
+        result = kspin.execute(Query(0, keywords, k=dataset.inverted_size(keywords[0]))).pairs()
         assert victim not in {o for o, _ in result}
 
     def test_stats_and_memory(self, world):
         _, dataset, kspin = world
-        kspin.bknn(0, 5, popular_keywords(dataset, 2))
+        kspin.execute(Query(0, popular_keywords(dataset, 2), k=5))
         assert kspin.last_stats.distance_computations >= 0
         assert kspin.memory_bytes() > 0
 
@@ -317,7 +319,7 @@ def test_directed_bknn_property(seed):
     keywords = [f"kw{rng.randrange(6)}" for _ in range(rng.randint(1, 2))]
     q = rng.randrange(g.num_vertices)
     expected = brute_force_directed_bknn(g, dataset, q, 4, keywords)
-    actual = kspin.bknn(q, 4, keywords)
+    actual = kspin.execute(Query(q, keywords, k=4)).pairs()
     assert [d for _, d in actual] == pytest.approx([d for _, d in expected]), (
         keywords,
         actual,

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.api import Query
 from repro.core import (
     BooleanExpression,
     KSpin,
@@ -88,7 +89,7 @@ class TestBooleanBknn:
         for _ in range(6):
             q = rng.randrange(grid.num_vertices)
             via_cnf = kspin.boolean_bknn(q, 5, [[t] for t in keywords])
-            via_bknn = kspin.bknn(q, 5, keywords, conjunctive=True)
+            via_bknn = kspin.execute(Query(q, keywords, k=5, mode="and")).pairs()
             assert results_equivalent(via_cnf, via_bknn)
 
     def test_reduces_to_disjunctive(self, world):
@@ -98,7 +99,7 @@ class TestBooleanBknn:
         for _ in range(6):
             q = rng.randrange(grid.num_vertices)
             via_cnf = kspin.boolean_bknn(q, 5, [keywords])
-            via_bknn = kspin.bknn(q, 5, keywords)
+            via_bknn = kspin.execute(Query(q, keywords, k=5)).pairs()
             assert results_equivalent(via_cnf, via_bknn)
 
     def test_unsatisfiable_clause_empty(self, world):
@@ -192,7 +193,7 @@ class TestWeightedSumTopK:
         by_distance = kspin.top_k_weighted_sum(
             0, 3, keywords, alpha=1.0, max_distance=100.0
         )
-        by_bknn = kspin.bknn(0, 3, keywords)
+        by_bknn = kspin.execute(Query(0, keywords, k=3)).pairs()
         assert {o for o, _ in by_distance} == {o for o, _ in by_bknn}
 
     def test_validation(self, world):
@@ -219,13 +220,14 @@ class TestPersistence:
     def test_roundtrip(self, world, tmp_path):
         grid, dataset, kspin = world
         keywords = popular_keywords(dataset, 2)
-        expected = kspin.bknn(0, 5, keywords)
+        expected = kspin.execute(Query(0, keywords, k=5)).pairs()
         path = str(tmp_path / "index.kspin")
         written = save_kspin(kspin, path)
         assert written > 0
         loaded = load_kspin(path)
-        assert loaded.bknn(0, 5, keywords) == expected
-        assert loaded.top_k(0, 3, keywords) == kspin.top_k(0, 3, keywords)
+        assert loaded.execute(Query(0, keywords, k=5)).pairs() == expected
+        top = Query(0, keywords, k=3, kind="topk")
+        assert loaded.execute(top).pairs() == kspin.execute(top).pairs()
 
     def test_loaded_index_supports_updates(self, world, tmp_path):
         grid, dataset, kspin = world
@@ -234,7 +236,7 @@ class TestPersistence:
         loaded = load_kspin(path)
         free = next(v for v in grid.vertices() if not dataset.is_object(v))
         loaded.insert_object(free, ["persisted-kw"])
-        assert loaded.bknn(free, 1, ["persisted-kw"]) == [(free, 0.0)]
+        assert loaded.execute(Query(free, ["persisted-kw"], k=1)).pairs() == [(free, 0.0)]
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "garbage.bin"

@@ -9,6 +9,7 @@ import math
 
 import pytest
 
+from repro.api import Query
 from repro.core import KSpin, brute_force_bknn, results_equivalent
 from repro.distance import (
     AStarOracle,
@@ -62,10 +63,10 @@ class TestDisconnectedGraphs:
             rho=2,
         )
         # From island A, only the island-A cafe is a result.
-        result = kspin.bknn(0, 5, ["cafe"])
+        result = kspin.execute(Query(0, ["cafe"], k=5)).pairs()
         assert [o for o, _ in result] == [2]
         # From island B, only the island-B cafe.
-        result = kspin.bknn(3, 5, ["cafe"])
+        result = kspin.execute(Query(3, ["cafe"], k=5)).pairs()
         assert [o for o, _ in result] == [5]
 
     def test_kspin_topk_skips_unreachable(self):
@@ -77,7 +78,7 @@ class TestDisconnectedGraphs:
             lower_bounder=AltLowerBounder(g, num_landmarks=2),
             rho=2,
         )
-        result = kspin.top_k(0, 5, ["cafe", "bar"])
+        result = kspin.execute(Query(0, ["cafe", "bar"], k=5, kind="topk")).pairs()
         objects = {o for o, _ in result}
         assert objects <= {0, 2}
         assert all(math.isfinite(score) for _, score in result)
@@ -111,8 +112,8 @@ class TestDegenerateCorpora:
             oracle=DijkstraOracle(g),
             lower_bounder=AltLowerBounder(g, num_landmarks=1),
         )
-        assert kspin.bknn(0, 3, ["only"]) == [(3, 3.0)]
-        top = kspin.top_k(0, 1, ["only"])
+        assert kspin.execute(Query(0, ["only"], k=3)).pairs() == [(3, 3.0)]
+        top = kspin.execute(Query(0, ["only"], k=1, kind="topk")).pairs()
         assert top[0][0] == 3
 
     def test_every_vertex_is_an_object(self):
@@ -130,7 +131,7 @@ class TestDegenerateCorpora:
             rho=2,
         )
         expected = brute_force_bknn(g, dataset, 2, 3, ["dense"])
-        assert results_equivalent(kspin.bknn(2, 3, ["dense"]), expected)
+        assert results_equivalent(kspin.execute(Query(2, ["dense"], k=3)).pairs(), expected)
 
     def test_query_vertex_is_an_object(self):
         g = RoadNetwork(3)
@@ -143,7 +144,7 @@ class TestDegenerateCorpora:
             oracle=DijkstraOracle(g),
             lower_bounder=AltLowerBounder(g, num_landmarks=1),
         )
-        assert kspin.bknn(1, 1, ["self"]) == [(1, 0.0)]
+        assert kspin.execute(Query(1, ["self"], k=1)).pairs() == [(1, 0.0)]
 
     def test_all_objects_share_one_vertexless_keyword_heap(self):
         """Keyword whose objects coincide spatially (same coordinates)."""
@@ -162,7 +163,7 @@ class TestDegenerateCorpora:
             rho=1,
         )
         expected = brute_force_bknn(g, dataset, 0, 3, ["x"])
-        assert results_equivalent(kspin.bknn(0, 3, ["x"]), expected)
+        assert results_equivalent(kspin.execute(Query(0, ["x"], k=3)).pairs(), expected)
 
 
 class TestTinyGraphs:
@@ -182,7 +183,7 @@ class TestTinyGraphs:
                 oracle=factory(g),
                 lower_bounder=AltLowerBounder(g, num_landmarks=1),
             )
-            assert kspin.bknn(0, 1, ["tiny"]) == [(0 + 1, 5.0)]
+            assert kspin.execute(Query(0, ["tiny"], k=1)).pairs() == [(0 + 1, 5.0)]
 
     def test_graph_smaller_than_gtree_leaf(self):
         g = RoadNetwork(3)

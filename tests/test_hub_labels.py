@@ -389,7 +389,6 @@ class TestCompositeOracle:
 
     def test_memory_accounts_for_both_indexes(self, world, composite):
         assert composite.memory_bytes() >= composite.labeling.memory_bytes()
-        assert composite.labeling.memory_bytes() < composite.labeling.legacy_dict_bytes()
 
 
 # ----------------------------------------------------------------------

@@ -9,6 +9,7 @@ import random
 
 import pytest
 
+from repro.api import Query
 from repro.core import (
     BackgroundRebuilder,
     KSpin,
@@ -49,15 +50,15 @@ def test_full_pipeline(pipeline_world, tmp_path):
     for _ in range(5):
         q = rng.randrange(graph.num_vertices)
         assert results_equivalent(
-            kspin.bknn(q, 5, keywords[:2]),
+            kspin.execute(Query(q, keywords[:2], k=5)).pairs(),
             brute_force_bknn(graph, dataset, q, 5, keywords[:2]),
         )
         assert results_equivalent(
-            kspin.bknn(q, 5, keywords[:2], conjunctive=True),
+            kspin.execute(Query(q, keywords[:2], k=5, mode="and")).pairs(),
             brute_force_bknn(graph, dataset, q, 5, keywords[:2], conjunctive=True),
         )
         assert results_equivalent(
-            kspin.top_k(q, 5, keywords),
+            kspin.execute(Query(q, keywords, k=5, kind="topk")).pairs(),
             brute_force_top_k(graph, dataset, relevance, q, 5, keywords),
         )
 
@@ -80,25 +81,25 @@ def test_full_pipeline(pipeline_world, tmp_path):
     reference = KeywordDataset(live_documents)
     q = rng.randrange(graph.num_vertices)
     assert results_equivalent(
-        kspin.bknn(q, 6, [keywords[0]]),
+        kspin.execute(Query(q, [keywords[0]], k=6)).pairs(),
         brute_force_bknn(graph, reference, q, 6, [keywords[0]]),
     )
-    assert kspin.bknn(opened[0], 1, ["new-chain"])[0][0] == opened[0]
+    assert kspin.execute(Query(opened[0], ["new-chain"], k=1)).pairs()[0][0] == opened[0]
 
     # --- Stage 3: background rebuild, identical answers afterwards. -----
-    before = kspin.bknn(q, 6, [keywords[0]])
+    before = kspin.execute(Query(q, [keywords[0]], k=6)).pairs()
     with BackgroundRebuilder(kspin.index, graph) as rebuilder:
         scheduled = rebuilder.schedule_pending()
         rebuilder.wait()
     assert keywords[0] in scheduled
-    after = kspin.bknn(q, 6, [keywords[0]])
+    after = kspin.execute(Query(q, [keywords[0]], k=6)).pairs()
     assert results_equivalent(before, after)
 
     # --- Stage 4: persist, reload, swap oracle semantics intact. --------
     path = str(tmp_path / "pipeline.kspin")
     save_kspin(kspin, path)
     reloaded = load_kspin(path)
-    assert results_equivalent(reloaded.bknn(q, 6, [keywords[0]]), after)
+    assert results_equivalent(reloaded.execute(Query(q, [keywords[0]], k=6)).pairs(), after)
 
     # --- Stage 5: continuous query on the reloaded index. ---------------
     route = route_between(graph, 0, graph.num_vertices - 1)
@@ -117,7 +118,7 @@ def test_pipeline_oracle_swap_after_reload(pipeline_world, tmp_path):
         graph, dataset, oracle=ContractionHierarchy(graph), lower_bounder=alt
     )
     keywords = popular_keywords(dataset, 2)
-    expected = kspin.top_k(7, 5, keywords)
+    expected = kspin.execute(Query(7, keywords, k=5, kind="topk")).pairs()
 
     path = str(tmp_path / "swap.kspin")
     save_kspin(kspin, path)
@@ -136,4 +137,6 @@ def test_pipeline_oracle_swap_after_reload(pipeline_world, tmp_path):
         hub,
         HeapGenerator(reloaded.lower_bounder),
     )
-    assert results_equivalent(reloaded.top_k(7, 5, keywords), expected)
+    assert results_equivalent(
+        reloaded.execute(Query(7, keywords, k=5, kind="topk")).pairs(), expected
+    )

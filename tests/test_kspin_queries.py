@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.api import Query
 from repro.core import KSpin, brute_force_bknn, brute_force_top_k, results_equivalent
 from repro.distance import ContractionHierarchy, DijkstraOracle
 from repro.graph import perturbed_grid_network
@@ -68,44 +69,45 @@ class TestBknnCorrectness:
             expected = brute_force_bknn(
                 grid, dataset, q, k, keywords, conjunctive=conjunctive
             )
-            actual = kspin.bknn(q, k, keywords, conjunctive=conjunctive)
+            mode = "and" if conjunctive else "or"
+            actual = kspin.execute(Query(q, keywords, k=k, mode=mode)).pairs()
             assert results_equivalent(actual, expected), (q, actual, expected)
 
     def test_disjunctive_single_keyword(self, grid, dataset, kspin):
         keyword = popular_keywords(dataset, 1)[0]
         expected = brute_force_bknn(grid, dataset, 0, 5, [keyword])
-        actual = kspin.bknn(0, 5, [keyword])
+        actual = kspin.execute(Query(0, [keyword], k=5)).pairs()
         assert results_equivalent(actual, expected)
 
     def test_unknown_keyword_returns_empty(self, kspin):
-        assert kspin.bknn(0, 3, ["no-such-keyword"]) == []
-        assert kspin.bknn(0, 3, ["no-such-keyword"], conjunctive=True) == []
+        assert kspin.execute(Query(0, ["no-such-keyword"], k=3)).pairs() == []
+        assert kspin.execute(Query(0, ["no-such-keyword"], k=3, mode="and")).pairs() == []
 
     def test_conjunctive_with_one_unknown_keyword_empty(self, dataset, kspin):
         keyword = popular_keywords(dataset, 1)[0]
-        assert kspin.bknn(0, 3, [keyword, "missing"], conjunctive=True) == []
+        assert kspin.execute(Query(0, [keyword, "missing"], k=3, mode="and")).pairs() == []
 
     def test_disjunctive_with_one_unknown_keyword_works(self, grid, dataset, kspin):
         keyword = popular_keywords(dataset, 1)[0]
         expected = brute_force_bknn(grid, dataset, 0, 3, [keyword])
-        actual = kspin.bknn(0, 3, [keyword, "missing"])
+        actual = kspin.execute(Query(0, [keyword, "missing"], k=3)).pairs()
         assert results_equivalent(actual, expected)
 
     def test_k_larger_than_matches(self, grid, dataset, kspin):
         rare = dataset.frequency_rank()[-1][0]
         matches = dataset.inverted_size(rare)
-        result = kspin.bknn(0, matches + 10, [rare])
+        result = kspin.execute(Query(0, [rare], k=matches + 10)).pairs()
         assert len(result) == matches
 
     def test_validation(self, kspin):
         with pytest.raises(ValueError):
-            kspin.bknn(0, 0, ["kw0"])
+            kspin.execute(Query(0, ["kw0"], k=0))
         with pytest.raises(ValueError):
-            kspin.bknn(0, 3, [])
+            kspin.execute(Query(0, [], k=3))
 
     def test_results_sorted_by_distance(self, dataset, kspin):
         keywords = popular_keywords(dataset, 2)
-        result = kspin.bknn(0, 10, keywords)
+        result = kspin.execute(Query(0, keywords, k=10)).pairs()
         distances = [d for _, d in result]
         assert distances == sorted(distances)
 
@@ -120,7 +122,7 @@ class TestTopKCorrectness:
         for _ in range(6):
             q = rng.randrange(grid.num_vertices)
             expected = brute_force_top_k(grid, dataset, relevance, q, k, keywords)
-            actual = kspin.top_k(q, k, keywords)
+            actual = kspin.execute(Query(q, keywords, k=k, kind="topk")).pairs()
             assert results_equivalent(actual, expected), (q, actual, expected)
 
     def test_valid_lower_bound_variant_also_exact(self, grid, dataset, kspin):
@@ -129,8 +131,8 @@ class TestTopKCorrectness:
         rng = random.Random(77)
         for _ in range(6):
             q = rng.randrange(grid.num_vertices)
-            with_pseudo = kspin.top_k(q, 5, keywords, use_pseudo_lower_bound=True)
-            without = kspin.top_k(q, 5, keywords, use_pseudo_lower_bound=False)
+            with_pseudo = kspin.processor.top_k(q, 5, keywords, use_pseudo_lower_bound=True)
+            without = kspin.processor.top_k(q, 5, keywords, use_pseudo_lower_bound=False)
             assert results_equivalent(with_pseudo, without)
 
     def test_pseudo_lb_examines_no_more_candidates(self, grid, dataset, kspin):
@@ -140,25 +142,25 @@ class TestTopKCorrectness:
         total_pseudo, total_valid = 0, 0
         for _ in range(10):
             q = rng.randrange(grid.num_vertices)
-            kspin.top_k(q, 5, keywords, use_pseudo_lower_bound=True)
+            kspin.processor.top_k(q, 5, keywords, use_pseudo_lower_bound=True)
             total_pseudo += kspin.last_stats.distance_computations
-            kspin.top_k(q, 5, keywords, use_pseudo_lower_bound=False)
+            kspin.processor.top_k(q, 5, keywords, use_pseudo_lower_bound=False)
             total_valid += kspin.last_stats.distance_computations
         assert total_pseudo <= total_valid
 
     def test_unknown_keywords_empty(self, kspin):
-        assert kspin.top_k(0, 3, ["missing-kw"]) == []
+        assert kspin.execute(Query(0, ["missing-kw"], k=3, kind="topk")).pairs() == []
 
     def test_scores_sorted(self, dataset, kspin):
-        result = kspin.top_k(0, 10, popular_keywords(dataset, 2))
+        result = kspin.execute(Query(0, popular_keywords(dataset, 2), k=10, kind="topk")).pairs()
         scores = [s for _, s in result]
         assert scores == sorted(scores)
 
     def test_validation(self, kspin):
         with pytest.raises(ValueError):
-            kspin.top_k(0, 0, ["kw0"])
+            kspin.execute(Query(0, ["kw0"], k=0, kind="topk"))
         with pytest.raises(ValueError):
-            kspin.top_k(0, 3, [])
+            kspin.execute(Query(0, [], k=3, kind="topk"))
 
 
 class TestCandidateEfficiency:
@@ -170,7 +172,7 @@ class TestCandidateEfficiency:
             worst = 0
             for _ in range(10):
                 q = rng.randrange(grid.num_vertices)
-                kspin.bknn(q, k, keywords)
+                kspin.execute(Query(q, keywords, k=k))
                 worst = max(worst, kspin.last_stats.iterations)
             # Small synthetic corpora are noisier than the US dataset;
             # allow a little headroom above the paper's 3k.
@@ -184,12 +186,12 @@ class TestCandidateEfficiency:
             worst = 0
             for _ in range(10):
                 q = rng.randrange(grid.num_vertices)
-                kspin.top_k(q, k, keywords)
+                kspin.execute(Query(q, keywords, k=k, kind="topk"))
                 worst = max(worst, kspin.last_stats.iterations)
             assert worst <= 7 * k + 7
 
     def test_stats_populated(self, dataset, kspin):
-        kspin.bknn(0, 5, popular_keywords(dataset, 2))
+        kspin.execute(Query(0, popular_keywords(dataset, 2), k=5))
         stats = kspin.last_stats
         assert stats.heaps_created >= 1
         assert stats.distance_computations >= 1
@@ -210,12 +212,11 @@ class TestOracleAgnosticism:
         rng = random.Random(8)
         for _ in range(5):
             q = rng.randrange(grid.num_vertices)
-            assert results_equivalent(
-                ks_dij.bknn(q, 5, keywords), ks_ch.bknn(q, 5, keywords)
-            )
-            assert results_equivalent(
-                ks_dij.top_k(q, 5, keywords), ks_ch.top_k(q, 5, keywords)
-            )
+            for kind in ("bknn", "topk"):
+                query = Query(q, keywords, k=5, kind=kind)
+                assert results_equivalent(
+                    ks_dij.execute(query).pairs(), ks_ch.execute(query).pairs()
+                )
 
 
 @given(
@@ -239,7 +240,8 @@ def test_bknn_property_random_worlds(seed, k, conjunctive):
     keywords = [f"kw{rng.randrange(8)}" for _ in range(rng.randint(1, 3))]
     q = rng.randrange(grid.num_vertices)
     expected = brute_force_bknn(grid, dataset, q, k, keywords, conjunctive=conjunctive)
-    actual = kspin.bknn(q, k, keywords, conjunctive=conjunctive)
+    mode = "and" if conjunctive else "or"
+    actual = kspin.execute(Query(q, keywords, k=k, mode=mode)).pairs()
     assert results_equivalent(actual, expected), (q, keywords, actual, expected)
 
 
@@ -264,5 +266,5 @@ def test_topk_property_random_worlds(seed, k):
     keywords = [f"kw{rng.randrange(8)}" for _ in range(rng.randint(1, 3))]
     q = rng.randrange(grid.num_vertices)
     expected = brute_force_top_k(grid, dataset, relevance, q, k, keywords)
-    actual = kspin.top_k(q, k, keywords)
+    actual = kspin.execute(Query(q, keywords, k=k, kind="topk")).pairs()
     assert results_equivalent(actual, expected), (q, keywords, actual, expected)

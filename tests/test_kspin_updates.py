@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from repro.api import Query
 from repro.core import KSpin, brute_force_bknn, brute_force_top_k, results_equivalent
 from repro.core.updates import apply_lazy_inserts, pick_update_keywords
 from repro.distance import DijkstraOracle
@@ -54,7 +55,7 @@ class TestObjectDeletion:
         keywords = popular_keywords(dataset, 1)
         victim = dataset.inverted_list(keywords[0])[0]
         kspin.delete_object(victim)
-        result = kspin.bknn(0, dataset.inverted_size(keywords[0]), keywords)
+        result = kspin.execute(Query(0, keywords, k=dataset.inverted_size(keywords[0]))).pairs()
         assert victim not in {o for o, _ in result}
 
     def test_queries_exact_after_deletions(self, grid, dataset, kspin):
@@ -66,7 +67,7 @@ class TestObjectDeletion:
         reference = current_dataset(grid, kspin, dataset.objects())
         for q in (0, 10, 25):
             expected = brute_force_bknn(grid, reference, q, 5, keywords)
-            actual = kspin.bknn(q, 5, keywords)
+            actual = kspin.execute(Query(q, keywords, k=5)).pairs()
             assert results_equivalent(actual, expected)
 
     def test_delete_unknown_raises(self, kspin, grid):
@@ -83,7 +84,7 @@ class TestObjectInsertion:
             v for v in grid.vertices() if not dataset.is_object(v)
         )
         kspin.insert_object(new_vertex, ["brand-new-keyword"])
-        result = kspin.bknn(new_vertex, 1, ["brand-new-keyword"])
+        result = kspin.execute(Query(new_vertex, ["brand-new-keyword"], k=1)).pairs()
         assert result == [(new_vertex, 0.0)]
 
     def test_queries_exact_after_insertions(self, grid, dataset, kspin):
@@ -95,7 +96,7 @@ class TestObjectInsertion:
         reference = current_dataset(grid, kspin, universe)
         for q in (0, 12, 30):
             expected = brute_force_bknn(grid, reference, q, 5, keywords)
-            actual = kspin.bknn(q, 5, keywords)
+            actual = kspin.execute(Query(q, keywords, k=5)).pairs()
             assert results_equivalent(actual, expected)
 
     def test_topk_exact_after_insertions(self, grid, dataset, kspin):
@@ -122,7 +123,7 @@ class TestObjectInsertion:
                     scored.append((distances[o] / tr, o))
             scored.sort()
             expected = [(o, s) for s, o in scored[:5]]
-            actual = kspin.top_k(q, 5, keywords)
+            actual = kspin.execute(Query(q, keywords, k=5, kind="topk")).pairs()
             assert results_equivalent(actual, expected)
 
     def test_empty_document_rejected(self, kspin):
@@ -134,7 +135,7 @@ class TestKeywordUpdates:
     def test_add_keyword_makes_object_match(self, grid, dataset, kspin):
         obj = dataset.objects()[0]
         kspin.add_keyword(obj, "added-keyword")
-        result = kspin.bknn(obj, 1, ["added-keyword"])
+        result = kspin.execute(Query(obj, ["added-keyword"], k=1)).pairs()
         assert result == [(obj, 0.0)]
 
     def test_remove_keyword_stops_matching(self, grid, dataset, kspin):
@@ -142,7 +143,7 @@ class TestKeywordUpdates:
         obj = dataset.inverted_list(keyword)[0]
         kspin.remove_keyword(obj, keyword)
         size = dataset.inverted_size(keyword)
-        result = kspin.bknn(0, size, [keyword])
+        result = kspin.execute(Query(0, [keyword], k=size)).pairs()
         assert obj not in {o for o, _ in result}
 
     def test_remove_missing_keyword_raises(self, dataset, kspin):
@@ -173,7 +174,7 @@ class TestRebuild:
         universe = list(dataset.objects()) + free
         reference = current_dataset(grid, kspin, universe)
         expected = brute_force_bknn(grid, reference, 0, 5, [keyword])
-        actual = kspin.bknn(0, 5, [keyword])
+        actual = kspin.execute(Query(0, [keyword], k=5)).pairs()
         assert results_equivalent(actual, expected)
 
 

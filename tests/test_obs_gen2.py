@@ -567,7 +567,7 @@ def _get(url):
 class TestServingWiring:
     def test_metrics_exposes_slo_and_pressure_gauges(self, slo_server):
         client = ServeClient(slo_server.url)
-        client.bknn(0, 2, ["kw0000"])
+        client.query({"vertex": 0, "k": 2, "keywords": ["kw0000"]})
         _status, _headers, text = _get(
             f"{slo_server.url}/v1/metrics?format=prometheus"
         )
@@ -594,7 +594,7 @@ class TestServingWiring:
         assert json.loads(body)["result"]["enabled"] is True
         client = ServeClient(slo_server.url)
         for _ in range(20):
-            client.bknn(0, 2, ["kw0000", "kw0001"])
+            client.query({"vertex": 0, "k": 2, "keywords": ["kw0000", "kw0001"]})
         status, _h, body = _get(f"{base}?action=stop")
         payload = json.loads(body)["result"]
         assert payload["enabled"] is False
@@ -618,7 +618,7 @@ class TestServingWiring:
 
     def test_events_endpoint_reports_cache_evictions(self, slo_server):
         client = ServeClient(slo_server.url)
-        client.bknn(0, 2, ["kw0000"])  # populate the cache
+        client.query({"vertex": 0, "k": 2, "keywords": ["kw0000"]})  # populate the cache
         client.update(op="insert", object=3, document=["kw0000"])  # evict it
         payload = json.loads(
             _get(f"{slo_server.url}/v1/debug/events")[2]
@@ -653,7 +653,7 @@ class TestServingWiring:
         server = slo_server
         server.evaluate_slo()  # baseline sample
         for _ in range(3):
-            client.bknn(0, 2, ["kw0000"])
+            client.query({"vertex": 0, "k": 2, "keywords": ["kw0000"]})
         for _ in range(30):  # hammer an unknown endpoint -> errors
             with pytest.raises(urllib.error.HTTPError):
                 _get(f"{server.url}/v1/nonsense")
@@ -667,7 +667,7 @@ class TestServingWiring:
         assert "repro_admission_pressure 0.5" in text
         # Recovery: healthy traffic only, wait out the short window.
         for _ in range(10):
-            client.bknn(0, 2, ["kw0000"])
+            client.query({"vertex": 0, "k": 2, "keywords": ["kw0000"]})
         time.sleep(0.25)
         payload = server.evaluate_slo()
         time.sleep(0.05)
@@ -686,7 +686,7 @@ class TestServingWiring:
                 shed = 0
                 for _ in range(8):
                     try:
-                        _get(f"{running.url}/v1/bknn?vertex=0&k=2"
+                        _get(f"{running.url}/v1/query?vertex=0&k=2"
                              "&keywords=kw0000")
                     except urllib.error.HTTPError as error:
                         assert error.code == 503

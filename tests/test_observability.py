@@ -192,15 +192,15 @@ class TestQueryStatsMerge:
 class TestServerMetrics:
     def test_error_latency_recorded_separately(self):
         metrics = ServerMetrics()
-        metrics.record_request("/bknn", 0.010)
-        metrics.record_request("/bknn", 0.500, error=True)
+        metrics.record_request("/query", 0.010)
+        metrics.record_request("/query", 0.500, error=True)
         snapshot = metrics.snapshot()
         assert snapshot["latency"]["count"] == 1
         assert snapshot["error_latency"]["count"] == 1
         assert snapshot["error_latency"]["p50_ms"] == pytest.approx(500, rel=1 / 16)
-        assert snapshot["errors"] == {"/bknn": 1}
+        assert snapshot["errors"] == {"/query": 1}
         # The per-endpoint success histogram excludes the errored sample.
-        assert snapshot["endpoints"]["/bknn"]["count"] == 1
+        assert snapshot["endpoints"]["/query"]["count"] == 1
 
     def test_query_stats_fold_and_latency(self):
         metrics = ServerMetrics()
@@ -222,7 +222,7 @@ class TestServerMetrics:
         def hammer(seed):
             barrier.wait()
             for i in range(per_thread):
-                endpoint = "/bknn" if (seed + i) % 2 else "/topk"
+                endpoint = "/query" if (seed + i) % 2 else "/batch"
                 error = i % 10 == 0
                 metrics.record_request(endpoint, 0.001 * (i + 1), error=error)
                 metrics.record_query_stats(
@@ -262,7 +262,7 @@ class TestServerMetrics:
         metrics = ServerMetrics()
         tracer = Tracer(enabled=True)
         tracer.add_sink(metrics.record_trace)
-        with tracer.trace("http.bknn") as root:
+        with tracer.trace("http.query") as root:
             with span("engine.execute"):
                 with timed("oracle.distance"):
                     pass
@@ -332,7 +332,7 @@ class TestTracing:
         shipped = wroot.to_dict()  # crosses the IPC pipe as JSON
 
         parent_tracer = Tracer(enabled=True)
-        with parent_tracer.trace("http.bknn") as root:
+        with parent_tracer.trace("http.query") as root:
             with span("cluster.dispatch") as dispatch:
                 dispatch.graft(Span.from_dict(shipped))
         dispatch_span = root.children[0]
@@ -359,12 +359,12 @@ class TestTracing:
 
     def test_format_trace_mentions_stages_and_timers(self):
         tracer = Tracer(enabled=True)
-        with tracer.trace("http.bknn") as root:
+        with tracer.trace("http.query") as root:
             with span("engine.execute"):
                 with timed("oracle.distance"):
                     pass
         text = format_trace(root.to_dict())
-        assert "http.bknn" in text
+        assert "http.query" in text
         assert "engine.execute" in text
         assert "oracle.distance" in text
         assert "ms" in text
@@ -412,9 +412,9 @@ def parse_exposition(text):
 class TestPrometheusRendering:
     def _snapshot(self):
         metrics = ServerMetrics()
-        metrics.record_request("/bknn", 0.012)
-        metrics.record_request("/topk", 0.003)
-        metrics.record_request("/bknn", 0.200, error=True)
+        metrics.record_request("/query", 0.012)
+        metrics.record_request("/batch", 0.003)
+        metrics.record_request("/query", 0.200, error=True)
         metrics.record_query_stats(QueryStats(iterations=5), seconds=0.010)
         metrics.record_stage("processor.search", 0.008)
         snapshot = metrics.snapshot()

@@ -4,6 +4,7 @@ import os
 
 import pytest
 
+from repro.api import Query
 from repro.core import KSpin
 from repro.distance import DijkstraOracle
 from repro.graph import perturbed_grid_network
@@ -27,7 +28,7 @@ def kspin():
 def test_save_leaves_no_temp_files(kspin, tmp_path):
     path = tmp_path / "index.kspin"
     save_kspin(kspin, str(path))
-    assert load_kspin(str(path)).bknn(0, 1, ["thai"])
+    assert load_kspin(str(path)).execute(Query(0, ["thai"], k=1)).pairs()
     assert sorted(p.name for p in tmp_path.iterdir()) == ["index.kspin"]
 
 
@@ -37,7 +38,7 @@ def test_resave_replaces_atomically(kspin, tmp_path):
     kspin.insert_object(7, ["cafe"])
     save_kspin(kspin, str(path))
     reloaded = load_kspin(str(path))
-    assert reloaded.bknn(0, 1, ["cafe"])
+    assert reloaded.execute(Query(0, ["cafe"], k=1)).pairs()
     assert sorted(p.name for p in tmp_path.iterdir()) == ["index.kspin"]
 
 
@@ -56,7 +57,7 @@ def test_crashed_save_keeps_previous_index(kspin, tmp_path, monkeypatch):
     monkeypatch.undo()
     # Old file intact, loadable, and no orphaned temp file left behind.
     assert path.read_bytes() == good_bytes
-    assert load_kspin(str(path)).bknn(0, 1, ["thai"])
+    assert load_kspin(str(path)).execute(Query(0, ["thai"], k=1)).pairs()
     assert sorted(p.name for p in tmp_path.iterdir()) == ["index.kspin"]
 
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.api import Query
 from repro.core import KSpin
 from repro.core.updates import BackgroundRebuilder
 from repro.datasets import load_dataset
@@ -22,6 +23,8 @@ from repro.serve import (
     WorkerPool,
     result_key,
 )
+
+KW0 = Query(0, ("kw0000",), k=3)  # the query most tests below repeat
 
 
 @pytest.fixture(scope="module")
@@ -49,63 +52,63 @@ def engine(kspin):
 # ----------------------------------------------------------------------
 class TestEngine:
     def test_matches_direct_kspin(self, engine, kspin):
-        expected = kspin.bknn(0, 3, ["kw0000"])
-        answer = engine.bknn(0, 3, ["kw0000"])
-        assert answer.results == expected
+        expected = kspin.execute(KW0).pairs()
+        answer = engine.execute(KW0)
+        assert answer.pairs() == expected
         assert not answer.cached
 
     def test_second_lookup_is_cached(self, engine):
-        first = engine.bknn(0, 3, ["kw0000"])
-        second = engine.bknn(0, 3, ["kw0000"])
+        first = engine.execute(KW0)
+        second = engine.execute(KW0)
         assert second.cached and not first.cached
-        assert second.results == first.results
+        assert second.pairs() == first.pairs()
         assert engine.cache.hit_rate() > 0
 
     def test_variants_never_alias(self, engine):
-        disjunctive = engine.bknn(0, 3, ["kw0000", "kw0001"])
-        conjunctive = engine.bknn(0, 3, ["kw0000", "kw0001"], conjunctive=True)
-        top = engine.top_k(0, 3, ["kw0000", "kw0001"])
+        disjunctive = engine.execute(Query(0, ["kw0000", "kw0001"], k=3))
+        conjunctive = engine.execute(Query(0, ["kw0000", "kw0001"], k=3, mode="and"))
+        top = engine.execute(Query(0, ["kw0000", "kw0001"], k=3, kind="topk"))
         assert not conjunctive.cached and not top.cached
-        assert disjunctive.results != conjunctive.results or True  # no alias
+        assert disjunctive.pairs() != conjunctive.pairs() or True  # no alias
 
     def test_insert_invalidates_stale_entry(self, engine, kspin):
-        stale = engine.bknn(0, 3, ["kw0000"]).results
+        stale = engine.execute(KW0).pairs()
         engine.insert_object(0, ["kw0000"])  # an object *at* the query vertex
-        answer = engine.bknn(0, 3, ["kw0000"])
+        answer = engine.execute(KW0)
         assert not answer.cached
-        assert answer.results != stale
-        assert answer.results == kspin.bknn(0, 3, ["kw0000"])
-        assert answer.results[0] == (0, 0.0)
+        assert answer.pairs() != stale
+        assert answer.pairs() == kspin.execute(KW0).pairs()
+        assert answer.pairs()[0] == (0, 0.0)
 
     def test_delete_invalidates_stale_entry(self, engine, kspin):
-        before = engine.bknn(0, 3, ["kw0000"]).results
+        before = engine.execute(KW0).pairs()
         nearest = before[0][0]
         engine.delete_object(nearest)
-        after = engine.bknn(0, 3, ["kw0000"])
+        after = engine.execute(KW0)
         assert not after.cached
-        assert nearest not in [obj for obj, _ in after.results]
-        assert after.results == kspin.bknn(0, 3, ["kw0000"])
+        assert nearest not in [obj for obj, _ in after.pairs()]
+        assert after.pairs() == kspin.execute(KW0).pairs()
 
     def test_unrelated_keywords_survive_update(self, engine):
-        engine.bknn(5, 2, ["kw0001"])
+        engine.execute(Query(5, ["kw0001"], k=2))
         engine.insert_object(9, ["kw0031"])
-        assert engine.bknn(5, 2, ["kw0001"]).cached
+        assert engine.execute(Query(5, ["kw0001"], k=2)).cached
 
     def test_update_stats_totals_aggregate(self, engine):
-        engine.bknn(0, 3, ["kw0000"])
-        engine.top_k(1, 3, ["kw0001"])
+        engine.execute(KW0)
+        engine.execute(Query(1, ["kw0001"], k=3, kind="topk"))
         totals = engine.metrics.snapshot()["query_stats"]
         assert totals["distance_computations"] > 0
         assert totals["lower_bound_computations"] > 0
 
     def test_background_rebuild_evicts_keyword(self, engine, kspin, world):
-        engine.bknn(0, 3, ["kw0000"])
+        engine.execute(KW0)
         with BackgroundRebuilder(kspin.index, world.graph) as rebuilder:
             rebuilder.add_listener(engine.on_rebuilt)
             rebuilder.schedule("kw0000")
             rebuilder.wait()
         assert "kw0000" in rebuilder.rebuilt_keywords
-        assert not engine.bknn(0, 3, ["kw0000"]).cached
+        assert not engine.execute(KW0).cached
 
 
 # ----------------------------------------------------------------------
@@ -139,14 +142,14 @@ def test_random_query_sequences_match_uncached(sequence):
     """Any query sequence answered through the cache equals direct KSpin."""
     for vertex, k, keywords, kind in sequence:
         if kind == "bknn":
-            served = _ENGINE.bknn(vertex, k, keywords).results
-            direct = _KSPIN.bknn(vertex, k, keywords)
+            served = _ENGINE.execute(Query(vertex, keywords, k=k)).pairs()
+            direct = _KSPIN.execute(Query(vertex, keywords, k=k)).pairs()
         elif kind == "bknn-and":
-            served = _ENGINE.bknn(vertex, k, keywords, conjunctive=True).results
-            direct = _KSPIN.bknn(vertex, k, keywords, conjunctive=True)
+            served = _ENGINE.execute(Query(vertex, keywords, k=k, mode="and")).pairs()
+            direct = _KSPIN.execute(Query(vertex, keywords, k=k, mode="and")).pairs()
         else:
-            served = _ENGINE.top_k(vertex, k, keywords).results
-            direct = _KSPIN.top_k(vertex, k, keywords)
+            served = _ENGINE.execute(Query(vertex, keywords, k=k, kind="topk")).pairs()
+            direct = _KSPIN.execute(Query(vertex, keywords, k=k, kind="topk")).pairs()
         assert served == direct
 
 

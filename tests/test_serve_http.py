@@ -2,17 +2,20 @@
 
 import concurrent.futures
 import json
+import socket
 import threading
 import urllib.error
 import urllib.request
 
 import pytest
 
+from repro.api import Query
 from repro.core import KSpin
 from repro.datasets import load_dataset
 from repro.distance import DijkstraOracle
 from repro.lowerbound import AltLowerBounder
 from repro.serve import Engine, QueryServer, ServeClient
+from repro.serve.http import _MAX_BODY_BYTES
 
 
 @pytest.fixture(scope="module")
@@ -56,13 +59,22 @@ class TestQueryEndpoints:
             )
         ] * 2  # 32 requests, repeats exercise the cache under concurrency
         expected = {
-            (v, k, tuple(kw), c): kspin.bknn(v, k, kw, conjunctive=c)
+            (v, k, tuple(kw), c): kspin.execute(
+                Query(v, kw, k=k, mode="and" if c else "or")
+            ).pairs()
             for v, k, kw, c in cases
         }
 
         def fire(case):
             vertex, k, keywords, conjunctive = case
-            body = client.bknn(vertex, k, keywords, conjunctive=conjunctive)
+            body = client.query(
+                {
+                    "vertex": vertex,
+                    "k": k,
+                    "keywords": keywords,
+                    "conjunctive": conjunctive,
+                }
+            )
             return case, [(obj, value) for obj, value in body["results"]]
 
         with concurrent.futures.ThreadPoolExecutor(max_workers=32) as pool:
@@ -71,41 +83,62 @@ class TestQueryEndpoints:
                 assert results == expected[(vertex, k, tuple(keywords), conjunctive)]
 
     def test_topk_matches_direct(self, client, kspin):
-        body = client.top_k(5, 3, ["kw0000", "kw0001"])
-        assert [(o, s) for o, s in body["results"]] == kspin.top_k(
-            5, 3, ["kw0000", "kw0001"]
+        body = client.query(
+            {"vertex": 5, "k": 3, "keywords": ["kw0000", "kw0001"], "kind": "topk"}
         )
+        assert [(o, s) for o, s in body["results"]] == kspin.execute(
+            Query(5, ["kw0000", "kw0001"], k=3, kind="topk")
+        ).pairs()
 
     def test_get_with_query_string(self, server, kspin):
-        with urllib.request.urlopen(
-            f"{server.url}/v1/bknn?vertex=0&k=3&keywords=kw0000"
-        ) as response:
-            body = json.loads(response.read())
-        assert body["ok"] is True
-        result = body["result"]
-        assert [(o, d) for o, d in result["results"]] == kspin.bknn(0, 3, ["kw0000"])
-        assert "stats" in result and "hits" in result
+        """What ``GET /v1/bknn`` and ``/v1/topk`` answered, at ``/v1/query``."""
+        for query_string, query in (
+            (
+                "vertex=0&k=3&keywords=kw0000,kw0001",
+                Query(0, ("kw0000", "kw0001"), k=3),
+            ),
+            (
+                "vertex=0&k=3&keywords=kw0000,kw0001&conjunctive=true",
+                Query(0, ("kw0000", "kw0001"), k=3, mode="and"),
+            ),
+            (
+                "kind=topk&vertex=5&k=3&keywords=kw0000,kw0001",
+                Query(5, ("kw0000", "kw0001"), k=3, kind="topk"),
+            ),
+        ):
+            with urllib.request.urlopen(
+                f"{server.url}/v1/query?{query_string}"
+            ) as response:
+                body = json.loads(response.read())
+            assert body["ok"] is True
+            result = body["result"]
+            assert [
+                (o, d) for o, d in result["results"]
+            ] == kspin.execute(query).pairs(), query_string
+            assert "stats" in result and "hits" in result
 
     def test_generic_query_endpoint(self, client, kspin):
         result = client.query(
             {"vertex": 5, "k": 3, "keywords": ["kw0000"], "kind": "topk"}
         )
-        assert [(o, s) for o, s in result["results"]] == kspin.top_k(
-            5, 3, ["kw0000"]
-        )
+        assert [(o, s) for o, s in result["results"]] == kspin.execute(
+            Query(5, ["kw0000"], k=3, kind="topk")
+        ).pairs()
 
-    def test_legacy_alias_serves_envelope_with_deprecation_header(
-        self, server, kspin
-    ):
-        with urllib.request.urlopen(
-            f"{server.url}/bknn?vertex=0&k=3&keywords=kw0000"
-        ) as response:
-            assert response.headers["Deprecation"] == "true"
-            body = json.loads(response.read())
-        assert body["ok"] is True
-        assert [(o, d) for o, d in body["result"]["results"]] == kspin.bknn(
-            0, 3, ["kw0000"]
-        )
+    @pytest.mark.parametrize(
+        "path", ["/bknn", "/query", "/healthz", "/v1/bknn", "/v1/topk"]
+    )
+    def test_removed_routes_answer_typed_404(self, server, path):
+        """Only /v1/query|batch|update (and the /v1 operational routes) exist."""
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            urllib.request.urlopen(
+                f"{server.url}{path}?vertex=0&k=3&keywords=kw0000"
+            )
+        assert excinfo.value.code == 404
+        assert "Deprecation" not in excinfo.value.headers
+        body = json.loads(excinfo.value.read())
+        assert body["ok"] is False
+        assert body["error"]["code"] == "not_found"
 
     def test_topk_conjunctive_is_bad_request(self, server):
         request = urllib.request.Request(
@@ -124,29 +157,36 @@ class TestQueryEndpoints:
         assert body["error"]["code"] == "bad_request"
 
     def test_cache_flag_round_trip(self, client):
-        assert client.bknn(3, 2, ["kw0002"])["cached"] is False
-        assert client.bknn(3, 2, ["kw0002"])["cached"] is True
+        payload = {"vertex": 3, "k": 2, "keywords": ["kw0002"]}
+        assert client.query(payload)["cached"] is False
+        assert client.query(payload)["cached"] is True
 
 
 class TestUpdateEndpoint:
     def test_insert_invalidates_and_changes_answer(self, client, kspin):
-        stale = client.bknn(0, 3, ["kw0000"])
-        assert client.bknn(0, 3, ["kw0000"])["cached"] is True
+        payload = {"vertex": 0, "k": 3, "keywords": ["kw0000"]}
+        stale = client.query(payload)
+        assert client.query(payload)["cached"] is True
         response = client.update(op="insert", object=0, document=["kw0000"])
         assert response["applied"] == "insert" and response["cache_evicted"] >= 1
-        fresh = client.bknn(0, 3, ["kw0000"])
+        fresh = client.query(payload)
         assert fresh["cached"] is False
         assert fresh["results"] != stale["results"]
         assert fresh["results"][0] == [0, 0.0]
-        assert [(o, d) for o, d in fresh["results"]] == kspin.bknn(0, 3, ["kw0000"])
+        assert [(o, d) for o, d in fresh["results"]] == kspin.execute(
+            Query.from_dict(payload)
+        ).pairs()
 
     def test_delete_invalidates_and_changes_answer(self, client, kspin):
-        before = client.bknn(1, 2, ["kw0001"])["results"]
+        payload = {"vertex": 1, "k": 2, "keywords": ["kw0001"]}
+        before = client.query(payload)["results"]
         nearest = before[0][0]
         client.update(op="delete", object=nearest)
-        after = client.bknn(1, 2, ["kw0001"])["results"]
+        after = client.query(payload)["results"]
         assert nearest not in [obj for obj, _ in after]
-        assert [(o, d) for o, d in after] == kspin.bknn(1, 2, ["kw0001"])
+        assert [(o, d) for o, d in after] == kspin.execute(
+            Query.from_dict(payload)
+        ).pairs()
 
     def test_rebuild_op(self, client):
         response = client.update(op="rebuild")
@@ -170,8 +210,8 @@ class TestOperationalEndpoints:
         assert health["keywords"] > 0
 
     def test_metrics_exposes_required_signals(self, client):
-        client.bknn(0, 2, ["kw0000"])
-        client.bknn(0, 2, ["kw0000"])
+        client.query({"vertex": 0, "k": 2, "keywords": ["kw0000"]})
+        client.query({"vertex": 0, "k": 2, "keywords": ["kw0000"]})
         metrics = client.metrics()
         assert metrics["requests_total"] >= 2
         for key in ("p50_ms", "p95_ms", "p99_ms", "mean_ms"):
@@ -189,7 +229,7 @@ class TestOperationalEndpoints:
 
     def test_missing_params_400(self, server):
         with pytest.raises(urllib.error.HTTPError) as excinfo:
-            urllib.request.urlopen(f"{server.url}/bknn?vertex=0")
+            urllib.request.urlopen(f"{server.url}/v1/query?vertex=0")
         assert excinfo.value.code == 400
 
 
@@ -210,8 +250,8 @@ class TestObservabilityEndpoints:
         from tests.test_observability import parse_exposition
 
         client = ServeClient(traced_server.url)
-        client.bknn(0, 2, ["kw0000"])
-        client.bknn(0, 2, ["kw0000"])
+        client.query({"vertex": 0, "k": 2, "keywords": ["kw0000"]})
+        client.query({"vertex": 0, "k": 2, "keywords": ["kw0000"]})
         headers, text = self._get(
             f"{traced_server.url}/v1/metrics?format=prometheus"
         )
@@ -235,14 +275,14 @@ class TestObservabilityEndpoints:
 
     def test_debug_traces_shows_span_trees(self, traced_server):
         client = ServeClient(traced_server.url)
-        client.bknn(0, 2, ["kw0001"])
+        client.query({"vertex": 0, "k": 2, "keywords": ["kw0001"]})
         _, raw = self._get(f"{traced_server.url}/v1/debug/traces")
         body = json.loads(raw)["result"]
         assert body["tracing"]["enabled"] is True
         assert body["tracing"]["traces_finished"] >= 1
         names = [trace["name"] for trace in body["recent"]]
-        assert "http.bknn" in names
-        trace = next(t for t in body["recent"] if t["name"] == "http.bknn")
+        assert "http.query" in names
+        trace = next(t for t in body["recent"] if t["name"] == "http.query")
         assert trace["trace_id"]
         child_names = {child["name"] for child in trace.get("children", ())}
         assert "engine.execute" in child_names
@@ -251,7 +291,7 @@ class TestObservabilityEndpoints:
 
     def test_stage_histograms_populated_when_tracing(self, traced_server):
         client = ServeClient(traced_server.url)
-        client.bknn(7, 2, ["kw0002"])
+        client.query({"vertex": 7, "k": 2, "keywords": ["kw0002"]})
         metrics = client.metrics()
         stages = metrics["stages"]
         assert stages, "tracing should feed per-stage histograms"
@@ -263,7 +303,7 @@ class TestObservabilityEndpoints:
 
     def test_error_latency_not_zero_duration(self, traced_server):
         with pytest.raises(urllib.error.HTTPError):
-            urllib.request.urlopen(f"{traced_server.url}/v1/bknn?vertex=0")
+            urllib.request.urlopen(f"{traced_server.url}/v1/query?vertex=0")
         snapshot = traced_server.metrics_snapshot()
         assert snapshot["error_latency"]["count"] == 1
         # The errored request's real elapsed time is recorded, not 0.0.
@@ -282,7 +322,7 @@ class TestOverload:
             try:
                 with pytest.raises(urllib.error.HTTPError) as excinfo:
                     urllib.request.urlopen(
-                        f"{server.url}/bknn?vertex=0&keywords=kw0000", timeout=10
+                        f"{server.url}/v1/query?vertex=0&keywords=kw0000", timeout=10
                     )
                 assert excinfo.value.code == 503
                 body = json.loads(excinfo.value.read())
@@ -304,7 +344,7 @@ class TestOverload:
             try:
                 with pytest.raises(urllib.error.HTTPError) as excinfo:
                     urllib.request.urlopen(
-                        f"{server.url}/bknn?vertex=0&keywords=kw0000", timeout=10
+                        f"{server.url}/v1/query?vertex=0&keywords=kw0000", timeout=10
                     )
                 assert excinfo.value.code == 504
                 body = json.loads(excinfo.value.read())
@@ -317,6 +357,54 @@ class TestOverload:
 # ----------------------------------------------------------------------
 # POST /v1/batch: one envelope, per-item outcomes
 # ----------------------------------------------------------------------
+class TestContentLength:
+    """A hostile ``Content-Length`` gets a typed refusal on every POST route."""
+
+    @staticmethod
+    def _post_with_length(server, path, content_length):
+        """Raw bytes over a socket; returns ``(status, envelope)``."""
+        with socket.create_connection(server.server_address[:2], timeout=10) as sock:
+            sock.sendall(
+                f"POST {path} HTTP/1.1\r\n"
+                "Host: test\r\n"
+                "Content-Type: application/json\r\n"
+                f"Content-Length: {content_length}\r\n\r\n".encode()
+                + b'{"vertex": 0, "keywords": ["kw0000"]}'
+            )
+            reply = b""
+            while chunk := sock.recv(65536):  # the server closes after replying
+                reply += chunk
+        head, _, body = reply.partition(b"\r\n\r\n")
+        return int(head.split()[1]), json.loads(body)
+
+    @pytest.mark.parametrize("path", ["/v1/query", "/v1/batch", "/v1/update"])
+    @pytest.mark.parametrize(
+        "content_length, status, code",
+        [
+            ("abc", 400, "bad_request"),
+            ("-5", 400, "bad_request"),
+            (str(_MAX_BODY_BYTES + 1), 413, "payload_too_large"),
+        ],
+    )
+    def test_refused_with_typed_envelope_and_server_survives(
+        self, server, client, capfd, path, content_length, status, code
+    ):
+        got, envelope = self._post_with_length(server, path, content_length)
+        assert got == status
+        assert envelope["ok"] is False
+        assert envelope["error"]["code"] == code
+        assert server.metrics_snapshot()["errors"] == {path[len("/v1"):]: 1}
+        assert client.healthz()["status"] == "ok"  # the next request is answered
+        assert "Traceback" not in capfd.readouterr().err
+
+    def test_refusal_with_unread_body_ends_the_connection(self, server):
+        """The helper reads to EOF, so it only returns if the server hung up."""
+        body_length = len(b'{"vertex": 0, "keywords": ["kw0000"]}')
+        status, envelope = self._post_with_length(server, "/v1/bknn", body_length)
+        assert status == 404
+        assert envelope["error"]["code"] == "not_found"
+
+
 class TestBatchEndpoint:
     def _post_batch(self, server, queries, client_id=None):
         headers = {"Content-Type": "application/json"}
@@ -340,9 +428,9 @@ class TestBatchEndpoint:
         body = self._post_batch(server, queries)
         assert body["count"] == 3 and body["ok_count"] == 3
         singles = [
-            client.bknn(0, 3, ["kw0000"]),
-            client.bknn(5, 2, ["kw0001", "kw0002"]),
-            client.top_k(2, 2, ["kw0003"]),
+            client.query({"vertex": 0, "k": 3, "keywords": ["kw0000"]}),
+            client.query({"vertex": 5, "k": 2, "keywords": ["kw0001", "kw0002"]}),
+            client.query({"vertex": 2, "k": 2, "keywords": ["kw0003"], "kind": "topk"}),
         ]
         for item, single in zip(body["items"], singles):
             assert item["ok"] is True

@@ -24,7 +24,6 @@ from hypothesis import strategies as st
 from repro.sketch import (
     BloomFilter,
     ClientRateLimiter,
-    ConsistentHashRing,
     HyperLogLog,
     IndexSketches,
     LeakyBucket,
@@ -275,30 +274,6 @@ class FakeClock:
 
     def advance(self, seconds: float) -> None:
         self.now += seconds
-
-
-# ----------------------------------------------------------------------
-# Consistent hash ring
-# ----------------------------------------------------------------------
-class TestConsistentHashRing:
-    def test_only_removed_nodes_keys_move(self):
-        ring = ConsistentHashRing(["a", "b", "c"])
-        keys_sample = [f"kw{i:04d}" for i in range(200)]
-        before = {key: ring.node_for(key) for key in keys_sample}
-        ring.remove_node("b")
-        for key, owner in before.items():
-            if owner != "b":
-                assert ring.node_for(key) == owner
-
-    def test_spread_covers_all_nodes(self):
-        ring = ConsistentHashRing(["a", "b", "c"], vnodes=64)
-        spread = ring.spread(f"kw{i:04d}" for i in range(300))
-        assert set(spread) == {"a", "b", "c"}
-        assert all(count > 0 for count in spread.values())
-
-    def test_empty_ring_rejects_lookup(self):
-        with pytest.raises(LookupError):
-            ConsistentHashRing([]).node_for("kw")
 
 
 # ----------------------------------------------------------------------

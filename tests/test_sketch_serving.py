@@ -28,6 +28,8 @@ from repro.distance import DijkstraOracle
 from repro.lowerbound import AltLowerBounder
 from repro.serve import ClusterCoordinator, Engine, QueryServer, ServeClient, replay
 
+KW0 = Query(0, ("kw0000",), k=3)  # the query most tests below repeat
+
 
 @pytest.fixture(scope="module")
 def world():
@@ -50,43 +52,43 @@ def kspin(world):
 class TestHotKeywordAdmission:
     def test_spare_capacity_admits_everything(self, kspin):
         engine = Engine(kspin, cache_size=128, hot_threshold=2)
-        engine.bknn(0, 3, ["kw0000"])
-        assert engine.bknn(0, 3, ["kw0000"]).cached
+        engine.execute(KW0)
+        assert engine.execute(KW0).cached
 
     def test_full_cache_admits_only_hot_keywords(self, kspin):
         engine = Engine(kspin, cache_size=2, hot_threshold=2)
         # Fill the two slots while capacity is spare.
-        engine.bknn(0, 3, ["kw0001"])
-        engine.bknn(0, 3, ["kw0002"])
+        engine.execute(Query(0, ["kw0001"], k=3))
+        engine.execute(Query(0, ["kw0002"], k=3))
         assert engine.cache.full()
         # Cold keyword under pressure: executed but not cached.
-        engine.bknn(5, 3, ["kw0003"])
-        assert not engine.bknn(5, 3, ["kw0003"]).cached  # heat now 2
+        engine.execute(Query(5, ["kw0003"], k=3))
+        assert not engine.execute(Query(5, ["kw0003"], k=3)).cached  # heat now 2
         # Same query again: the keyword crossed the hot threshold on the
         # previous call, so that call was admitted — this one hits.
-        assert engine.bknn(5, 3, ["kw0003"]).cached
+        assert engine.execute(Query(5, ["kw0003"], k=3)).cached
         admission = engine.admission.snapshot()
         assert admission["rejected"] >= 1
         assert admission["admitted"] >= 1
 
     def test_update_on_hot_keyword_invalidates_but_keeps_heat(self, kspin):
         engine = Engine(kspin, cache_size=64, hot_threshold=2)
-        stale = engine.bknn(0, 3, ["kw0000"]).results
-        assert engine.bknn(0, 3, ["kw0000"]).cached
+        stale = engine.execute(KW0).pairs()
+        assert engine.execute(KW0).cached
         assert engine.admission.is_hot(["kw0000"])
         heat_before = engine.admission.heat("kw0000")
 
         engine.insert_object(0, ["kw0000"])
 
-        answer = engine.bknn(0, 3, ["kw0000"])
+        answer = engine.execute(KW0)
         assert not answer.cached  # the update invalidated the entry
-        assert answer.results != stale
-        assert answer.results[0] == (0, 0.0)
+        assert answer.pairs() != stale
+        assert answer.pairs()[0] == (0, 0.0)
         # Heat survives the invalidation: it tracks query traffic, so
         # the refreshed result is immediately cache-worthy again.
         assert engine.admission.heat("kw0000") >= heat_before
         assert engine.admission.is_hot(["kw0000"])
-        assert engine.bknn(0, 3, ["kw0000"]).cached
+        assert engine.execute(KW0).cached
 
     def test_sketch_cardinality_tracks_updates(self, kspin):
         engine = Engine(kspin, cache_size=0)
@@ -98,7 +100,7 @@ class TestHotKeywordAdmission:
 
     def test_admission_block_in_metrics(self, kspin):
         engine = Engine(kspin, cache_size=4)
-        engine.bknn(0, 3, ["kw0000"])
+        engine.execute(KW0)
         snapshot = engine.metrics_snapshot()
         admission = snapshot["cache"]["admission"]
         assert admission["observed"] >= 1
@@ -192,7 +194,7 @@ class TestRateLimitedServer:
 
     def _fire(self, server, client_id):
         request = urllib.request.Request(
-            f"{server.url}/v1/bknn",
+            f"{server.url}/v1/query",
             data=json.dumps(
                 {"vertex": 0, "k": 2, "keywords": ["kw0000"]}
             ).encode(),
@@ -235,7 +237,7 @@ class TestRateLimitedServer:
         client = ServeClient(server.url, client_id="greedy")
         for _ in range(4):
             try:
-                client.bknn(0, 2, ["kw0000"])
+                client.query({"vertex": 0, "k": 2, "keywords": ["kw0000"]})
             except urllib.error.HTTPError:
                 pass
         for _ in range(10):  # never limited: operators stay in
@@ -252,7 +254,7 @@ class TestRateLimitedServer:
         client = ServeClient(server.url, client_id="greedy")
         for _ in range(4):
             try:
-                client.bknn(0, 2, ["kw0000"])
+                client.query({"vertex": 0, "k": 2, "keywords": ["kw0000"]})
             except urllib.error.HTTPError:
                 pass
         with urllib.request.urlopen(
