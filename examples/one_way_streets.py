@@ -1,10 +1,10 @@
 #!/usr/bin/env python3
-"""One-way streets: K-SPIN on a directed road network.
+"""One-way streets: K-SPIN on a road network with one-way arcs.
 
-The paper's model assumes undirected edges for exposition; this example
-runs the directed extension: a city grid where 40% of streets are
-one-way, indexed with directed APX-NVDs and directed ALT bounds, served
-by the *unchanged* core query processor.  It demonstrates how
+The paper's model assumes undirected edges for exposition; here 40% of
+a city grid's streets are one-way (``RoadNetwork.add_arc``) and the same
+``KSpin`` indexes it — APX-NVDs by ``d(vertex -> object)``, two-table
+ALT bounds — and the same ``Engine`` serves it.  It demonstrates how
 directionality changes answers — the nearest cafe "as the car drives"
 can differ sharply from the undirected nearest.
 
@@ -15,14 +15,10 @@ import random
 
 from repro.api import Query
 from repro.core import KSpin
-from repro.directed import (
-    DirectedAltLowerBounder,
-    DirectedKSpin,
-    with_one_way_streets,
-)
 from repro.distance import DijkstraOracle
-from repro.graph import perturbed_grid_network
+from repro.graph import perturbed_grid_network, with_one_way_streets
 from repro.lowerbound import AltLowerBounder
+from repro.serve import Engine
 from repro.text import KeywordDataset
 
 
@@ -33,8 +29,7 @@ def main() -> None:
         1 for u, v, _ in directed.edges() if directed.edge_weight(v, u) is None
     )
     print(f"City grid: {base.num_vertices} vertices, {base.num_edges} streets, "
-          f"{one_way} one-way arcs; strongly connected: "
-          f"{directed.is_strongly_connected()}")
+          f"{one_way} one-way arcs; symmetric: {directed.symmetric}")
 
     rng = random.Random(5)
     cafes = sorted(rng.sample(range(base.num_vertices), 12))
@@ -43,25 +38,28 @@ def main() -> None:
          for i, v in enumerate(cafes)}
     )
 
-    undirected = KSpin(
+    two_way = KSpin(
         base,
         dataset,
         oracle=DijkstraOracle(base),
         lower_bounder=AltLowerBounder(base, num_landmarks=8),
     )
-    directed_kspin = DirectedKSpin(
+    directed_kspin = KSpin(
         directed,
         dataset,
-        lower_bounder=DirectedAltLowerBounder(directed, num_landmarks=8),
+        oracle=DijkstraOracle(directed),
+        lower_bounder=AltLowerBounder(directed, num_landmarks=8),
     )
+    engine = Engine(directed_kspin, cache_size=64)
 
     print("\nNearest cafe, pretending streets are two-way vs. as-the-car-drives:")
     print(f"{'from':>6s}  {'undirected':>22s}  {'directed':>22s}")
     differences = 0
     samples = rng.sample(range(base.num_vertices), 10)
-    for q in samples:
-        u = undirected.execute(Query(q, ["cafe"], k=1)).pairs()[0]
-        d = directed_kspin.execute(Query(q, ["cafe"], k=1)).pairs()[0]
+    queries = [Query(q, ["cafe"], k=1) for q in samples]
+    for q, query, served in zip(samples, queries, engine.execute_many(queries)):
+        u = two_way.execute(query).pairs()[0]
+        d = served.pairs()[0]
         marker = "  <- differs" if (u[0] != d[0] or abs(u[1] - d[1]) > 1e-9) else ""
         differences += bool(marker)
         print(f"{q:>6d}  vertex {u[0]:>4d} at {u[1]:6.2f}  "
@@ -70,7 +68,7 @@ def main() -> None:
           f"one-way streets are respected.")
 
     q = samples[0]
-    top = directed_kspin.execute(
+    top = engine.execute(
         Query(q, ["cafe", "drive-through"], k=3, kind="topk")
     ).pairs()
     print(f"\nDirected top-3 for 'cafe drive-through' from vertex {q}:")

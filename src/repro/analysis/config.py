@@ -416,7 +416,6 @@ INSTRUMENTATION_NAMES = frozenset({
     "engine.cache_lookup",
     "engine.lock_wait",
     "engine.execute",
-    "directed.execute",
     "processor.search",
     "processor.heap_generation",
 })

@@ -68,6 +68,7 @@ class FsFbs:
         frequency_threshold: int = 10,
         hash_bits: int = 64,
     ) -> None:
+        graph._require_symmetric(type(self).__name__)
         if hash_bits < 1:
             raise ValueError("hash_bits must be positive")
         self._graph = graph

@@ -66,6 +66,7 @@ class GTreeSpatialKeyword:
         optimized: bool = False,
         leaf_size: int = 32,
     ) -> None:
+        graph._require_symmetric(type(self).__name__)
         self._graph = graph
         self._dataset = dataset
         self.gtree = gtree if gtree is not None else GTree(graph, leaf_size=leaf_size)

@@ -75,6 +75,7 @@ class Road:
         fanout: int = 4,
         leaf_size: int = 64,
     ) -> None:
+        graph._require_symmetric(type(self).__name__)
         if fanout < 2 or leaf_size < 2:
             raise ValueError("fanout and leaf_size must be at least 2")
         self._graph = graph

@@ -50,13 +50,16 @@ class KSpin:
     Parameters
     ----------
     graph:
-        The road network.
+        The road network.  With one-way streets (``add_arc``) every
+        distance is ``d(query -> object)``.
     dataset:
         Object documents (POIs with keywords).
     oracle:
         The Network Distance Module.  Any exact technique works; the
         paper's variants are CH (KS-CH), hub labeling (KS-PHL), and
-        G-tree (KS-GT).
+        G-tree (KS-GT).  Those three index symmetric distances and
+        refuse a graph with one-way streets; ``DijkstraOracle`` and
+        ``AStarOracle`` serve it.
     lower_bounder:
         The Lower Bounding Module; defaults to a 16-landmark ALT index.
     rho:
@@ -263,9 +266,8 @@ class KSpin:
         label-backed seeding re-snapshots the fresh diagrams.
         """
         rebuilt = self.index.rebuild_pending()
-        invalidate = getattr(self.heap_generator, "invalidate", None)
-        if rebuilt and invalidate is not None:
-            invalidate(rebuilt)
+        if rebuilt:
+            self.heap_generator.invalidate(rebuilt)
         return rebuilt
 
     # ------------------------------------------------------------------

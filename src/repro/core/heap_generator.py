@@ -169,3 +169,7 @@ class HeapGenerator:
         return InvertedHeap(
             keyword, nvd, query_vertex, query_coordinates, self._lower_bounder
         )
+
+    def invalidate(self, keywords: list[str] | None = None) -> None:
+        """Forget anything derived from ``keywords``' diagrams (they were
+        rebuilt).  Nothing here; label seeding overrides it."""

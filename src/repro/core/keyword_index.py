@@ -141,7 +141,8 @@ class KeywordSeparatedIndex:
     ) -> None:
         """Insert a new object with its document.
 
-        The object is lazily added to each of its keywords' diagrams; a
+        The object is lazily added to each of its keywords' diagrams
+        (over one-way streets: the diagram is rebuilt with it); a
         keyword with no diagram yet gets a fresh small one (paper §6.2,
         Non-NVD Updates).
         """
@@ -174,7 +175,16 @@ class KeywordSeparatedIndex:
             return
         if obj in nvd.objects and not nvd.is_deleted(obj):
             return  # already present for this keyword
-        nvd.insert_object(obj, coordinates, distance_fn)
+        if self._graph.symmetric or nvd.is_small or nvd.is_deleted(obj):
+            nvd.insert_object(obj, coordinates, distance_fn)
+        else:
+            # Theorem 2's d(o, o_e) >= 2 * MaxRadius(o_e) prune assumes
+            # d(u -> v) == d(v -> u); over one-way streets a fresh
+            # diagram stands in for the affected-set search.
+            self._nvds[keyword] = ApproximateNVD.build(
+                self._graph, nvd.live_objects() | {obj}, rho=self.rho,
+                keyword=keyword,
+            )
 
     def delete_object(self, obj: int) -> None:
         """Tombstone ``obj`` in every keyword diagram that lists it."""

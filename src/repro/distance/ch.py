@@ -50,6 +50,7 @@ class ContractionHierarchy(DistanceOracle):
 
     def __init__(self, graph: RoadNetwork, witness_settle_limit: int = 500) -> None:
         super().__init__()
+        graph._require_symmetric(type(self).__name__)
         self._n = graph.num_vertices
         self._witness_settle_limit = witness_settle_limit
         # Working adjacency mutated during contraction (original + shortcuts

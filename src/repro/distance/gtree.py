@@ -81,6 +81,7 @@ class GTree(DistanceOracle):
 
     def __init__(self, graph: RoadNetwork, fanout: int = 4, leaf_size: int = 32) -> None:
         super().__init__()
+        graph._require_symmetric(type(self).__name__)
         if fanout < 2:
             raise ValueError("fanout must be at least 2")
         if leaf_size < 2:

@@ -94,6 +94,7 @@ class HubLabeling(DistanceOracle):
         self, graph: RoadNetwork, order: Sequence[int] | str = "ch"
     ) -> None:
         super().__init__()
+        graph._require_symmetric(type(self).__name__)
         self._n = graph.num_vertices
         if isinstance(order, str):
             order_list = importance_order(graph, order)

@@ -10,7 +10,11 @@ from repro.graph.dijkstra import (
     network_expansion_knn,
 )
 from repro.graph.edge_pois import EdgePlacement, subdivide_for_pois
-from repro.graph.generators import perturbed_grid_network, random_geometric_network
+from repro.graph.generators import (
+    perturbed_grid_network,
+    random_geometric_network,
+    with_one_way_streets,
+)
 from repro.graph.io import DimacsFormatError, read_dimacs, write_dimacs
 from repro.graph.road_network import RoadNetwork, RoadNetworkError
 
@@ -30,5 +34,6 @@ __all__ = [
     "random_geometric_network",
     "read_dimacs",
     "subdivide_for_pois",
+    "with_one_way_streets",
     "write_dimacs",
 ]

@@ -11,6 +11,12 @@ graph's cached flat-array view in C; otherwise the pure-Python
 list-based body below runs.  The python bodies are the semantic
 reference — the kernels' property tests compare against them — so they
 are kept verbatim, not as dead code.
+
+Searches walk leaving arcs and compute ``d(source -> .)``.  With
+``reverse=True`` they walk entering arcs — ``graph.csr_in()`` under the
+kernels, ``graph.in_neighbors`` in the python bodies — and compute
+``d(. -> source)``; on a symmetric graph both are the same arrays and
+lists, so the flag changes nothing there.
 """
 
 from __future__ import annotations
@@ -25,16 +31,19 @@ from repro.graph.road_network import RoadNetwork
 INFINITY = math.inf
 
 
-def dijkstra_all(graph: RoadNetwork, source: int) -> list[float]:
-    """Distances from ``source`` to every vertex (``inf`` if unreachable)."""
+def dijkstra_all(
+    graph: RoadNetwork, source: int, reverse: bool = False
+) -> list[float]:
+    """Distances from ``source`` to every vertex (``inf`` if unreachable);
+    with ``reverse``, from every vertex to ``source``."""
     if kernels.enabled():
-        csr = graph.csr()
+        csr = graph.csr_in() if reverse else graph.csr()
         workspace = kernels.get_workspace(csr.num_vertices)
         return list(kernels.sssp(csr, source, workspace).tolist())
     distances = [INFINITY] * graph.num_vertices
     distances[source] = 0.0
     heap: list[tuple[float, int]] = [(0.0, source)]
-    neighbors = graph.neighbors
+    neighbors = graph.in_neighbors if reverse else graph.neighbors
     while heap:
         dist_u, u = heapq.heappop(heap)
         if dist_u > distances[u]:
@@ -117,13 +126,14 @@ def dijkstra_to_targets(
 
 
 def multi_source_dijkstra(
-    graph: RoadNetwork, sources: Sequence[int]
+    graph: RoadNetwork, sources: Sequence[int], reverse: bool = False
 ) -> tuple[list[float], list[int]]:
     """Grow shortest-path trees from all ``sources`` simultaneously.
 
     This is the "parallel Dijkstra" used to build network Voronoi
     diagrams: every vertex is labelled with the distance to, and identity
-    of, its closest source.
+    of, its closest source — with ``reverse``, the source it *reaches*
+    most cheaply, ``argmin_s d(v -> s)``.
 
     Returns
     -------
@@ -135,7 +145,8 @@ def multi_source_dijkstra(
     if not sources:
         raise ValueError("multi_source_dijkstra needs at least one source")
     if kernels.enabled():
-        dist, owner = kernels.multi_source(graph.csr(), sources)
+        csr = graph.csr_in() if reverse else graph.csr()
+        dist, owner = kernels.multi_source(csr, sources)
         return list(dist.tolist()), list(owner.tolist())
     distances = [INFINITY] * graph.num_vertices
     owners = [-1] * graph.num_vertices
@@ -145,7 +156,7 @@ def multi_source_dijkstra(
         owners[s] = s
         heap.append((0.0, s, s))
     heapq.heapify(heap)
-    neighbors = graph.neighbors
+    neighbors = graph.in_neighbors if reverse else graph.neighbors
     while heap:
         dist_u, u, owner = heapq.heappop(heap)
         if dist_u > distances[u]:
@@ -179,15 +190,17 @@ def bidirectional_dijkstra(graph: RoadNetwork, source: int, target: int) -> floa
     settled_f: set[int] = set()
     settled_b: set[int] = set()
     best = INFINITY
-    neighbors = graph.neighbors
     while heap_f and heap_b:
         if heap_f[0][0] + heap_b[0][0] >= best:
             break
-        # Expand the smaller frontier for balance.
+        # Expand the smaller frontier for balance; the backward one
+        # walks entering arcs.
         if heap_f[0][0] <= heap_b[0][0]:
             heap, dist, settled, other_dist = heap_f, dist_f, settled_f, dist_b
+            neighbors = graph.neighbors
         else:
             heap, dist, settled, other_dist = heap_b, dist_b, settled_b, dist_f
+            neighbors = graph.in_neighbors
         dist_u, u = heapq.heappop(heap)
         if u in settled:
             continue

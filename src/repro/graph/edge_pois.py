@@ -46,6 +46,7 @@ def subdivide_for_pois(
     Returns ``(new_graph, poi_vertices)`` with ``poi_vertices[i]`` the
     vertex id created for ``placements[i]``.
     """
+    graph._require_symmetric("subdivide_for_pois")
     for placement in placements:
         if graph.edge_weight(placement.u, placement.v) is None:
             raise RoadNetworkError(

@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 import random
 
+from repro.graph.dijkstra import dijkstra_all
 from repro.graph.road_network import RoadNetwork
 
 
@@ -136,6 +137,43 @@ def random_geometric_network(
 
     _connect_components_geometrically(graph, rng, weight_jitter)
     return graph
+
+
+def with_one_way_streets(
+    graph: RoadNetwork, fraction: float = 0.3, seed: int = 0
+) -> RoadNetwork:
+    """A strongly connected copy of ``graph`` with one-way streets.
+
+    Turns ``fraction`` of the (symmetric) network's edges into
+    single-direction arcs (random orientation), then restores strong
+    connectivity by re-adding a one-way street's reverse arc only when
+    its head cannot currently reach its tail.
+    """
+    if not 0.0 <= fraction <= 1.0:
+        raise ValueError("fraction must be within [0, 1]")
+    rng = random.Random(seed)
+    streets = RoadNetwork(graph.num_vertices)
+    for v in graph.vertices():
+        streets.set_coordinates(v, *graph.coordinates(v))
+    one_way: list[tuple[int, int, float]] = []
+    for u, v, weight in graph.edges():
+        if rng.random() < fraction:
+            if rng.random() < 0.5:
+                u, v = v, u
+            streets.add_arc(u, v, weight)
+            one_way.append((u, v, weight))
+        else:
+            streets.add_edge(u, v, weight)
+    rng.shuffle(one_way)
+    for u, v, weight in one_way:
+        # The arc u -> v exists; the street only hurts connectivity if
+        # v cannot get back to u some other way.
+        if u not in streets.component_of(v):
+            streets.add_arc(v, u, weight)
+    # Strongly connected: vertex 0 reaches every vertex and is reached by it.
+    both_ways = dijkstra_all(streets, 0) + dijkstra_all(streets, 0, reverse=True)
+    assert max(both_ways) < math.inf
+    return streets
 
 
 def _edge_length(

@@ -2,13 +2,20 @@
 
 The paper models a road network as a connected undirected graph
 ``G = (V, E)`` with positive edge weights (travel time or length) and
-vertex coordinates.  This module provides :class:`RoadNetwork`, the single
-graph representation shared by every index in the repository (K-SPIN,
-Contraction Hierarchies, hub labeling, G-tree, ROAD, FS-FBS, NVDs).
+vertex coordinates, "to make exposition simpler".  This module provides
+:class:`RoadNetwork`, the single graph representation shared by every
+index in the repository (K-SPIN, Contraction Hierarchies, hub labeling,
+G-tree, ROAD, FS-FBS, NVDs).  Two-way streets come from
+:meth:`RoadNetwork.add_edge`, one-way streets from
+:meth:`RoadNetwork.add_arc`; distances are then directional,
+``d(u -> v)``, and every search says which way it walks.
 
 Vertices are dense integers ``0 .. n-1``.  Adjacency is stored as one
 Python list per vertex of ``(neighbor, weight)`` tuples, which profiling
 showed to be the fastest pure-Python layout for Dijkstra-style scans.
+While no one-way arc has been added the in-adjacency *is* the
+out-adjacency (the same list objects), so an undirected graph pays
+nothing for the orientation it does not have.
 """
 
 from __future__ import annotations
@@ -24,7 +31,7 @@ class RoadNetworkError(ValueError):
 
 
 class RoadNetwork:
-    """An undirected, weighted road network with vertex coordinates.
+    """A weighted road network with vertex coordinates.
 
     Parameters
     ----------
@@ -38,9 +45,14 @@ class RoadNetwork:
     >>> g.add_edge(1, 2, 3.0)
     >>> sorted(g.neighbors(1))
     [(0, 2.0), (2, 3.0)]
+    >>> g.add_arc(2, 0, 1.0)  # a one-way street
+    >>> g.symmetric, g.in_neighbors(0)
+    (False, [(1, 2.0), (2, 1.0)])
     """
 
-    __slots__ = ("_adjacency", "_coordinates", "_num_edges", "_csr")
+    __slots__ = (
+        "_adjacency", "_in", "_coordinates", "_num_edges", "_csr", "_csr_in",
+    )
 
     def __init__(self, num_vertices: int) -> None:
         if num_vertices <= 0:
@@ -48,21 +60,60 @@ class RoadNetwork:
         self._adjacency: list[list[tuple[int, float]]] = [
             [] for _ in range(num_vertices)
         ]
+        # In-arcs per vertex; aliases the out-adjacency until add_arc.
+        self._in = self._adjacency
         self._coordinates: list[tuple[float, float]] = [
             (0.0, 0.0) for _ in range(num_vertices)
         ]
         self._num_edges = 0
         self._csr: CSRGraph | None = None
+        self._csr_in: CSRGraph | None = None
 
     # ------------------------------------------------------------------
     # Construction
     # ------------------------------------------------------------------
     def add_edge(self, u: int, v: int, weight: float) -> None:
-        """Add an undirected edge ``(u, v)`` with positive ``weight``.
+        """Add a two-way street ``(u, v)`` with positive ``weight``.
 
         Parallel edges are collapsed: if the edge already exists, the
         smaller weight is kept (standard road-network convention).
         """
+        if not self.symmetric:
+            self.add_arc(u, v, weight)
+            self.add_arc(v, u, weight)
+            return
+        self._check_arc(u, v, weight)
+        existing = self.edge_weight(u, v)
+        if existing is not None:
+            if weight < existing:
+                self._replace_arc_weight(u, v, weight)  # both mirrored entries
+            return
+        self._adjacency[u].append((v, float(weight)))
+        self._adjacency[v].append((u, float(weight)))
+        self._num_edges += 1
+        self._csr = None
+
+    def add_arc(self, u: int, v: int, weight: float) -> None:
+        """Add the one-way arc ``u -> v``; parallel arcs keep the minimum.
+
+        The first call splits the in-adjacency from the out-adjacency
+        and the graph stops being :attr:`symmetric` for good.
+        """
+        self._check_arc(u, v, weight)
+        if self.symmetric:
+            self._in = [list(arcs) for arcs in self._adjacency]
+            self._num_edges *= 2  # from here on the count is arcs
+        existing = self.edge_weight(u, v)
+        if existing is not None:
+            if weight < existing:
+                self._replace_arc_weight(u, v, weight)
+            return
+        self._adjacency[u].append((v, float(weight)))
+        self._in[v].append((u, float(weight)))
+        self._num_edges += 1
+        self._csr = self._csr_in = None
+
+    def _check_arc(self, u: int, v: int, weight: float) -> None:
         self._check_vertex(u)
         self._check_vertex(v)
         if u == v:
@@ -71,28 +122,21 @@ class RoadNetwork:
             raise RoadNetworkError(
                 f"edge ({u}, {v}) must have positive weight, got {weight!r}"
             )
-        existing = self.edge_weight(u, v)
-        if existing is not None:
-            if weight < existing:
-                self._replace_edge_weight(u, v, weight)
-            return
-        self._adjacency[u].append((v, float(weight)))
-        self._adjacency[v].append((u, float(weight)))
-        self._num_edges += 1
-        self._csr = None
 
     def set_coordinates(self, v: int, x: float, y: float) -> None:
         """Attach planar coordinates to vertex ``v`` (used by quadtrees)."""
         self._check_vertex(v)
         self._coordinates[v] = (float(x), float(y))
 
-    def _replace_edge_weight(self, u: int, v: int, weight: float) -> None:
-        for adjacency, other in ((self._adjacency[u], v), (self._adjacency[v], u)):
-            for index, (neighbor, _) in enumerate(adjacency):
+    def _replace_arc_weight(self, u: int, v: int, weight: float) -> None:
+        """Overwrite arc ``u -> v`` in the out-list of ``u`` and the
+        in-list of ``v`` (the same entry of a symmetric graph's mirror)."""
+        for arcs, other in ((self._adjacency[u], v), (self._in[v], u)):
+            for index, (neighbor, _) in enumerate(arcs):
                 if neighbor == other:
-                    adjacency[index] = (other, float(weight))
+                    arcs[index] = (other, float(weight))
                     break
-        self._csr = None
+        self._csr = self._csr_in = None
 
     # ------------------------------------------------------------------
     # Inspection
@@ -104,25 +148,37 @@ class RoadNetwork:
 
     @property
     def num_edges(self) -> int:
-        """Number of undirected edges ``|E|``."""
+        """``|E|``: how many items :meth:`edges` yields."""
         return self._num_edges
+
+    @property
+    def symmetric(self) -> bool:
+        """True while only :meth:`add_edge` built this graph, so
+        ``d(u -> v) == d(v -> u)`` and one adjacency serves both ways."""
+        return self._in is self._adjacency
 
     def vertices(self) -> range:
         """All vertex ids as a range."""
         return range(len(self._adjacency))
 
     def neighbors(self, v: int) -> Sequence[tuple[int, float]]:
-        """The ``(neighbor, weight)`` pairs adjacent to ``v``."""
+        """The ``(head, weight)`` pairs of the arcs leaving ``v``."""
         self._check_vertex(v)
         return self._adjacency[v]
 
+    def in_neighbors(self, v: int) -> Sequence[tuple[int, float]]:
+        """The ``(tail, weight)`` pairs of the arcs entering ``v``
+        (the very list :meth:`neighbors` returns on a symmetric graph)."""
+        self._check_vertex(v)
+        return self._in[v]
+
     def degree(self, v: int) -> int:
-        """Number of edges incident to ``v``."""
+        """Number of arcs leaving ``v``."""
         self._check_vertex(v)
         return len(self._adjacency[v])
 
     def edge_weight(self, u: int, v: int) -> float | None:
-        """Weight of edge ``(u, v)``, or ``None`` if absent."""
+        """Weight of the arc ``u -> v``, or ``None`` if absent."""
         self._check_vertex(u)
         self._check_vertex(v)
         for neighbor, weight in self._adjacency[u]:
@@ -131,7 +187,7 @@ class RoadNetwork:
         return None
 
     def has_edge(self, u: int, v: int) -> bool:
-        """Whether edge ``(u, v)`` exists."""
+        """Whether the arc ``u -> v`` exists."""
         return self.edge_weight(u, v) is not None
 
     def coordinates(self, v: int) -> tuple[float, float]:
@@ -140,10 +196,12 @@ class RoadNetwork:
         return self._coordinates[v]
 
     def edges(self) -> Iterator[tuple[int, int, float]]:
-        """Iterate undirected edges once each, as ``(u, v, weight)``, u < v."""
+        """Iterate ``(u, v, weight)``: each edge of a symmetric graph
+        once with ``u < v``, otherwise every arc ``u -> v``."""
+        every_arc = not self.symmetric
         for u, adjacency in enumerate(self._adjacency):
             for v, weight in adjacency:
-                if u < v:
+                if every_arc or u < v:
                     yield u, v, weight
 
     def bounding_box(self) -> tuple[float, float, float, float]:
@@ -153,11 +211,11 @@ class RoadNetwork:
         return min(xs), min(ys), max(xs), max(ys)
 
     def is_connected(self) -> bool:
-        """Whether the network is a single connected component."""
+        """Whether every vertex is reachable from vertex 0."""
         return len(self.component_of(0)) == self.num_vertices
 
     def component_of(self, start: int) -> set[int]:
-        """Vertices reachable from ``start`` (iterative DFS)."""
+        """Vertices reachable from ``start`` along arcs (iterative DFS)."""
         self._check_vertex(start)
         seen = {start}
         stack = [start]
@@ -181,33 +239,61 @@ class RoadNetwork:
     def csr(self) -> CSRGraph:
         """The cached flat-array (CSR) view of this graph.
 
-        Built lazily on first use and invalidated by every mutation
-        (:meth:`add_edge`, weight replacement), so a returned view is a
-        consistent immutable snapshot.  Anything keyed on the view's
-        object identity (workspace SSSP memos) is therefore invalidated
-        for free when the graph changes.
+        Stores the arcs leaving each vertex, so searches over it compute
+        ``d(source -> .)``.  Built lazily on first use and invalidated by
+        every mutation (:meth:`add_edge`, :meth:`add_arc`, weight
+        replacement), so a returned view is a consistent immutable
+        snapshot.  Anything keyed on the view's object identity
+        (workspace SSSP memos) is therefore invalidated for free when
+        the graph changes.
         """
         if self._csr is None:
             from repro.kernels.csr import CSRGraph
 
-            self._csr = CSRGraph.from_road_network(self)
+            self._csr = CSRGraph.from_arcs(self.num_vertices, self.neighbors)
         return self._csr
 
-    # The CSR cache is derived data: exclude it from pickles so worker
+    def csr_in(self) -> CSRGraph:
+        """The cached CSR view over entering arcs: a search over it from
+        ``t`` computes ``d(. -> t)``.  On a symmetric graph this is the
+        object :meth:`csr` returns, so nothing is built or held twice
+        and workspace memos keyed on the view keep hitting."""
+        if self.symmetric:
+            return self.csr()
+        if self._csr_in is None:
+            from repro.kernels.csr import CSRGraph
+
+            self._csr_in = CSRGraph.from_arcs(self.num_vertices, self.in_neighbors)
+        return self._csr_in
+
+    def _require_symmetric(self, who: str) -> None:
+        """Refuse to build ``who``, an index of symmetric distances, over
+        one-way streets (it would answer ``d(v -> u)`` for ``d(u -> v)``)."""
+        if not self.symmetric:
+            raise RoadNetworkError(
+                f"{who} needs a symmetric road network; this one has one-way "
+                "arcs (add_arc)"
+            )
+
+    # The CSR caches are derived data: exclude them from pickles so worker
     # snapshots stay small and each process rebuilds (or pre-warms via
     # ``repro.kernels.warm``) its own view.
     def __getstate__(self) -> dict[str, object]:
         return {
             "adjacency": self._adjacency,
+            # Pickle memoises by identity, so a symmetric graph stores
+            # this once and comes back with the alias intact.
+            "in_adjacency": self._in,
             "coordinates": self._coordinates,
             "num_edges": self._num_edges,
         }
 
     def __setstate__(self, state: dict[str, object]) -> None:
         self._adjacency = state["adjacency"]  # type: ignore[assignment]
+        self._in = state["in_adjacency"]  # type: ignore[assignment]
         self._coordinates = state["coordinates"]  # type: ignore[assignment]
         self._num_edges = int(state["num_edges"])  # type: ignore[arg-type]
-        self._csr = None
+        self._csr = self._csr_in = None
 
     def memory_bytes(self) -> int:
         """Approximate in-memory footprint of the graph structure.
@@ -216,7 +302,8 @@ class RoadNetwork:
         sizes; used for the "Input" rows of the index-size experiments.
         """
         per_entry = 72  # tuple(2) + float + int boxes, empirical CPython cost
-        adjacency = sum(len(a) for a in self._adjacency) * per_entry
+        arcs = sum(len(a) for a in self._adjacency)
+        adjacency = (arcs if self.symmetric else 2 * arcs) * per_entry
         coordinates = len(self._coordinates) * per_entry
         return adjacency + coordinates
 

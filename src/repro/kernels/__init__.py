@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import os
 from contextlib import contextmanager
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
 from repro.kernels.csr import CSRGraph
 from repro.kernels.search import (
@@ -45,6 +45,9 @@ from repro.kernels.search import (
     to_targets,
 )
 from repro.kernels.workspace import SearchWorkspace, get_workspace
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard for annotations
+    from repro.graph.road_network import RoadNetwork
 
 __all__ = [
     "CSRGraph",
@@ -127,17 +130,14 @@ def use_backend(name: str) -> Iterator[None]:
         _override = previous
 
 
-def warm(graph: object) -> None:
+def warm(graph: RoadNetwork) -> None:
     """Eagerly build (and cache) a graph's CSR views.
 
     Call this *before* forking worker processes so the arrays are
     materialised once in the parent and shared copy-on-write, instead of
     being rebuilt lazily in every child.  A no-op when the python
-    backend is active or the object exposes no CSR accessors.
+    backend is active.
     """
-    if not enabled():
-        return
-    for accessor in ("csr", "csr_out", "csr_in"):
-        build = getattr(graph, accessor, None)
-        if callable(build):
-            build()
+    if enabled():
+        graph.csr()
+        graph.csr_in()

@@ -7,9 +7,13 @@ A :class:`CSRGraph` is three flat numpy arrays:
 * ``indices`` — ``int32[m]``; arc heads;
 * ``weights`` — ``float64[m]``; arc weights.
 
-Undirected networks store *both* arcs of every edge, so searches always
-run ``directed=True`` over the matrix — scipy then skips its symmetrise
-pass and the semantics match the list-based code exactly.  The arrays
+Two-way streets store *both* arcs, so searches always run
+``directed=True`` over the matrix — scipy then skips its symmetrise
+pass and the semantics match the list-based code exactly.  A
+:class:`~repro.graph.road_network.RoadNetwork` hands out two views,
+``csr()`` over leaving arcs and ``csr_in()`` over entering arcs (a
+reverse search is a forward search over the latter); they are one
+object while the graph is symmetric.  The arrays
 are immutable by convention: graph mutation invalidates the cached view
 and the next build produces a fresh object, so object identity doubles
 as a cache epoch for anything keyed on the view (see
@@ -63,21 +67,6 @@ class CSRGraph:
             np.asarray(heads, dtype=np.int32),
             np.asarray(weights, dtype=np.float64),
         )
-
-    @classmethod
-    def from_road_network(cls, graph: Any) -> "CSRGraph":
-        """CSR view of an undirected :class:`RoadNetwork` (both arcs stored)."""
-        return cls.from_arcs(graph.num_vertices, graph.neighbors)
-
-    @classmethod
-    def from_directed(cls, graph: Any, reverse: bool = False) -> "CSRGraph":
-        """CSR view of a :class:`DirectedRoadNetwork`.
-
-        ``reverse=True`` stores the transposed graph (arcs flipped), so
-        reverse searches become forward searches over this view.
-        """
-        arcs_of = graph.in_edges if reverse else graph.out_edges
-        return cls.from_arcs(graph.num_vertices, arcs_of)
 
     # ------------------------------------------------------------------
     # scipy interop

@@ -5,6 +5,16 @@ vertex.  The triangle inequality then gives, for any pair ``(u, v)``::
 
     LB(u, v) = max over landmarks l of |d(l, u) - d(l, v)|
 
+With one-way streets each landmark keeps two tables, ``d(l -> v)`` and
+``d(v -> l)``, and each gives one admissible side of that absolute
+value for the directional distance::
+
+    d(u -> v) >= d(u -> l) - d(v -> l)
+    d(u -> v) >= d(l -> v) - d(l -> u)
+
+On a symmetric graph the two tables are one array and the two sides are
+the absolute value above, which is what the methods below then compute.
+
 The paper combines K-SPIN with ALT because it provides effective bounds
 on road networks [16]; ``m`` is "a small constant (typically 16)"
 (paper §5.1).  Landmarks are chosen with the standard farthest-point
@@ -56,10 +66,11 @@ class AltLowerBounder(LowerBounder):
         # Selection already runs one SSSP per chosen landmark; keep those
         # rows instead of recomputing the whole table afterwards.
         self.landmarks, rows = self._select_landmarks(graph, num_landmarks, seed)
-        table = np.asarray(rows, dtype=np.float64)
-        # Disconnected vertices would poison the arithmetic with inf - inf.
-        table[~np.isfinite(table)] = np.nan
-        self._table = table
+        self._table = _nan_table(rows)  # d(l -> v)
+        # d(v -> l): the same array unless the graph has one-way arcs.
+        self._to = self._table if graph.symmetric else _nan_table(
+            [dijkstra_all(graph, l, reverse=True) for l in self.landmarks]
+        )
 
     @staticmethod
     def _select_landmarks(
@@ -91,11 +102,23 @@ class AltLowerBounder(LowerBounder):
                     min_distance[v] = d
         return landmarks, rows
 
+    def _one_sided(self, u: object, v: object) -> np.ndarray:
+        """Per-landmark bounds on ``d(u -> v)`` over one-way streets, for
+        index expressions ``u``/``v`` into the table columns.  ``fmax``
+        skips the ``nan`` of a landmark that cannot bound the pair and
+        floors the result at the trivial bound 0."""
+        via_to = self._to[:, u] - self._to[:, v]
+        via_from = self._table[:, v] - self._table[:, u]
+        return np.fmax(np.fmax(via_to, via_from), 0.0)
+
     def lower_bound(self, u: int, v: int) -> float:
-        """``max_l |d(l,u) - d(l,v)|`` — always ``<= d(u, v)``."""
+        """``max_l |d(l,u) - d(l,v)|`` — always ``<= d(u -> v)``."""
         if u == v:
             return 0.0
-        difference = np.abs(self._table[:, u] - self._table[:, v])
+        if self._to is self._table:
+            difference = np.abs(self._table[:, u] - self._table[:, v])
+        else:
+            difference = self._one_sided(u, v)
         finite = difference[~np.isnan(difference)]
         if finite.size == 0:
             return 0.0
@@ -110,8 +133,11 @@ class AltLowerBounder(LowerBounder):
         """
         if not others:
             return []
-        column = self._table[:, u][:, None]
-        differences = np.abs(self._table[:, others] - column)
+        if self._to is self._table:
+            column = self._table[:, u][:, None]
+            differences = np.abs(self._table[:, others] - column)
+        else:
+            differences = self._one_sided([u], others)
         # nan entries mark landmark rows that cannot bound this pair.
         bounds = np.max(np.nan_to_num(differences, nan=0.0), axis=0)
         return list(bounds.tolist())
@@ -133,7 +159,10 @@ class AltLowerBounder(LowerBounder):
             )
         if not sources:
             return []
-        differences = np.abs(self._table[:, sources] - self._table[:, targets])
+        if self._to is self._table:
+            differences = np.abs(self._table[:, sources] - self._table[:, targets])
+        else:
+            differences = self._one_sided(sources, targets)
         bounds = np.max(np.nan_to_num(differences, nan=0.0), axis=0)
         out = list(bounds.tolist())
         # The scalar form returns exactly 0.0 for u == v; the vector
@@ -142,7 +171,16 @@ class AltLowerBounder(LowerBounder):
         return [0.0 if s == t else b for s, t, b in zip(sources, targets, out)]
 
     def memory_bytes(self) -> int:
-        return int(self._table.nbytes)
+        if self._to is self._table:
+            return int(self._table.nbytes)
+        return int(self._table.nbytes + self._to.nbytes)
+
+
+def _nan_table(rows: list[list[float]]) -> np.ndarray:
+    table = np.asarray(rows, dtype=np.float64)
+    # Disconnected vertices would poison the arithmetic with inf - inf.
+    table[~np.isfinite(table)] = np.nan
+    return table
 
 
 def _finite(value: float) -> float:

@@ -5,6 +5,17 @@ Given a set of generator objects, the NVD partitions all vertices into
 object (by network distance) is ``o``.  One multi-source Dijkstra builds
 it in ``O(|V| log |V|)``.
 
+A query wants the objects it can *reach* cheaply, so the owner is
+``argmin_o d(v -> o)`` and the multi-source search walks entering arcs
+(on a symmetric graph, the same arcs).  Property 2 survives one-way
+streets: on the shortest path ``q -> o_k``, let ``w`` be the last vertex
+owned by some ``o_j != o_k``; the arc leaving ``w`` crosses into
+``o_k``'s cell, so the cells are adjacent, and ``d(q -> o_j) <=
+d(q -> w) + d(w -> o_j) <= d(q -> o_k)`` — the k-th nearest object is
+adjacent to a closer one, which is all Algorithm 4 needs.  Cell
+adjacency therefore comes from arcs whose endpoints have different
+owners, recorded both ways whichever way the arc points.
+
 Alongside the vertex->owner map the builder derives the two artefacts
 K-SPIN actually keeps:
 
@@ -53,7 +64,7 @@ class NetworkVoronoiDiagram:
         for o in self.objects:
             if not 0 <= o < graph.num_vertices:
                 raise ValueError(f"object {o} is not a vertex")
-        distances, owners = multi_source_dijkstra(graph, self.objects)
+        distances, owners = multi_source_dijkstra(graph, self.objects, reverse=True)
         self._owners = owners
         self._distances = distances
         self.adjacency: dict[int, set[int]] = {o: set() for o in self.objects}
@@ -97,10 +108,11 @@ class NetworkVoronoiDiagram:
                 np.stack([tail_owner[boundary], head_owner[boundary]], axis=1),
                 axis=0,
             )
-            # Undirected graphs store both arcs, so each pair already
-            # appears in both orientations; add them as they come.
+            # A two-way street stores both arcs, so its pair already
+            # comes in both orientations; a one-way arc's does not.
             for owner_u, owner_v in pairs.tolist():
                 self.adjacency[owner_u].add(owner_v)
+                self.adjacency[owner_v].add(owner_u)
         owned = (owner_arr >= 0) & np.isfinite(dist_arr)
         radius = np.zeros(csr.num_vertices, dtype=np.float64)
         np.maximum.at(radius, owner_arr[owned], dist_arr[owned])
@@ -109,7 +121,7 @@ class NetworkVoronoiDiagram:
 
     def owner(self, vertex: int) -> int:
         """The generator object owning ``vertex`` (its network 1NN);
-        ``-1`` if the vertex is unreachable from every object."""
+        ``-1`` if the vertex reaches no object."""
         return self._owners[vertex]
 
     def distance_to_owner(self, vertex: int) -> float:

@@ -22,7 +22,7 @@ from repro.core.framework import KSpin
 
 #: File magic + schema version; bump when on-disk layout changes.
 MAGIC = b"KSPIN-INDEX"
-VERSION = 1
+VERSION = 2
 
 
 class PersistenceError(RuntimeError):

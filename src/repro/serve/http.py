@@ -251,6 +251,11 @@ class _Handler(BaseHTTPRequestHandler):
                 client = self.headers.get("X-Client-Id") or self.client_address[0]
                 retry_after = limiter.check(client, cost=cost)
                 if retry_after is not None:
+                    if batch_params is None:
+                        # The connection stays open after a 429: skip the
+                        # unread body (capped above) or it would be
+                        # parsed as the next request line.
+                        self.rfile.read(length)
                     metrics.record_rate_limited(time.perf_counter() - start)
                     EVENTS.emit(
                         "query.rate_limited", endpoint=endpoint, client=client

@@ -23,7 +23,6 @@ from repro.api import (
 )
 from repro.baselines import FsFbs, GTreeSpatialKeyword, NetworkExpansion, Road
 from repro.core import KSpin, results_equivalent
-from repro.directed import DirectedKSpin
 from repro.distance import DijkstraOracle
 from repro.graph import perturbed_grid_network
 from repro.lowerbound import AltLowerBounder
@@ -243,7 +242,6 @@ def registered_engine_classes():
         )
         for name in classes:
             yield getattr(module, name)
-    yield DirectedKSpin
 
 
 @pytest.mark.parametrize(

@@ -1,13 +1,13 @@
-"""Tests for boolean CNF queries on directed networks and the XL rung."""
+"""Tests for boolean CNF queries over one-way streets and the XL rung."""
 
 import random
 
 import pytest
 
-from repro.core import BooleanExpression
-from repro.directed import DirectedAltLowerBounder, DirectedKSpin, with_one_way_streets
-from repro.directed.dijkstra import forward_dijkstra_all
-from repro.graph import perturbed_grid_network
+from repro.core import BooleanExpression, KSpin, brute_force_boolean_bknn
+from repro.distance import DijkstraOracle
+from repro.graph import perturbed_grid_network, with_one_way_streets
+from repro.lowerbound import AltLowerBounder
 
 from tests.test_kspin_queries import make_dataset, popular_keywords
 
@@ -17,26 +17,14 @@ def world():
     base = perturbed_grid_network(6, 6, seed=71)
     g = with_one_way_streets(base, fraction=0.4, seed=71)
     dataset = make_dataset(base, seed=71, object_fraction=0.35, vocabulary=8)
-    kspin = DirectedKSpin(
+    kspin = KSpin(
         g,
         dataset,
-        lower_bounder=DirectedAltLowerBounder(g, num_landmarks=6),
+        oracle=DijkstraOracle(g),
+        lower_bounder=AltLowerBounder(g, num_landmarks=6),
         rho=3,
     )
     return g, dataset, kspin
-
-
-def brute_force(g, dataset, q, k, expression):
-    import math
-
-    distances = forward_dijkstra_all(g, q)
-    matches = sorted(
-        (distances[o], o)
-        for o in dataset.objects()
-        if distances[o] < math.inf
-        and expression.matches(lambda t, o=o: dataset.contains(o, t))
-    )
-    return [(o, d) for d, o in matches[:k]]
 
 
 class TestDirectedBooleanBknn:
@@ -48,7 +36,7 @@ class TestDirectedBooleanBknn:
         rng = random.Random(1)
         for _ in range(8):
             q = rng.randrange(g.num_vertices)
-            expected = brute_force(g, dataset, q, 4, expression)
+            expected = brute_force_boolean_bknn(g, dataset, q, 4, expression)
             actual = kspin.boolean_bknn(q, 4, groups)
             assert [d for _, d in actual] == pytest.approx(
                 [d for _, d in expected]

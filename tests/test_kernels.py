@@ -4,7 +4,7 @@ The list-based implementations in ``repro.graph.dijkstra`` define the
 semantics; the CSR backend must be observationally identical through
 the public dispatch layer.  Property tests drive both backends over
 random graphs (including unreachable vertices, collapsed parallel
-edges, and directed variants), and the workspace tests pin down the
+edges, and one-way arcs), and the workspace tests pin down the
 reuse and thread-isolation contracts the serving stack relies on.
 """
 
@@ -21,15 +21,9 @@ from hypothesis import strategies as st
 from repro import kernels
 from repro.analysis import lint_source
 from repro.analysis.config import REPRODUCIBLE_PREFIXES
-from repro.directed import (
-    DirectedRoadNetwork,
-    directed_distance,
-    forward_dijkstra_all,
-    reverse_dijkstra_all,
-    reverse_multi_source,
-)
 from repro.graph import (
     RoadNetwork,
+    bidirectional_dijkstra,
     dijkstra_all,
     dijkstra_distance,
     multi_source_dijkstra,
@@ -69,19 +63,19 @@ def sparse_graph(draw):
 
 @st.composite
 def directed_graph(draw):
-    """A small random directed graph with a guaranteed forward chain."""
+    """A small random one-way graph with a guaranteed forward chain."""
     n = draw(st.integers(min_value=2, max_value=10))
-    g = DirectedRoadNetwork(n)
+    g = RoadNetwork(n)
     for i in range(n - 1):
         w = draw(st.floats(min_value=0.1, max_value=10.0, allow_nan=False))
-        g.add_edge(i, i + 1, w)
+        g.add_arc(i, i + 1, w)
     extra = draw(st.integers(min_value=0, max_value=2 * n))
     for _ in range(extra):
         u = draw(st.integers(min_value=0, max_value=n - 1))
         v = draw(st.integers(min_value=0, max_value=n - 1))
         if u != v:
             w = draw(st.floats(min_value=0.1, max_value=10.0, allow_nan=False))
-            g.add_edge(u, v, w)
+            g.add_arc(u, v, w)
     return g
 
 
@@ -175,14 +169,16 @@ class TestDirectedEquivalence:
     @given(directed_graph(), st.integers(min_value=0, max_value=9))
     def test_forward_and_reverse_sssp(self, g, seed):
         source = seed % g.num_vertices
-        fwd_ref, fwd_fast = _both_backends(
-            lambda: forward_dijkstra_all(g, source)
-        )
+        fwd_ref, fwd_fast = _both_backends(lambda: dijkstra_all(g, source))
         rev_ref, rev_fast = _both_backends(
-            lambda: reverse_dijkstra_all(g, source)
+            lambda: dijkstra_all(g, source, reverse=True)
         )
         assert fwd_fast == pytest.approx(fwd_ref)
         assert rev_fast == pytest.approx(rev_ref)
+        # The reverse search is the forward search of the flipped graph.
+        assert [rev_ref[v] for v in g.vertices()] == pytest.approx(
+            [dijkstra_distance(g, v, source) for v in g.vertices()]
+        )
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -193,9 +189,15 @@ class TestDirectedEquivalence:
     def test_directed_distance(self, g, a, b):
         source, target = a % g.num_vertices, b % g.num_vertices
         reference, fast = _both_backends(
-            lambda: directed_distance(g, source, target)
+            lambda: dijkstra_distance(g, source, target)
         )
         assert fast == pytest.approx(reference)
+        # The python meet-in-the-middle walks entering arcs backward.
+        meet_ref, meet_fast = _both_backends(
+            lambda: bidirectional_dijkstra(g, source, target)
+        )
+        assert meet_ref == pytest.approx(reference)
+        assert meet_fast == pytest.approx(reference)
 
     @settings(max_examples=20, deadline=None)
     @given(directed_graph(), st.sets(st.integers(min_value=0, max_value=9),
@@ -203,10 +205,10 @@ class TestDirectedEquivalence:
     def test_reverse_multi_source(self, g, raw_objects):
         objects = sorted({o % g.num_vertices for o in raw_objects})
         (ref_dist, ref_owner), (fast_dist, fast_owner) = _both_backends(
-            lambda: reverse_multi_source(g, objects)
+            lambda: multi_source_dijkstra(g, objects, reverse=True)
         )
         assert fast_dist == pytest.approx(ref_dist)
-        per_object = {o: reverse_dijkstra_all(g, o) for o in objects}
+        per_object = {o: dijkstra_all(g, o, reverse=True) for o in objects}
         for v in range(g.num_vertices):
             if ref_dist[v] == math.inf:
                 assert fast_owner[v] == -1 and ref_owner[v] == -1
@@ -301,16 +303,20 @@ class TestFingerprintAndPickle:
         assert dijkstra_all(clone, 0) == pytest.approx(dijkstra_all(g, 0))
 
     def test_directed_pickle_round_trip(self):
-        g = DirectedRoadNetwork(4)
-        g.add_edge(0, 1, 1.0)
-        g.add_edge(1, 2, 2.0)
-        g.add_two_way(2, 3, 0.5)
+        g = RoadNetwork(4)
+        g.add_arc(0, 1, 1.0)
+        g.add_arc(1, 2, 2.0)
+        g.add_edge(2, 3, 0.5)
         clone = pickle.loads(pickle.dumps(g))
-        assert clone.csr_out().structural_fingerprint() == (
-            g.csr_out().structural_fingerprint()
+        assert clone._csr is None and clone._csr_in is None
+        assert clone.csr().structural_fingerprint() == (
+            g.csr().structural_fingerprint()
         )
         assert clone.csr_in().structural_fingerprint() == (
             g.csr_in().structural_fingerprint()
+        )
+        assert g.csr_in().structural_fingerprint() != (
+            g.csr().structural_fingerprint()
         )
 
 
@@ -353,9 +359,10 @@ class TestBackendSwitch:
     @needs_scipy
     def test_warm_builds_csr_caches(self):
         g = perturbed_grid_network(3, 3, seed=1)
+        g.add_arc(0, 8, 1.0)
         with kernels.use_backend("csr"):
             kernels.warm(g)
-            assert g._csr is not None
+            assert g._csr is not None and g._csr_in is not None
 
 
 class TestLintCoverage:

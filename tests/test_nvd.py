@@ -11,6 +11,7 @@ from repro.graph import (
     dijkstra_all,
     dijkstra_distance,
     perturbed_grid_network,
+    with_one_way_streets,
 )
 from repro.nvd import (
     ApproximateNVD,
@@ -161,6 +162,54 @@ class TestMortonQuadtree:
         tree = MortonQuadtree(points, colors, rho=1, max_depth=6)
         candidates = tree.candidates(0.5, 0.5)
         assert set(candidates) >= {1, 2}  # guarantee kept despite overflow
+
+    @pytest.mark.parametrize("one_way", [False, True], ids=["two-way", "one-way"])
+    @settings(max_examples=15, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=10**6))
+    def test_insert_all_then_query_all(self, grid, one_way, seed):
+        """Colour every vertex by its owner, then look every vertex up:
+        its candidates hold its owner and at most rho colours."""
+        graph = with_one_way_streets(grid, 0.4, seed=3) if one_way else grid
+        rng = random.Random(seed)
+        objects = rng.sample(range(graph.num_vertices), rng.randint(2, 12))
+        nvd = NetworkVoronoiDiagram(graph, objects)
+        points = {v: graph.coordinates(v) for v in graph.vertices()}
+        colors = {v: nvd.owner(v) for v in graph.vertices()}
+        for rho in (1, 3, 5):
+            tree = MortonQuadtree(points, colors, rho=rho)
+            for v in graph.vertices():
+                found = tree.candidates(*points[v])
+                assert colors[v] in found and len(found) <= rho
+
+    def test_more_than_rho_colours_at_one_coordinate(self):
+        """No split separates coincident points: the leaf bottoms out at
+        max_depth and lists every colour, more than rho of them."""
+        points = {i: (0.25, 0.75) for i in range(7)}
+        points[7] = (3.0, 3.0)
+        colors = {i: 10 + i for i in points}
+        tree = MortonQuadtree(points, colors, rho=3, max_depth=5)
+        assert tree.candidates(0.25, 0.75) == tuple(range(10, 17))
+        assert tree.depth == 5
+        assert [k for k, c in tree.leaves.items() if len(c) > 3] == [
+            k for k, c in tree.leaves.items() if c == tuple(range(10, 17))
+        ]
+        assert tree.candidates(3.0, 3.0) == (17,)
+
+    def test_midline_points_land_where_lookup_descends(self):
+        """A point exactly on a cell's midline goes to the high side in
+        the build and in the lookup alike."""
+        corners = {0: (0.0, 0.0), 1: (4.0, 4.0)}
+        minx, miny, maxx, maxy = MortonQuadtree(corners, {0: 0, 1: 1}, rho=1).bounds
+        midx, midy = (minx + maxx) / 2.0, (miny + maxy) / 2.0
+        lowx, lowy = (minx + midx) / 2.0, (miny + midy) / 2.0
+        points = dict(corners)
+        for on_line in [(midx, midy), (midx, 0.5), (0.5, midy), (lowx, lowy),
+                        (lowx, 0.5), (midx, lowy), (lowx, midy)]:
+            points[len(points)] = on_line
+        tree = MortonQuadtree(points, {p: 100 + p for p in points}, rho=1)
+        assert tree.bounds == (minx, miny, maxx, maxy)
+        for p, (x, y) in points.items():
+            assert tree.candidates(x, y) == (100 + p,)
 
 
 class TestVoronoiRTree:

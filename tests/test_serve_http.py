@@ -404,6 +404,42 @@ class TestContentLength:
         assert status == 404
         assert envelope["error"]["code"] == "not_found"
 
+    @pytest.mark.parametrize(
+        "path, body",
+        [
+            ("/v1/query", b'{"vertex": 0, "keywords": ["kw0000"]}'),
+            ("/v1/update", b'{"op": "rebuild"}'),
+        ],
+        ids=["query", "update"],
+    )
+    def test_rate_limited_post_leaves_keep_alive_usable(self, kspin, path, body):
+        """A 429 does not hang up, so it must consume the body it refuses:
+        the next request on the socket gets a well-formed reply."""
+        request = (
+            f"POST {path} HTTP/1.1\r\nHost: test\r\n"
+            f"Content-Length: {len(body)}\r\n\r\n".encode() + body
+        )
+        with QueryServer(
+            Engine(kspin, cache_size=0), port=0, workers=2,
+            rate_limit=0.001, rate_burst=1.0,
+        ).start_background() as running, socket.create_connection(
+            running.server_address[:2], timeout=10
+        ) as sock:
+            replies = sock.makefile("rb")
+            statuses = []
+            for _ in range(3):  # the one-token bucket admits only the first
+                sock.sendall(request)
+                status_line = replies.readline().split()
+                assert status_line[0] == b"HTTP/1.1", status_line
+                headers = {}
+                while (line := replies.readline().strip()):
+                    name, _, value = line.partition(b":")
+                    headers[name.lower()] = value.strip()
+                envelope = json.loads(replies.read(int(headers[b"content-length"])))
+                statuses.append(int(status_line[1]))
+                assert envelope["ok"] is (statuses[-1] == 200)
+            assert statuses == [200, 429, 429]
+
 
 class TestBatchEndpoint:
     def _post_batch(self, server, queries, client_id=None):
