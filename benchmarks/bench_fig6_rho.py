@@ -26,12 +26,12 @@ from repro.lowerbound import AltLowerBounder
 from repro.nvd import (
     ApproximateNVD,
     NetworkVoronoiDiagram,
-    VoronoiRTree,
-    bounding_rect,
     build_keyword_nvds,
     parallel_efficiency,
     simulated_parallel_makespan,
 )
+
+from voronoi_rtree import VoronoiRTree, bounding_rect
 
 RHO_VALUES = [1, 3, 5, 7, 9, 11]
 DEFAULT_K = 10

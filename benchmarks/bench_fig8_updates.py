@@ -13,7 +13,7 @@ x% of each diagram's object count, and reports:
 
 import copy
 
-from repro.api import Query
+from repro.api import Query, UpdateOp
 from repro.bench import print_table, save_result, time_queries
 from repro.core import KSpin
 from repro.core.updates import apply_lazy_inserts, pick_update_keywords
@@ -60,7 +60,7 @@ def test_fig8a_query_time_after_lazy_inserts(rho_dataset, benchmark):
                 if v not in nvd.objects and not keywords.is_object(v)
             ][:count]
             for v in free:
-                kspin.insert_object(v, [keyword])
+                kspin.apply(UpdateOp("insert", object=v, document=[keyword]))
             applied = fraction
             timing = time_queries(
                 [

@@ -10,8 +10,8 @@ heaps) and once under the CSR backend — so the A/B covers the dispatch
 layer the rest of the repo actually uses.
 
 Four micro primitives and one end-to-end reading are recorded to
-``benchmarks/results/kernels.json`` and mirrored to the repo-root
-``BENCH_kernels.json`` trajectory file:
+``benchmarks/results/kernels.json`` (a pass/fail gate; the repo's
+performance record is ``BENCHMARK.json`` / ``benchmarks/e2e``):
 
 * ``dijkstra_all`` — full SSSP from distinct sources (the primitive
   behind ALT landmark tables, NVD seeds, and the brute-force oracles);
@@ -61,11 +61,6 @@ BKNN_K = 10
 BKNN_TERMS = 2
 NUM_VECTORS = 6
 VERTICES_PER_VECTOR = 3
-
-ROOT_TRAJECTORY = os.path.join(
-    os.path.dirname(__file__), "..", "BENCH_kernels.json"
-)
-
 
 def _host_info() -> dict:
     try:
@@ -217,31 +212,7 @@ def run_benchmark(smoke: bool = False) -> dict:
         },
     }
     save_result("kernels", payload)
-    _write_trajectory(payload)
     return payload
-
-
-def _write_trajectory(payload: dict) -> None:
-    """Mirror the reading to the repo-root ``BENCH_kernels.json``.
-
-    The file is shared: ``bench_labels.py`` folds its numbers in under
-    a ``"labels"`` key, so sections this payload does not produce are
-    preserved rather than clobbered.
-    """
-    import json
-
-    path = os.path.abspath(ROOT_TRAJECTORY)
-    merged = dict(payload)
-    try:
-        with open(path) as handle:
-            existing = json.load(handle)
-    except (OSError, ValueError):
-        existing = {}
-    for key, value in existing.items():
-        if key not in merged:
-            merged[key] = value
-    with open(path, "w") as handle:
-        json.dump(merged, handle, indent=2, sort_keys=True)
 
 
 def test_kernels_smoke():
@@ -278,4 +249,4 @@ if __name__ == "__main__":
         else:
             assert gates["dijkstra_all_speedup"] >= gates["target_dijkstra_all"]
             assert gates["bknn_p50_speedup"] >= gates["target_bknn_p50"]
-        print("wrote benchmarks/results/kernels.json and BENCH_kernels.json")
+        print("wrote benchmarks/results/kernels.json")

@@ -20,10 +20,9 @@ result-identical by construction, and asserted to be):
 The memory satellite is reported alongside: the flat-array label layout
 vs what the former dict-of-dicts layout charged for the same labels.
 
-Results land in ``benchmarks/results/labels.json`` and are folded into
-the repo-root ``BENCH_kernels.json`` trajectory under a ``"labels"``
-key (``bench_kernels.py`` preserves foreign keys when it rewrites the
-file, and vice versa).
+Results land in ``benchmarks/results/labels.json``; this is a pass/fail
+gate, the repo's performance record is ``BENCHMARK.json`` /
+``benchmarks/e2e``.
 
 Run directly for the full US-S reading the acceptance gates check
 (label seeding beats NVD+ALT on BkNN p50; composite within 10% of each
@@ -33,7 +32,6 @@ not strictly dominated".
 """
 
 import argparse
-import json
 import os
 import random
 import statistics
@@ -71,11 +69,6 @@ VERTICES_PER_VECTOR = 3
 #: mis-routed class (those show up as 3-500x, not 1.2x).
 DOMINANCE_SLACK = 1.10
 SMOKE_DOMINANCE_SLACK = 1.50
-
-ROOT_TRAJECTORY = os.path.join(
-    os.path.dirname(__file__), "..", "BENCH_kernels.json"
-)
-
 
 def _host_info() -> dict:
     try:
@@ -357,33 +350,7 @@ def run_benchmark(smoke: bool = False) -> dict:
         },
     }
     save_result("labels", payload)
-    _fold_trajectory(payload)
     return payload
-
-
-def _fold_trajectory(payload: dict) -> None:
-    """Fold the label numbers into the shared trajectory file.
-
-    ``BENCH_kernels.json`` is owned by ``bench_kernels.py``; this bench
-    contributes one ``"labels"`` section and leaves everything else as
-    is (and bench_kernels preserves foreign keys symmetrically).
-    """
-    path = os.path.abspath(ROOT_TRAJECTORY)
-    try:
-        with open(path) as handle:
-            existing = json.load(handle)
-    except (OSError, ValueError):
-        existing = {}
-    existing["labels"] = {
-        "dataset": payload["dataset"],
-        "smoke": payload["smoke"],
-        "classes_ms": payload["classes_ms"],
-        "seeding_speedup_p50": payload["seeding"]["speedup_p50"],
-        "memory": payload["memory"],
-        "gates": payload["gates"],
-    }
-    with open(path, "w") as handle:
-        json.dump(existing, handle, indent=2, sort_keys=True)
 
 
 def test_labels_smoke():
@@ -416,4 +383,4 @@ if __name__ == "__main__":
     if not args.smoke:
         # Acceptance: label seeding beats NVD+ALT on BkNN p50 (US-S).
         assert gates["seeding_speedup_p50"] > 1.0, gates
-    print("wrote benchmarks/results/labels.json and folded BENCH_kernels.json")
+    print("wrote benchmarks/results/labels.json")

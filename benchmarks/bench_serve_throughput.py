@@ -24,16 +24,10 @@ results bit-identical to sequential execution.  Run with ``--smoke``
 (as CI does) for a fast pass, ``--batched-only`` to skip the
 per-query ladder.
 
-Like ``bench_kernels.py``, the headline numbers are mirrored to a
-repo-root perf-trajectory file (``BENCH_serve.json``): a small distilled
-reading — peak qps, tail latencies, cache hit rate, the batch-32
-speedup gate — meant to be committed so the serving plane's performance
-history travels with the code.
+This is a pass/fail gate; the repo's performance record is
+``BENCHMARK.json`` / ``benchmarks/e2e`` (``http_zipf``,
+``http_batch_cold``).
 """
-
-import json
-import os
-import sys
 
 from repro.api import Query
 from repro.bench import save_result
@@ -64,95 +58,6 @@ BATCH_REQUESTS = 128
 SMOKE_BATCH_LADDER = [1, 32]
 SMOKE_WORKER_RUNGS = [2]
 SMOKE_BATCH_REQUESTS = 64
-
-ROOT_TRAJECTORY = os.path.join(
-    os.path.dirname(__file__), "..", "BENCH_serve.json"
-)
-RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
-
-
-def _host_info() -> dict:
-    try:
-        affinity = len(os.sched_getaffinity(0))
-    except AttributeError:  # pragma: no cover - non-Linux
-        affinity = os.cpu_count() or 1
-    return {
-        "cpu_count": os.cpu_count() or 1,
-        "usable_cores": affinity,
-        "platform": sys.platform,
-        "python": sys.version.split()[0],
-    }
-
-
-def _load_result(name: str) -> dict | None:
-    path = os.path.join(RESULTS_DIR, f"{name}.json")
-    if not os.path.exists(path):
-        return None
-    with open(path) as handle:
-        return json.load(handle)
-
-
-def distill_trajectory(
-    throughput: dict | None, batched: dict | None
-) -> dict:
-    """Boil both serving result files down to the committed reading."""
-    payload: dict = {"dataset": DATASET, "host": _host_info()}
-    if throughput:
-        rungs = throughput["rungs"]
-        peak = max(rungs, key=lambda r: r["qps"])
-        payload["per_query"] = {
-            "peak_qps": peak["qps"],
-            "peak_concurrency": peak["concurrency"],
-            "p50_ms_at_c1": rungs[0]["p50_ms"],
-            "p95_ms_at_peak": peak["p95_ms"],
-            "cache_hit_rate": (
-                throughput["final_metrics"]["cache"]["hit_rate"]
-            ),
-            "ladder": [
-                {
-                    "concurrency": r["concurrency"],
-                    "qps": r["qps"],
-                    "p50_ms": r["p50_ms"],
-                    "p95_ms": r["p95_ms"],
-                }
-                for r in rungs
-            ],
-        }
-    if batched:
-        gate = batched["batch32_vs_batch1_speedup"]
-        payload["batched"] = {
-            "batch32_vs_batch1_speedup": gate["speedup"],
-            "gate_workers": gate["workers"],
-            "target_speedup": 1.0 if batched.get("smoke") else 2.0,
-            "ladder": [
-                {
-                    "workers": r["workers"],
-                    "batch": r["batch"],
-                    "qps": r["qps"],
-                    "p50_ms": r["p50_ms"],
-                }
-                for r in batched["rungs"]
-            ],
-        }
-    return payload
-
-
-def write_trajectory(
-    throughput: dict | None = None, batched: dict | None = None
-) -> dict:
-    """Mirror the reading to the repo-root ``BENCH_serve.json``.
-
-    Missing payloads fall back to the last saved results files, so
-    ``--batched-only`` runs refresh their half without erasing the
-    per-query ladder's history.
-    """
-    throughput = throughput or _load_result("serve_throughput")
-    batched = batched or _load_result("serve_batched")
-    payload = distill_trajectory(throughput, batched)
-    with open(os.path.abspath(ROOT_TRAJECTORY), "w") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    return payload
 
 
 def run_benchmark() -> dict:
@@ -342,5 +247,3 @@ if __name__ == "__main__":
           f"{result['batch32_vs_batch1_speedup']['workers']} workers: "
           f"{result['batch32_vs_batch1_speedup']['speedup']:.2f}x")
     print("wrote benchmarks/results/serve_batched.json")
-    write_trajectory(batched=result)
-    print("wrote BENCH_serve.json")

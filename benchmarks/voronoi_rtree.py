@@ -4,8 +4,9 @@ The paper contrasts two containers for approximate NVDs: quadtrees (the
 chosen one, with the ρ candidate guarantee) and R-trees, which bound
 worst-case space at ``O(|inv(t)|)`` — one MBR per Voronoi cell — but
 cannot cap how many MBRs overlap a query point.  This module implements
-the R-tree variant for the Figure 6(c) size comparison and for the test
-demonstrating the missing ρ guarantee.
+the R-tree variant for the Figure 6(c) size comparison
+(``bench_fig6_rho.py``) and for the test demonstrating the missing ρ
+guarantee; nothing in ``src/`` uses it.
 """
 
 from __future__ import annotations

@@ -10,7 +10,7 @@ amortised rebuild that folds the lazy updates in.
 Run:  python examples/live_updates.py
 """
 
-from repro.api import Query
+from repro.api import Query, UpdateOp
 from repro.core import KSpin, brute_force_bknn
 from repro.datasets import load_dataset
 from repro.distance import ContractionHierarchy
@@ -43,7 +43,7 @@ def main() -> None:
         v for v, _ in graph.neighbors(q) if not keywords.is_object(v)
     )
     print(f"\n* A new POI opens at vertex {new_vertex} with {popular[:1]}")
-    kspin.insert_object(new_vertex, popular[:1])
+    kspin.apply(UpdateOp("insert", object=new_vertex, document=popular[:1]))
     after_insert = kspin.execute(nearby).pairs()
     assert after_insert[0][0] == new_vertex, "the new neighbor should now win"
     print(f"  nearest match is now vertex {after_insert[0][0]} "
@@ -52,7 +52,7 @@ def main() -> None:
     # --- The old winner closes down. -----------------------------------
     closing = before[0][0]
     print(f"\n* The previous winner (vertex {closing}) closes down")
-    kspin.delete_object(closing)
+    kspin.apply(UpdateOp("delete", object=closing))
     after_delete = kspin.execute(nearby).pairs()
     assert closing not in {o for o, _ in after_delete}
     print(f"  it no longer appears; top result: vertex {after_delete[0][0]}")
@@ -60,7 +60,7 @@ def main() -> None:
     # --- A listing edits its description. -------------------------------
     editor = after_delete[1][0]
     print(f"\n* Vertex {editor} adds the keyword 'rooftop-bar'")
-    kspin.add_keyword(editor, "rooftop-bar")
+    kspin.apply(UpdateOp("add_keyword", object=editor, keyword="rooftop-bar"))
     rooftop = kspin.execute(Query(q, ["rooftop-bar"], k=1)).pairs()
     assert rooftop and rooftop[0][0] == editor
     print(f"  a query for 'rooftop-bar' now finds it at distance "
@@ -86,7 +86,7 @@ def main() -> None:
     # --- Amortised rebuild. ---------------------------------------------
     pending = kspin.index.pending_updates()
     print(f"\nPending lazy updates per keyword: {pending}")
-    rebuilt = kspin.rebuild_pending()
+    rebuilt = kspin.apply(UpdateOp("rebuild"))["rebuilt"]
     print(f"Diagrams rebuilt (threshold {kspin.index.rebuild_threshold}): "
           f"{rebuilt or 'none needed yet'}")
     final = kspin.execute(nearby).pairs()

@@ -1,30 +1,34 @@
 #!/usr/bin/env python3
-"""Road-trip planner: continuous queries and mixed boolean filters.
+"""Road-trip planner: a mixed boolean filter and a batch along a route.
 
-A driver crosses the map and wants, at every point of the route, the
-3 nearest POIs matching *coffee AND (parking OR drive-through)* — a
-mixed conjunctive/disjunctive filter (paper §2 remark) evaluated
-continuously along the path (the LARC-style scenario from the paper's
-related work).  K-SPIN compresses the answers into segments where the
-result set is stable, so the navigation system only re-renders at
+A driver crosses the map and wants the 3 nearest POIs matching
+*coffee AND (parking OR drive-through)* — a mixed conjunctive /
+disjunctive filter (paper §2 remark) — and, at every vertex of the
+route, the 3 nearest coffee POIs.  The route query is one
+``execute_many`` batch; consecutive vertices with the same answer are
+folded into segments, so the navigation system only re-renders at
 segment boundaries.
 
 Run:  python examples/road_trip_planner.py
 """
 
-from repro.core import KSpin, continuous_bknn, route_between
+from itertools import groupby
+
+from repro.api import Query
+from repro.core import KSpin
 from repro.datasets import load_dataset
-from repro.distance import AStarOracle
+from repro.distance import ContractionHierarchy
 from repro.lowerbound import AltLowerBounder
 
 
 def main() -> None:
     dataset = load_dataset("ME-S")
     graph, keywords = dataset.graph, dataset.keywords
-    alt = AltLowerBounder(graph, num_landmarks=16)
-    # One landmark table serves both framework roles: lower bounds for
-    # the inverted heaps AND the A* potential of the distance oracle.
-    kspin = KSpin(graph, keywords, oracle=AStarOracle(graph, alt), lower_bounder=alt)
+    oracle = ContractionHierarchy(graph)
+    kspin = KSpin(
+        graph, keywords, oracle=oracle,
+        lower_bounder=AltLowerBounder(graph, num_landmarks=16),
+    )
 
     popular = [kw for kw, _ in keywords.frequency_rank()[:3]]
     coffee, parking, drive_through = popular
@@ -41,22 +45,25 @@ def main() -> None:
         print(f"  vertex {obj} at distance {distance:.2f} "
               f"doc={sorted(keywords.document(obj))[:4]}")
 
-    # --- Continuous BkNN along the whole route. ------------------------
-    route = route_between(graph, start, goal)
+    # --- BkNN at every vertex of the route, as one batch. --------------
+    route = oracle.shortest_path(start, goal)
     print(f"\nRoute: {len(route)} vertices from {start} to {goal}")
-    segments = continuous_bknn(kspin, route, 3, [coffee])
+    answers = kspin.execute_many([Query(v, (coffee,), k=3) for v in route])
+    nearest = [frozenset(obj for obj, _ in answer.pairs()) for answer in answers]
+    segments = [(objects, len(list(run))) for objects, run in groupby(nearest)]
     print(f"Result changes only {len(segments)} times along the route:")
-    for segment in segments[:8]:
-        span = f"vertices {segment.start_index}..{segment.end_index}"
-        objects = ", ".join(str(o) for o in segment.result_objects)
-        print(f"  {span:22s} -> nearest {coffee!r} POIs: {objects}")
+    position = 0
+    for objects, length in segments[:8]:
+        span = f"vertices {position}..{position + length - 1}"
+        listed = ", ".join(str(o) for o in sorted(objects))
+        print(f"  {span:22s} -> nearest {coffee!r} POIs: {listed}")
+        position += length
     if len(segments) > 8:
         print(f"  ... and {len(segments) - 8} more segments")
 
-    changes = len(segments) - 1
-    print(f"\nA naive per-vertex re-query would refresh {len(route)} times; "
-          f"segment compression refreshes {changes + 1} times "
-          f"({(changes + 1) / len(route):.0%} of the work).")
+    print(f"\nA naive per-vertex refresh would re-render {len(route)} times; "
+          f"segment boundaries re-render {len(segments)} times "
+          f"({len(segments) / len(route):.0%} of the work).")
 
 
 if __name__ == "__main__":

@@ -325,9 +325,6 @@ BATCH_REGISTRY: dict[str, str] = {
     "lowerbound/alt.py::AltLowerBounder.lower_bounds_many": (
         "LowerBounder.lower_bounds_to_many"
     ),
-    "lowerbound/hub_label.py::HubLabelLowerBounder.lower_bounds_to_many": (
-        "LowerBounder.lower_bounds_to_many"
-    ),
 }
 
 # ----------------------------------------------------------------------

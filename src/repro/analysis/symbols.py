@@ -313,12 +313,6 @@ class ProjectSymbols:
         candidates = self.classes_by_name.get(name) or []
         return candidates[0] if len(candidates) == 1 else None
 
-    def context_for(self, path: str) -> ModuleContext | None:
-        for module in self.modules.values():
-            if module.path == path:
-                return module.ctx
-        return None
-
     # ------------------------------------------------------------------
     # Pickle-reachability (KSP009's type closure)
     # ------------------------------------------------------------------

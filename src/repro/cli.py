@@ -96,6 +96,74 @@ def _build_oracle(name: str, graph):
     raise ValueError(f"unknown oracle {name!r}")
 
 
+ORACLES = ["dijkstra", "bidijkstra", "ch", "phl", "gtree", "auto"]
+
+
+def _add_index_source(parser: argparse.ArgumentParser) -> None:
+    """``--index`` or ``--dataset/--oracle/--landmarks``: what to work on."""
+    source = parser.add_mutually_exclusive_group()
+    source.add_argument("--index", help="saved index file (from `build`)")
+    source.add_argument("--dataset", default="ME-S",
+                        help="ladder dataset to build when no --index is "
+                             "given (default ME-S)")
+    parser.add_argument("--oracle", default="ch", choices=ORACLES,
+                        help="distance oracle when building from --dataset "
+                             "(auto = SALT-style composite: CH + hub labels + "
+                             "CSR batches, routed per query)")
+    parser.add_argument("--landmarks", type=int, default=16)
+
+
+def _open_index(args: argparse.Namespace):
+    """The ``KSpin`` a verb works on: the saved image, or a fresh build.
+
+    Honours ``--seeding`` where the verb declares it; raises
+    :class:`ValueError` when the oracle cannot supply labels.
+    """
+    seeding = getattr(args, "seeding", "nvd")
+    if args.index:
+        from repro.persist import load_kspin
+
+        kspin = load_kspin(args.index)
+        if seeding != "nvd":
+            kspin.set_seeding(seeding)
+        return kspin
+    from repro.core import KSpin
+    from repro.datasets import load_dataset
+    from repro.lowerbound import AltLowerBounder
+
+    dataset = load_dataset(args.dataset)
+    return KSpin(
+        dataset.graph,
+        dataset.keywords,
+        oracle=_build_oracle(args.oracle, dataset.graph),
+        lower_bounder=AltLowerBounder(dataset.graph, num_landmarks=args.landmarks),
+        seeding=seeding,
+    )
+
+
+def _query_from_args(args: argparse.Namespace):
+    """The :class:`repro.api.Query` that ``--kind``/``--vertex``/... name."""
+    from repro.api import Query
+
+    return Query(
+        args.vertex,
+        tuple(args.keywords),
+        k=args.k,
+        kind="topk" if args.kind == "topk" else "bknn",
+        mode="and" if args.kind == "bknn-and" else "or",
+    )
+
+
+def _print_cost_model(stats: dict, indent: str = "") -> None:
+    """The five §5.1 counters of one answered query."""
+    print(f"{indent}cost model (paper §5.1):")
+    print(f"{indent}  iterations (kappa):      {stats['iterations']}")
+    print(f"{indent}  distance computations:   {stats['distance_computations']}")
+    print(f"{indent}  lower-bound evaluations: {stats['lower_bound_computations']}")
+    print(f"{indent}  heap insertions:         {stats['heap_insertions']}")
+    print(f"{indent}  heaps created:           {stats['heaps_created']}")
+
+
 def _cmd_build(args: argparse.Namespace) -> int:
     from repro.core import KSpin
     from repro.lowerbound import AltLowerBounder
@@ -148,21 +216,16 @@ def _cmd_build(args: argparse.Namespace) -> int:
 
 
 def _cmd_query(args: argparse.Namespace) -> int:
-    from repro.api import Query
     from repro.persist import load_kspin
 
     kspin = load_kspin(args.index)
     keywords = list(args.keywords)
-    if args.kind == "topk":
-        query = Query(args.vertex, tuple(keywords), k=args.k, kind="topk")
-        header = "score"
-    else:
-        mode = "and" if args.kind == "bknn-and" else "or"
-        query = Query(args.vertex, tuple(keywords), k=args.k, kind="bknn", mode=mode)
-        header = "distance"
+    query = _query_from_args(args)
+    header = "score" if query.kind == "topk" else "distance"
     start = time.perf_counter()
-    results = kspin.execute(query).pairs()
+    result = kspin.execute(query)
     elapsed = (time.perf_counter() - start) * 1000
+    results = result.pairs()
     print(f"{args.kind} query from vertex {args.vertex} for {keywords} "
           f"({elapsed:.2f} ms):")
     if not results:
@@ -170,16 +233,10 @@ def _cmd_query(args: argparse.Namespace) -> int:
     for rank, (obj, value) in enumerate(results, start=1):
         doc = sorted(kspin.index.document(obj))
         print(f"  #{rank}: vertex {obj}  {header}={value:.4f}  doc={doc[:6]}")
-    stats = kspin.last_stats
-    print(f"  cost: {stats.distance_computations} exact distances, "
-          f"{stats.lower_bound_computations} lower bounds")
+    print(f"  cost: {result.stats['distance_computations']} exact distances, "
+          f"{result.stats['lower_bound_computations']} lower bounds")
     if args.stats:
-        print("  cost model (paper §5.1):")
-        print(f"    iterations (kappa):      {stats.iterations}")
-        print(f"    distance computations:   {stats.distance_computations}")
-        print(f"    lower-bound evaluations: {stats.lower_bound_computations}")
-        print(f"    heap insertions:         {stats.heap_insertions}")
-        print(f"    heaps created:           {stats.heaps_created}")
+        _print_cost_model(result.stats, indent="  ")
     return 0
 
 
@@ -196,37 +253,15 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         print("error: --queue-size must be non-negative", file=sys.stderr)
         return 2
     if args.index:
-        from repro.persist import load_kspin
-
         print(f"Loading index from {args.index} ...")
-        kspin = load_kspin(args.index)
-        if args.seeding != "nvd":
-            try:
-                kspin.set_seeding(args.seeding)
-            except ValueError as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return 2
     else:
-        from repro.core import KSpin
-        from repro.datasets import load_dataset
-        from repro.lowerbound import AltLowerBounder
-
         print(f"Building {args.dataset} with the {args.oracle} oracle "
               f"({args.seeding} seeding) ...")
-        dataset = load_dataset(args.dataset)
-        try:
-            kspin = KSpin(
-                dataset.graph,
-                dataset.keywords,
-                oracle=_build_oracle(args.oracle, dataset.graph),
-                lower_bounder=AltLowerBounder(
-                    dataset.graph, num_landmarks=args.landmarks
-                ),
-                seeding=args.seeding,
-            )
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+    try:
+        kspin = _open_index(args)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     cluster = None
     sketch_routing = not args.no_sketch_routing
     if args.cluster > 0:
@@ -344,24 +379,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         from repro.api import Query
         from repro.serve.engine import Engine
 
-        if args.index:
-            from repro.persist import load_kspin
-
-            kspin = load_kspin(args.index)
-        else:
-            from repro.core import KSpin
-            from repro.datasets import load_dataset
-            from repro.lowerbound import AltLowerBounder
-
-            dataset = load_dataset(args.dataset)
-            kspin = KSpin(
-                dataset.graph,
-                dataset.keywords,
-                oracle=_build_oracle(args.oracle, dataset.graph),
-                lower_bounder=AltLowerBounder(
-                    dataset.graph, num_landmarks=args.landmarks
-                ),
-            )
+        kspin = _open_index(args)
         engine = Engine(kspin, cache_size=0)
         keywords = sorted(kspin.index.keywords())
         if not keywords:
@@ -440,34 +458,12 @@ def _cmd_events(args: argparse.Namespace) -> int:
 
 def _cmd_explain(args: argparse.Namespace) -> int:
     """Answer one query under a forced trace; print the span tree."""
-    from repro.api import Query
     from repro.obs.trace import TRACER, format_trace
     from repro.serve.engine import Engine
 
-    if args.index:
-        from repro.persist import load_kspin
-
-        kspin = load_kspin(args.index)
-    else:
-        from repro.core import KSpin
-        from repro.datasets import load_dataset
-        from repro.lowerbound import AltLowerBounder
-
-        dataset = load_dataset(args.dataset)
-        kspin = KSpin(
-            dataset.graph,
-            dataset.keywords,
-            oracle=_build_oracle(args.oracle, dataset.graph),
-            lower_bounder=AltLowerBounder(
-                dataset.graph, num_landmarks=args.landmarks
-            ),
-        )
+    kspin = _open_index(args)
     keywords = tuple(args.keywords)
-    if args.kind == "topk":
-        query = Query(args.vertex, keywords, k=args.k, kind="topk")
-    else:
-        mode = "and" if args.kind == "bknn-and" else "or"
-        query = Query(args.vertex, keywords, k=args.k, kind="bknn", mode=mode)
+    query = _query_from_args(args)
     # Cache disabled so the trace shows the real execution path, not a
     # cache hit; force=True traces even though the global tracer is off.
     engine = Engine(kspin, cache_size=0)
@@ -492,13 +488,7 @@ def _cmd_explain(args: argparse.Namespace) -> int:
         print("results:")
         for rank, (obj, value) in enumerate(pairs, start=1):
             print(f"  #{rank}: vertex {obj}  value={value:.4f}")
-    stats = result.stats or {}
-    print("cost model (paper 5.1):")
-    print(f"  iterations (kappa):      {stats.get('iterations', 0)}")
-    print(f"  distance computations:   {stats.get('distance_computations', 0)}")
-    print(f"  lower-bound evaluations: {stats.get('lower_bound_computations', 0)}")
-    print(f"  heap insertions:         {stats.get('heap_insertions', 0)}")
-    print(f"  heaps created:           {stats.get('heaps_created', 0)}")
+    _print_cost_model(result.stats)
     print(f"wall time: {wall_ms:.3f} ms (traced {root.duration * 1000.0:.3f} ms)")
     return 0
 
@@ -509,24 +499,7 @@ def _cmd_sketch(args: argparse.Namespace) -> int:
     from repro.core.cost_model import selectivity_accuracy
     from repro.sketch import IndexSketches, LossyCounter
 
-    if args.index:
-        from repro.persist import load_kspin
-
-        kspin = load_kspin(args.index)
-    else:
-        from repro.core import KSpin
-        from repro.datasets import load_dataset
-        from repro.lowerbound import AltLowerBounder
-
-        dataset = load_dataset(args.dataset)
-        kspin = KSpin(
-            dataset.graph,
-            dataset.keywords,
-            oracle=_build_oracle(args.oracle, dataset.graph),
-            lower_bounder=AltLowerBounder(
-                dataset.graph, num_landmarks=args.landmarks
-            ),
-        )
+    kspin = _open_index(args)
     index = kspin.index
     sketches = IndexSketches.from_index(
         index,
@@ -754,9 +727,7 @@ def build_parser() -> argparse.ArgumentParser:
     build.add_argument("--co", help="DIMACS .co coordinates file")
     build.add_argument("--documents",
                        help="file holding a dict literal: vertex -> keywords")
-    build.add_argument("--oracle", default="ch",
-                       choices=["dijkstra", "bidijkstra", "ch", "phl", "gtree",
-                                "auto"])
+    build.add_argument("--oracle", default="ch", choices=ORACLES)
     build.add_argument("--rho", type=int, default=5)
     build.add_argument("--landmarks", type=int, default=16)
     build.add_argument("--workers", type=int, default=1,
@@ -777,21 +748,11 @@ def build_parser() -> argparse.ArgumentParser:
     serve = commands.add_parser(
         "serve", help="serve concurrent HTTP/JSON queries from memory"
     )
-    source = serve.add_mutually_exclusive_group()
-    source.add_argument("--index", help="saved index file (from `build`)")
-    source.add_argument("--dataset", default="ME-S",
-                        help="ladder dataset to build on boot (default ME-S)")
-    serve.add_argument("--oracle", default="ch",
-                       choices=["dijkstra", "bidijkstra", "ch", "phl", "gtree",
-                                "auto"],
-                       help="distance oracle when building from --dataset "
-                            "(auto = SALT-style composite: CH + hub labels + "
-                            "CSR batches, routed per query)")
+    _add_index_source(serve)
     serve.add_argument("--seeding", default="nvd", choices=["nvd", "labels"],
                        help="heap seeding backend (labels needs a hub-label "
                             "oracle: --oracle phl/auto, or an index built "
                             "with one)")
-    serve.add_argument("--landmarks", type=int, default=16)
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument("--port", type=int, default=8080)
     serve.add_argument("--workers", type=int, default=4,
@@ -856,15 +817,7 @@ def build_parser() -> argparse.ArgumentParser:
         "explain",
         help="trace one query and print its span tree with stage timings",
     )
-    explain_source = explain.add_mutually_exclusive_group()
-    explain_source.add_argument("--index", help="saved index file (from `build`)")
-    explain_source.add_argument("--dataset", default="ME-S",
-                                help="ladder dataset to build (default ME-S)")
-    explain.add_argument("--oracle", default="ch",
-                         choices=["dijkstra", "bidijkstra", "ch", "phl", "gtree",
-                                  "auto"],
-                         help="distance oracle when building from --dataset")
-    explain.add_argument("--landmarks", type=int, default=16)
+    _add_index_source(explain)
     explain.add_argument("--vertex", type=int, required=True)
     explain.add_argument("--keywords", nargs="+", required=True)
     explain.add_argument("--k", type=int, default=10)
@@ -881,15 +834,7 @@ def build_parser() -> argparse.ArgumentParser:
         "sketch",
         help="inspect the probabilistic-sketch registry for an index",
     )
-    sketch_source = sketch.add_mutually_exclusive_group()
-    sketch_source.add_argument("--index", help="saved index file (from `build`)")
-    sketch_source.add_argument("--dataset", default="ME-S",
-                               help="ladder dataset to build (default ME-S)")
-    sketch.add_argument("--oracle", default="ch",
-                        choices=["dijkstra", "bidijkstra", "ch", "phl", "gtree",
-                                  "auto"],
-                        help="distance oracle when building from --dataset")
-    sketch.add_argument("--landmarks", type=int, default=16)
+    _add_index_source(sketch)
     sketch.add_argument("--shards", type=int, default=4,
                         help="shards to spread the Bloom filters over "
                              "(default 4)")
@@ -969,18 +914,7 @@ def build_parser() -> argparse.ArgumentParser:
     profile.add_argument("--out", metavar="PATH",
                          help="write collapsed stacks here instead of "
                               "stdout (flamegraph.pl / speedscope input)")
-    profile_source = profile.add_mutually_exclusive_group()
-    profile_source.add_argument("--index",
-                                help="saved index for a local bench run")
-    profile_source.add_argument("--dataset", default="ME-S",
-                                help="ladder dataset for a local bench "
-                                     "run (default ME-S)")
-    profile.add_argument("--oracle", default="ch",
-                         choices=["dijkstra", "bidijkstra", "ch", "phl",
-                                  "gtree"],
-                         help="distance oracle when building from "
-                              "--dataset")
-    profile.add_argument("--landmarks", type=int, default=16)
+    _add_index_source(profile)
     profile.add_argument("--queries", type=int, default=2000,
                          help="BkNN queries for a local bench run "
                               "(default 2000)")

@@ -2,12 +2,9 @@
 
 from repro.core.boolean_query import (
     BooleanExpression,
-    boolean_bknn,
-    boolean_top_k,
     brute_force_boolean_bknn,
     brute_force_boolean_top_k,
 )
-from repro.core.continuous import ResultSegment, continuous_bknn, route_between
 from repro.core.cost_model import CostModel, KappaReport, fit_cost_model, measure_kappa, model_accuracy
 from repro.core.framework import KSpin
 from repro.core.heap_generator import HeapGenerator, InvertedHeap
@@ -30,10 +27,7 @@ __all__ = [
     "BooleanExpression",
     "CostModel",
     "KappaReport",
-    "ResultSegment",
     "HeapGenerator",
-    "boolean_bknn",
-    "boolean_top_k",
     "brute_force_boolean_bknn",
     "brute_force_boolean_top_k",
     "InvertedHeap",
@@ -45,11 +39,9 @@ __all__ = [
     "apply_lazy_inserts",
     "brute_force_bknn",
     "brute_force_top_k",
-    "continuous_bknn",
     "fit_cost_model",
     "measure_kappa",
     "model_accuracy",
-    "route_between",
     "pick_update_keywords",
     "results_equivalent",
 ]

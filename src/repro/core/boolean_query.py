@@ -8,28 +8,21 @@ or restaurant)".  This module implements that: queries are expressed in
     BooleanExpression([["thai"], ["takeaway", "restaurant"]])
     # thai AND (takeaway OR restaurant)
 
-The evaluation strategy generalises the paper's conjunctive algorithm:
-pick the OR-group with the *smallest total inverted size* (the fewest
-candidate objects, mirroring the least-frequent-keyword rule), scan
-that group's heaps disjunctively in lower-bound order, and filter each
-candidate against the full expression before any network distance is
-computed.  Correctness follows from Property 1 exactly as for the
-single-group case: every object satisfying the expression belongs to
-the scanned group's candidate stream.
+The search itself is :meth:`repro.core.query_processor.QueryProcessor.
+_search` (``bknn_cnf`` / ``top_k_cnf``), the same loop that answers
+plain OR and AND queries; this module holds the expression type and
+the brute-force references the tests compare against.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from repro.core.heap_generator import InvertedHeap
 from repro.graph.road_network import RoadNetwork
 from repro.text.documents import KeywordDataset
 from repro.text.relevance import RelevanceModel
-from repro.core.query_processor import QueryProcessor, QueryStats, _TopKList
 
 INFINITY = math.inf
 
@@ -76,144 +69,6 @@ class BooleanExpression:
             for group in self.groups
         ]
         return " AND ".join(rendered)
-
-
-def boolean_bknn(
-    processor: QueryProcessor,
-    query: int,
-    k: int,
-    expression: BooleanExpression,
-) -> list[tuple[int, float]]:
-    """BkNN under a mixed AND/OR keyword expression.
-
-    Returns up to ``k`` ``(object, network_distance)`` pairs in ascending
-    distance order, each satisfying ``expression``.
-    """
-    if k < 1:
-        raise ValueError("k must be positive")
-    index = processor._index
-    # Pick the cheapest OR-group: every matching object must contain at
-    # least one of its keywords, and the group's candidate stream is the
-    # union of its keyword heaps (Property 1 holds per heap).
-    viable = []
-    for group in expression.groups:
-        total = sum(index.inverted_size(t) for t in group)
-        if total == 0:
-            # This AND-clause cannot be satisfied by any object.
-            processor.last_stats = QueryStats()
-            return []
-        viable.append((total, group))
-    viable.sort(key=lambda pair: pair[0])
-    _, scan_group = viable[0]
-
-    stats = QueryStats()
-    heaps: list[InvertedHeap] = processor._create_heaps(
-        query, list(scan_group), stats
-    )
-    results = _TopKList(k)
-    evaluated: set[int] = set()
-    queue: list[tuple[float, int]] = []
-    for i, heap in enumerate(heaps):
-        if not heap.empty():
-            queue.append((heap.min_key(), i))
-    heapq.heapify(queue)
-    while queue and queue[0][0] < results.threshold():
-        _, i = heapq.heappop(queue)
-        popped = heaps[i].pop()
-        if not heaps[i].empty():
-            heapq.heappush(queue, (heaps[i].min_key(), i))
-        if popped is None:
-            continue
-        candidate, _ = popped
-        if candidate in evaluated:
-            continue
-        evaluated.add(candidate)
-        stats.iterations += 1
-        if not expression.matches(
-            lambda t, c=candidate: index.has_keyword(c, t)
-        ):
-            continue  # filtered before any network distance
-        distance = processor._oracle.distance(query, candidate)
-        stats.distance_computations += 1
-        if distance < INFINITY:
-            results.offer(candidate, distance)
-    processor._finish_stats(stats, heaps)
-    return results.sorted_results()
-
-
-def boolean_top_k(
-    processor: QueryProcessor,
-    query: int,
-    k: int,
-    expression: BooleanExpression,
-) -> list[tuple[int, float]]:
-    """Top-k by weighted distance among objects satisfying ``expression``.
-
-    Combines the two query families: rank by ``d(q,o)/TR(psi,o)`` (psi =
-    all keywords the expression mentions) but only over objects matching
-    the AND-of-ORs filter.  Candidate generation scans the cheapest
-    OR-group (every match contains one of its keywords); termination
-    uses the valid bound ``MINKEY / TR_max`` per heap, which is safe for
-    the filtered object set because filtering only removes candidates.
-    """
-    if k < 1:
-        raise ValueError("k must be positive")
-    index = processor._index
-    relevance = processor._relevance
-    keywords = list(expression.keywords())
-    query_impacts = relevance.query_impacts(keywords)
-    ceiling = relevance.max_textual_relevance(keywords, query_impacts)
-    if ceiling <= 0.0:
-        processor.last_stats = QueryStats()
-        return []
-    viable = []
-    for group in expression.groups:
-        total = sum(index.inverted_size(t) for t in group)
-        if total == 0:
-            processor.last_stats = QueryStats()
-            return []
-        viable.append((total, group))
-    viable.sort(key=lambda pair: pair[0])
-    _, scan_group = viable[0]
-
-    stats = QueryStats()
-    heaps: list[InvertedHeap] = processor._create_heaps(
-        query, list(scan_group), stats
-    )
-    results = _TopKList(k)
-    evaluated: set[int] = set()
-    queue: list[tuple[float, int]] = []
-    for i, heap in enumerate(heaps):
-        if not heap.empty():
-            queue.append((heap.min_key() / ceiling, i))
-    heapq.heapify(queue)
-    while queue and queue[0][0] < results.threshold():
-        _, i = heapq.heappop(queue)
-        popped = heaps[i].pop()
-        if not heaps[i].empty():
-            heapq.heappush(queue, (heaps[i].min_key() / ceiling, i))
-        if popped is None:
-            continue
-        candidate, bound = popped
-        if candidate in evaluated:
-            continue
-        evaluated.add(candidate)
-        stats.iterations += 1
-        if not expression.matches(
-            lambda t, c=candidate: index.has_keyword(c, t)
-        ):
-            continue
-        tr = processor._textual_relevance(keywords, candidate, query_impacts)
-        if tr <= 0.0:
-            continue
-        if bound / tr > results.threshold():
-            continue  # cheap LB-score filter before the exact distance
-        distance = processor._oracle.distance(query, candidate)
-        stats.distance_computations += 1
-        if distance < INFINITY:
-            results.offer(candidate, distance / tr)
-    processor._finish_stats(stats, heaps)
-    return results.sorted_results()
 
 
 def brute_force_boolean_top_k(

@@ -199,32 +199,6 @@ def estimate_selectivities(
     return estimates
 
 
-def predict_candidate_bound(
-    sketches: IndexSketches,
-    keywords: Sequence[str],
-    k: int,
-    conjunctive: bool = False,
-) -> int:
-    """A cheap upper bound on candidates a BkNN query can examine.
-
-    Disjunctive queries draw candidates from the union of inverted
-    lists (bounded by the summed cardinalities); conjunctive execution
-    scans only the rarest keyword's heap (§4.1.2), so its estimated
-    cardinality bounds ``kappa``.  Benchmarks compare this against the
-    measured ``QueryStats.iterations`` to validate the paper's
-    kappa <= 3k claim without exact statistics.
-    """
-    estimates = estimate_selectivities(sketches, keywords)
-    if not estimates:
-        return 0
-    if conjunctive:
-        bound = min(e.cardinality for e in estimates)
-        if any(e.cardinality == 0 for e in estimates):
-            return 0  # no-false-zero short-circuit
-        return bound
-    return sum(e.cardinality for e in estimates)
-
-
 def selectivity_accuracy(
     sketches: IndexSketches, true_sizes: Mapping[str, int]
 ) -> float:

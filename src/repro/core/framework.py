@@ -22,7 +22,7 @@ Typical use::
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Sequence
+from typing import Sequence
 
 from repro.api import (
     Query,
@@ -58,8 +58,8 @@ class KSpin:
         The Network Distance Module.  Any exact technique works; the
         paper's variants are CH (KS-CH), hub labeling (KS-PHL), and
         G-tree (KS-GT).  Those three index symmetric distances and
-        refuse a graph with one-way streets; ``DijkstraOracle`` and
-        ``AStarOracle`` serve it.
+        refuse a graph with one-way streets; ``DijkstraOracle`` serves
+        it.
     lower_bounder:
         The Lower Bounding Module; defaults to a 16-landmark ALT index.
     rho:
@@ -67,8 +67,8 @@ class KSpin:
     workers:
         Processes for parallel index construction.
     rebuild_threshold:
-        Lazy updates per keyword before :meth:`rebuild_pending` refreshes
-        its diagram.
+        Lazy updates per keyword before a ``rebuild`` op refreshes its
+        diagram.
     seeding:
         Candidate-generation backend for the Heap Generator.  The
         default ``"nvd"`` is the paper's APX-NVD lazy expansion;
@@ -178,11 +178,7 @@ class KSpin:
         ``[["thai"], ["takeaway", "restaurant"]]`` means
         *thai AND (takeaway OR restaurant)*.
         """
-        from repro.core.boolean_query import BooleanExpression, boolean_bknn
-
-        return boolean_bknn(
-            self.processor, query, k, BooleanExpression(groups)
-        )
+        return self.processor.bknn_cnf(query, k, groups)
 
     def boolean_top_k(
         self, query: int, k: int, groups: Sequence[Sequence[str]]
@@ -192,11 +188,7 @@ class KSpin:
         Ranks with ``d(q,o)/TR(psi,o)`` over all keywords the expression
         mentions, restricted to objects satisfying the AND of OR-groups.
         """
-        from repro.core.boolean_query import BooleanExpression, boolean_top_k
-
-        return boolean_top_k(
-            self.processor, query, k, BooleanExpression(groups)
-        )
+        return self.processor.top_k_cnf(query, k, groups)
 
     def top_k_weighted_sum(
         self,
@@ -224,51 +216,35 @@ class KSpin:
     # Updates (paper §6.2)
     # ------------------------------------------------------------------
     def apply(self, op: UpdateOp) -> dict:
-        """Apply one :class:`repro.api.UpdateOp` (the canonical entry point).
+        """Apply one :class:`repro.api.UpdateOp` — the only write path.
 
-        Returns a JSON-ready summary: ``{"rebuilt": [...]}`` for
-        ``rebuild``, ``{"applied": op.op}`` otherwise.
+        Every write is lazy (queries stay exact, paper §6.2).  Returns a
+        JSON-ready summary: ``{"rebuilt": [...]}`` for ``rebuild``,
+        ``{"applied": op.op}`` otherwise.
         """
+        if op.op == "rebuild":
+            rebuilt = self.index.rebuild_pending()
+            if rebuilt:
+                # Label seeding re-snapshots the fresh diagrams.
+                self.heap_generator.invalidate(rebuilt)
+            return {"applied": op.op, "rebuilt": rebuilt}
+        if op.op == "delete":
+            self.index.delete_object(op.object)
+            return {"applied": op.op}
         if op.op == "insert":
-            self.insert_object(op.object, op.document_counts())
-        elif op.op == "delete":
-            self.delete_object(op.object)
+            self.index.insert_object(
+                op.object, op.document_counts(), self.oracle.distance
+            )
         elif op.op == "add_keyword":
-            self.add_keyword(op.object, op.keyword, op.frequency)
-        elif op.op == "remove_keyword":
-            self.remove_keyword(op.object, op.keyword)
-        elif op.op == "rebuild":
-            return {"applied": op.op, "rebuilt": self.rebuild_pending()}
+            self.index.add_keyword(
+                op.object, op.keyword, self.oracle.distance, op.frequency
+            )
+        else:
+            self.index.remove_keyword(op.object, op.keyword)
+        # The written document may carry an impact above the build-time
+        # maximum Algorithm 2 divides by.
+        self.relevance.lift_max_impacts(self.index.document(op.object))
         return {"applied": op.op}
-
-    def insert_object(
-        self, obj: int, document: Mapping[str, int] | Iterable[str]
-    ) -> None:
-        """Insert a new POI with its document (lazy, exact queries kept)."""
-        self.index.insert_object(obj, document, self.oracle.distance)
-
-    def delete_object(self, obj: int) -> None:
-        """Tombstone a POI in every keyword diagram."""
-        self.index.delete_object(obj)
-
-    def add_keyword(self, obj: int, keyword: str, frequency: int = 1) -> None:
-        """Add a keyword to an existing POI's document."""
-        self.index.add_keyword(obj, keyword, self.oracle.distance, frequency)
-
-    def remove_keyword(self, obj: int, keyword: str) -> None:
-        """Remove a keyword from an existing POI's document."""
-        self.index.remove_keyword(obj, keyword)
-
-    def rebuild_pending(self) -> list[str]:
-        """Rebuild diagrams whose lazy-update count passed the threshold.
-
-        Also drops any cached object labels for the rebuilt keywords so
-        label-backed seeding re-snapshots the fresh diagrams.
-        """
-        rebuilt = self.index.rebuild_pending()
-        if rebuilt:
-            self.heap_generator.invalidate(rebuilt)
-        return rebuilt
 
     # ------------------------------------------------------------------
     # Accounting

@@ -24,7 +24,7 @@ lazy updates — and silently falls back to the classic NVD-seeded heap
 when the check fails, so updates (§6.2) keep exact semantics without
 any coordination.  A stale cache entry is dropped and rebuilt the next
 time the diagram is clean (after
-:meth:`repro.core.framework.KSpin.rebuild_pending` swaps in a rebuilt
+a ``rebuild`` :class:`~repro.api.UpdateOp` swaps in a rebuilt
 diagram).
 
 Thread safety matches the rest of the serving stack: heaps are

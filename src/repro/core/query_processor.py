@@ -1,16 +1,21 @@
 """The Query Processor module: BkNN and top-k algorithms (paper §4).
 
-Implements, faithfully to the pseudo-code:
+The paper's query algorithms are one best-first search over on-demand
+inverted heaps, and :meth:`QueryProcessor._search` is that loop.  Its
+parameters give, faithfully to the pseudo-code:
 
 * **Algorithm 1** — disjunctive Boolean kNN over one inverted heap per
   query keyword, ordered by a priority queue of heap MINKEYs.
 * **Conjunctive BkNN** (§4.1.2) — a single heap for the least frequent
   query keyword, filtering candidates that miss any keyword *before*
-  any network distance is computed.
+  any network distance is computed; and its generalisation to an AND
+  of OR-groups (§2 remark), which scans the cheapest group.
 * **Algorithm 2** — pseudo lower-bound scores per heap.
 * **Algorithm 3** — top-k by weighted distance, accessing heaps in
   pseudo-lower-bound order and filtering candidates by their cheap
-  ``LB(q,c)/TR(psi,c)`` bound before paying for an exact distance.
+  ``LB(q,c)/TR(psi,c)`` bound before paying for an exact distance;
+  the weighted-sum scorer of §2 is the same search under another
+  ``score``.
 
 Every query records a :class:`QueryStats` snapshot (iterations kappa,
 exact distance computations, lower-bound computations, heap insertions)
@@ -102,6 +107,29 @@ class _TopKList:
         return [(obj, score) for score, obj in ordered]
 
 
+def _weighted_distance(distance: float, relevance: float) -> float:
+    """Eq. 1: ``d / TR``; nothing scores against zero relevance."""
+    return distance / relevance if relevance > 0.0 else INFINITY
+
+
+def _pseudo_relevance(
+    heaps: list[InvertedHeap], i: int, weights: list[float]
+) -> float:
+    """Algorithm 2: the most an unseen object of heap i can be worth.
+
+    Such an object can carry keyword t_j only if ``MINKEY(H_i) >=
+    MINKEY(H_j)`` — anything closer than another heap's MINKEY would
+    already have surfaced there.  ``weights[j]`` is
+    ``lambda_{t_j,psi} * lambda_{t_j,max}``.
+    """
+    min_key = heaps[i].min_key()
+    relevance = 0.0
+    for heap, weight in zip(heaps, weights):
+        if min_key >= heap.min_key():
+            relevance += weight
+    return relevance
+
+
 class QueryProcessor:
     """K-SPIN spatial keyword query algorithms.
 
@@ -165,7 +193,7 @@ class QueryProcessor:
         return self.top_k(query.vertex, query.k, query.keywords)
 
     # ------------------------------------------------------------------
-    # Boolean kNN
+    # The public parameterisations of the one search loop
     # ------------------------------------------------------------------
     def bknn(
         self,
@@ -180,87 +208,16 @@ class QueryProcessor:
         ascending distance order; objects satisfy the conjunctive
         (all keywords) or disjunctive (any keyword) criterion.
         """
-        keywords = list(dict.fromkeys(keywords))
-        if k < 1:
-            raise ValueError("k must be positive")
-        if not keywords:
-            raise ValueError("need at least one query keyword")
         if conjunctive:
-            return self._conjunctive_bknn(query, k, keywords)
-        return self._disjunctive_bknn(query, k, keywords)
+            return self._search(query, k, [(t,) for t in keywords], "bknn-and")
+        return self._search(query, k, [keywords], "bknn-or")
 
-    def _disjunctive_bknn(
-        self, query: int, k: int, keywords: list[str]
+    def bknn_cnf(
+        self, query: int, k: int, groups: Sequence[Sequence[str]]
     ) -> list[tuple[int, float]]:
-        """Algorithm 1."""
-        stats = QueryStats()
-        heaps = self._create_heaps(query, keywords, stats)
-        results = _TopKList(k)
-        evaluated: set[int] = set()
-        with trace_span("processor.search", algorithm="bknn-or"):
-            queue: list[tuple[float, int]] = []
-            for i, heap in enumerate(heaps):
-                if not heap.empty():
-                    queue.append((heap.min_key(), i))
-            heapq.heapify(queue)
-            while queue and queue[0][0] < results.threshold():
-                _, i = heapq.heappop(queue)
-                popped = heaps[i].pop()
-                if not heaps[i].empty():
-                    heapq.heappush(queue, (heaps[i].min_key(), i))
-                if popped is None:
-                    continue
-                candidate, _ = popped
-                if candidate in evaluated:
-                    continue
-                evaluated.add(candidate)
-                stats.iterations += 1
-                with trace_timed("oracle.distance"):
-                    distance = self._oracle.distance(query, candidate)
-                stats.distance_computations += 1
-                if distance < INFINITY:  # unreachable objects are not results
-                    results.offer(candidate, distance)
-        self._finish_stats(stats, heaps)
-        return results.sorted_results()
+        """BkNN under an AND of OR-groups (paper §2 remark)."""
+        return self._search(query, k, groups, "bknn-cnf")
 
-    def _conjunctive_bknn(
-        self, query: int, k: int, keywords: list[str]
-    ) -> list[tuple[int, float]]:
-        """§4.1.2: scan only the least frequent keyword's heap."""
-        stats = QueryStats()
-        sizes = {t: self._estimated_size(t) for t in keywords}
-        if any(size == 0 for size in sizes.values()):
-            self.last_stats = stats
-            return []  # some keyword matches no object at all
-        rare = min(keywords, key=lambda t: (sizes[t], t))
-        heaps = self._create_heaps(query, [rare], stats)
-        if not heaps:
-            # The rarity estimate was stale (keyword deleted since the
-            # sketch was built): no live heap means no conjunctive hit.
-            self._finish_stats(stats, heaps)
-            return []
-        heap = heaps[0]
-        results = _TopKList(k)
-        with trace_span("processor.search", algorithm="bknn-and"):
-            while not heap.empty() and heap.min_key() < results.threshold():
-                popped = heap.pop()
-                if popped is None:
-                    break
-                candidate, _ = popped
-                stats.iterations += 1
-                if not all(self._index.has_keyword(candidate, t) for t in keywords):
-                    continue  # filtered without touching the distance oracle
-                with trace_timed("oracle.distance"):
-                    distance = self._oracle.distance(query, candidate)
-                stats.distance_computations += 1
-                if distance < INFINITY:
-                    results.offer(candidate, distance)
-        self._finish_stats(stats, heaps)
-        return results.sorted_results()
-
-    # ------------------------------------------------------------------
-    # Top-k spatial keyword queries
-    # ------------------------------------------------------------------
     def top_k(
         self,
         query: int,
@@ -275,55 +232,19 @@ class QueryProcessor:
         ``MINKEY / TR_max`` — the ablation quantifying the paper's §4.2
         insight.
         """
-        keywords = list(dict.fromkeys(keywords))
-        if k < 1:
-            raise ValueError("k must be positive")
-        if not keywords:
-            raise ValueError("need at least one query keyword")
-        stats = QueryStats()
-        query_impacts = self._relevance.query_impacts(keywords)
-        heaps = self._create_heaps(query, keywords, stats)
-        heap_keywords = [h.keyword for h in heaps]
-        results = _TopKList(k)
-        processed: set[int] = set()
+        return self._search(
+            query, k, [keywords], "topk", _weighted_distance, use_pseudo_lower_bound
+        )
 
-        def heap_score(i: int) -> float:
-            if use_pseudo_lower_bound:
-                return self._pseudo_lower_bound(
-                    heaps, i, heap_keywords, query_impacts
-                )
-            return self._valid_lower_bound(heaps[i], keywords, query_impacts)
+    def top_k_cnf(
+        self, query: int, k: int, groups: Sequence[Sequence[str]]
+    ) -> list[tuple[int, float]]:
+        """Top-k by weighted distance among objects matching a CNF filter.
 
-        with trace_span("processor.search", algorithm="topk"):
-            queue: list[tuple[float, int]] = []
-            for i, heap in enumerate(heaps):
-                if not heap.empty():
-                    queue.append((heap_score(i), i))
-            heapq.heapify(queue)
-            while queue and queue[0][0] < results.threshold():
-                _, i = heapq.heappop(queue)
-                popped = heaps[i].pop()
-                if not heaps[i].empty():
-                    heapq.heappush(queue, (heap_score(i), i))
-                if popped is None:
-                    continue
-                candidate, bound = popped
-                if candidate in processed:
-                    continue
-                processed.add(candidate)
-                stats.iterations += 1
-                relevance = self._textual_relevance(keywords, candidate, query_impacts)
-                if relevance <= 0.0:
-                    continue
-                if bound / relevance > results.threshold():
-                    continue  # cheap LB score filter (Algorithm 3, line 10)
-                with trace_timed("oracle.distance"):
-                    distance = self._oracle.distance(query, candidate)
-                stats.distance_computations += 1
-                if distance < INFINITY:
-                    results.offer(candidate, distance / relevance)
-        self._finish_stats(stats, heaps)
-        return results.sorted_results()
+        Ranks with ``d(q,o)/TR(psi,o)``, psi being every keyword the
+        groups mention.
+        """
+        return self._search(query, k, groups, "topk-cnf", _weighted_distance)
 
     def top_k_weighted_sum(
         self,
@@ -344,68 +265,137 @@ class QueryProcessor:
         ``max_distance`` must upper-bound every finite network distance;
         the default (total edge weight) is always valid, if loose.
         """
-        keywords = list(dict.fromkeys(keywords))
-        if k < 1:
-            raise ValueError("k must be positive")
-        if not keywords:
-            raise ValueError("need at least one query keyword")
         if not 0.0 <= alpha <= 1.0:
             raise ValueError("alpha must be within [0, 1]")
         if max_distance is None:
             max_distance = sum(w for _, _, w in self._graph.edges()) or 1.0
         if max_distance <= 0:
             raise ValueError("max_distance must be positive")
-        stats = QueryStats()
-        query_impacts = self._relevance.query_impacts(keywords)
-        heaps = self._create_heaps(query, keywords, stats)
-        heap_keywords = [h.keyword for h in heaps]
-        results = _TopKList(k)
-        processed: set[int] = set()
 
         def score(distance: float, relevance: float) -> float:
-            normalised = min(1.0, distance / max_distance)
-            return alpha * normalised + (1.0 - alpha) * (1.0 - relevance)
+            # TR is a cosine, so the clamp only ever bites on a pseudo
+            # relevance, where it tightens the bound.
+            return alpha * min(1.0, distance / max_distance) + (1.0 - alpha) * (
+                1.0 - min(1.0, relevance)
+            )
 
-        def heap_bound(i: int) -> float:
-            min_key = heaps[i].min_key()
-            if min_key == INFINITY:
-                return INFINITY
-            pseudo_relevance = 0.0
-            for j, keyword in enumerate(heap_keywords):
-                if min_key >= heaps[j].min_key():
-                    pseudo_relevance += query_impacts.get(
-                        keyword, 0.0
-                    ) * self._relevance.max_impact(keyword)
-            return score(min_key, min(1.0, pseudo_relevance))
+        return self._search(query, k, [keywords], "topk-weighted-sum", score)
 
-        with trace_span("processor.search", algorithm="topk-weighted-sum"):
-            queue: list[tuple[float, int]] = []
-            for i, heap in enumerate(heaps):
-                if not heap.empty():
-                    queue.append((heap_bound(i), i))
+    # ------------------------------------------------------------------
+    # The search loop
+    # ------------------------------------------------------------------
+    def _search(
+        self,
+        query: int,
+        k: int,
+        groups: Sequence[Sequence[str]],
+        algorithm: str,
+        score: "Callable[[float, float], float] | None" = None,
+        pseudo: bool = True,
+    ) -> list[tuple[int, float]]:
+        """Best-first search for the ``k`` best objects matching an AND
+        of OR-``groups``: Algorithm 1, the §4.1.2 conjunctive scan and
+        Algorithm 3 are this loop under different parameters.
+
+        Only the cheapest group's heaps are opened (every match carries
+        one of its keywords, so Property 1 covers the matches); a popped
+        candidate is tested against the other groups, then against its
+        cheap bound ``score(LB, TR)``, and only then costs an exact
+        distance.  ``score(distance, relevance)`` must grow with
+        distance and shrink with relevance; ``None`` ranks by distance
+        alone.  A scan that covers every ranked keyword (one group)
+        bounds each heap by Algorithm 2's pseudo relevance unless
+        ``pseudo`` is false; any other scan uses ``TR_max``.
+        """
+        if k < 1:
+            raise ValueError("k must be positive")
+        groups = list(dict.fromkeys(tuple(dict.fromkeys(g)) for g in groups))
+        if not groups or not all(groups):
+            raise ValueError("need at least one query keyword")
+        stats = QueryStats()
+        scan = groups[0]
+        if len(groups) > 1:
+            sizes = [sum(self._estimated_size(t) for t in g) for g in groups]
+            if 0 in sizes:
+                self.last_stats = stats
+                return []  # some clause matches no object at all
+            scan = min(zip(sizes, groups))[1]
+        others = [g for g in groups if g != scan]
+        if score is not None:
+            keywords = list(dict.fromkeys(t for g in groups for t in g))
+            impacts = self._relevance.query_impacts(keywords)
+        # A sketch's rarity estimate may be stale: a scanned keyword
+        # with no live diagram just opens no heap.
+        heaps = self._create_heaps(query, scan, stats)
+        if score is None:
+            key = None
+        elif pseudo and not others:
+            weights = [
+                impacts.get(heap.keyword, 0.0)
+                * self._relevance.max_impact(heap.keyword)
+                for heap in heaps
+            ]
+
+            def key(i: int) -> float:
+                with trace_timed("processor.pseudo_lb"):
+                    return score(heaps[i].min_key(), _pseudo_relevance(heaps, i, weights))
+        else:
+            ceiling = self._relevance.max_textual_relevance(keywords, impacts)
+
+            def key(i: int) -> float:
+                return score(heaps[i].min_key(), ceiling)
+
+        has_keyword = self._index.has_keyword
+        results = _TopKList(k)
+        evaluated: set[int] = set()
+        with trace_span("processor.search", algorithm=algorithm):
+            queue = [
+                (heap.min_key() if key is None else key(i), i)
+                for i, heap in enumerate(heaps)
+                if not heap.empty()
+            ]
             heapq.heapify(queue)
             while queue and queue[0][0] < results.threshold():
-                _, i = heapq.heappop(queue)
-                popped = heaps[i].pop()
-                if not heaps[i].empty():
-                    heapq.heappush(queue, (heap_bound(i), i))
+                i = queue[0][1]
+                heap = heaps[i]
+                popped = heap.pop()
+                if heap.empty():
+                    heapq.heappop(queue)
+                else:
+                    heapq.heapreplace(
+                        queue, (heap.min_key() if key is None else key(i), i)
+                    )
                 if popped is None:
                     continue
                 candidate, bound = popped
-                if candidate in processed:
+                if candidate in evaluated:
                     continue
-                processed.add(candidate)
+                evaluated.add(candidate)
                 stats.iterations += 1
-                relevance = self._textual_relevance(keywords, candidate, query_impacts)
-                if relevance <= 0.0:
-                    continue
-                if score(bound, relevance) > results.threshold():
-                    continue
+                matched = True
+                for group in others:
+                    for t in group:
+                        if has_keyword(candidate, t):
+                            break
+                    else:
+                        matched = False
+                        break
+                if not matched:
+                    continue  # filtered without touching the distance oracle
+                if score is not None:
+                    relevance = self._textual_relevance(keywords, candidate, impacts)
+                    if relevance <= 0.0:
+                        continue
+                    if score(bound, relevance) > results.threshold():
+                        continue  # cheap LB score filter (Algorithm 3, line 10)
                 with trace_timed("oracle.distance"):
                     distance = self._oracle.distance(query, candidate)
                 stats.distance_computations += 1
-                if distance < INFINITY:
-                    results.offer(candidate, score(distance, relevance))
+                if distance < INFINITY:  # unreachable objects are not results
+                    results.offer(
+                        candidate,
+                        distance if score is None else score(distance, relevance),
+                    )
         self._finish_stats(stats, heaps)
         return results.sorted_results()
 
@@ -416,25 +406,14 @@ class QueryProcessor:
         heap_keywords: list[str],
         query_impacts: dict[str, float],
     ) -> float:
-        """Algorithm 2: pseudo lower-bound score for heap i.
-
-        Assumes an unseen object in heap i contains keyword t_j only if
-        ``MINKEY(H_i) >= MINKEY(H_j)`` — objects closer than another
-        heap's MINKEY would already have surfaced there.
-        """
-        with trace_timed("processor.pseudo_lb"):
-            min_key = heaps[i].min_key()
-            if min_key == INFINITY:
-                return INFINITY
-            pseudo_relevance = 0.0
-            for j, keyword in enumerate(heap_keywords):
-                if min_key >= heaps[j].min_key():
-                    pseudo_relevance += query_impacts.get(
-                        keyword, 0.0
-                    ) * self._relevance.max_impact(keyword)
-            if pseudo_relevance <= 0.0:
-                return INFINITY
-            return min_key / pseudo_relevance
+        """Algorithm 2's score for heap i under weighted distance."""
+        weights = [
+            query_impacts.get(t, 0.0) * self._relevance.max_impact(t)
+            for t in heap_keywords
+        ]
+        return _weighted_distance(
+            heaps[i].min_key(), _pseudo_relevance(heaps, i, weights)
+        )
 
     def _valid_lower_bound(
         self,
@@ -443,13 +422,10 @@ class QueryProcessor:
         query_impacts: dict[str, float],
     ) -> float:
         """The valid all-unseen bound ``MINKEY / TR_max`` (§4.2)."""
-        min_key = heap.min_key()
-        if min_key == INFINITY:
-            return INFINITY
-        ceiling = self._relevance.max_textual_relevance(keywords, query_impacts)
-        if ceiling <= 0.0:
-            return INFINITY
-        return min_key / ceiling
+        return _weighted_distance(
+            heap.min_key(),
+            self._relevance.max_textual_relevance(keywords, query_impacts),
+        )
 
     def _textual_relevance(
         self, keywords: list[str], obj: int, query_impacts: dict[str, float]

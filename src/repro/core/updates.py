@@ -66,7 +66,7 @@ class BackgroundRebuilder:
     Use as a context manager or call :meth:`close` to join the worker::
 
         with BackgroundRebuilder(kspin.index, kspin.graph) as rebuilder:
-            kspin.insert_object(...)
+            kspin.apply(UpdateOp("insert", ...))
             rebuilder.schedule("thai")
             ...
             rebuilder.wait()   # all scheduled rebuilds finished

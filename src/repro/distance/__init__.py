@@ -1,6 +1,5 @@
 """Network Distance Module: pluggable exact point-to-point oracles."""
 
-from repro.distance.astar import AStarOracle
 from repro.distance.base import DistanceOracle, verify_oracle
 from repro.distance.ch import ContractionHierarchy
 from repro.distance.composite import CompositeOracle
@@ -10,7 +9,6 @@ from repro.distance.hub_labeling import HubLabeling, importance_order
 from repro.distance.object_labels import KeywordLabelIndex
 
 __all__ = [
-    "AStarOracle",
     "BidirectionalDijkstraOracle",
     "CompositeOracle",
     "ContractionHierarchy",

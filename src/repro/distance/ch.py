@@ -327,22 +327,6 @@ class ContractionHierarchy(DistanceOracle):
             return [b]
         return self._unpack_edge(a, middle) + self._unpack_edge(middle, b)
 
-    def _upward_search(self, source: int) -> dict[int, float]:
-        """Full upward-reachable distance map (used by tests/tools)."""
-        distances = {source: 0.0}
-        heap = [(0.0, source)]
-        upward = self._upward
-        while heap:
-            dist_u, u = heapq.heappop(heap)
-            if dist_u > distances.get(u, INFINITY):
-                continue
-            for v, weight in upward[u]:
-                candidate = dist_u + weight
-                if candidate < distances.get(v, INFINITY):
-                    distances[v] = candidate
-                    heapq.heappush(heap, (candidate, v))
-        return distances
-
     def memory_bytes(self) -> int:
         per_entry = 72
         return sum(len(a) for a in self._upward) * per_entry + self._n * 28

@@ -9,7 +9,6 @@ from repro.graph.dijkstra import (
     multi_source_dijkstra,
     network_expansion_knn,
 )
-from repro.graph.edge_pois import EdgePlacement, subdivide_for_pois
 from repro.graph.generators import (
     perturbed_grid_network,
     random_geometric_network,
@@ -23,7 +22,6 @@ __all__ = [
     "RoadNetwork",
     "RoadNetworkError",
     "DimacsFormatError",
-    "EdgePlacement",
     "bidirectional_dijkstra",
     "dijkstra_all",
     "dijkstra_distance",
@@ -33,7 +31,6 @@ __all__ = [
     "perturbed_grid_network",
     "random_geometric_network",
     "read_dimacs",
-    "subdivide_for_pois",
     "with_one_way_streets",
     "write_dimacs",
 ]

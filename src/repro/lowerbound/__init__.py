@@ -1,16 +1,10 @@
-"""Lower Bounding Module: ALT landmarks, Euclidean, composites."""
+"""Lower Bounding Module: ALT landmarks."""
 
 from repro.lowerbound.alt import AltLowerBounder
 from repro.lowerbound.base import LowerBounder, ZeroLowerBounder
-from repro.lowerbound.composite import CompositeLowerBounder
-from repro.lowerbound.euclidean import EuclideanLowerBounder
-from repro.lowerbound.hub_label import HubLabelLowerBounder
 
 __all__ = [
     "AltLowerBounder",
-    "CompositeLowerBounder",
-    "EuclideanLowerBounder",
-    "HubLabelLowerBounder",
     "LowerBounder",
     "ZeroLowerBounder",
 ]

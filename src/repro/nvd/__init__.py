@@ -8,17 +8,13 @@ from repro.nvd.builder import (
     simulated_parallel_makespan,
 )
 from repro.nvd.quadtree import MortonQuadtree
-from repro.nvd.rtree import Rect, VoronoiRTree, bounding_rect
 from repro.nvd.voronoi import NetworkVoronoiDiagram
 
 __all__ = [
     "ApproximateNVD",
     "MortonQuadtree",
     "NetworkVoronoiDiagram",
-    "Rect",
-    "VoronoiRTree",
     "available_cores",
-    "bounding_rect",
     "build_keyword_nvds",
     "exact_nvd_region_quadtree_bytes",
     "parallel_efficiency",

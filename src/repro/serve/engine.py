@@ -243,90 +243,40 @@ class Engine:
     # ------------------------------------------------------------------
     # Updates (write side, paper §6.2)
     # ------------------------------------------------------------------
-    def _sketch_update(
-        self, op: str, keywords: Sequence[str], obj: int | None
-    ) -> None:
-        """Fold one applied update into the sketch registry.
-
-        Called under the write lock, after the index accepted the op.
-        Inserts extend the Bloom/HLL state exactly; deletes stale it
-        until the accumulated count triggers a rebuild from live state.
-        """
-        if self.sketches is None:
-            return
-        self.sketches.apply_update(op, keywords, obj)
-        if self.sketches.needs_refresh():
-            self.sketches.refresh(self._kspin.index)
-
-    def insert_object(self, obj: int, document: Sequence[str] | dict) -> int:
-        """Insert a POI; evicts cache entries reading any of its keywords."""
-        keywords = list(document)
-        with self.lock.write():
-            self._kspin.insert_object(obj, document)
-            evicted = self.cache.invalidate_keywords(keywords)
-            self._sketch_update("insert", keywords, obj)
-            self.updates_applied += 1
-        return evicted
-
-    def delete_object(self, obj: int) -> int:
-        """Tombstone a POI; evicts cache entries reading its keywords."""
-        with self.lock.write():
-            keywords = list(self._kspin.index.document(obj))
-            self._kspin.delete_object(obj)
-            evicted = self.cache.invalidate_keywords(keywords)
-            self._sketch_update("delete", keywords, obj)
-            self.updates_applied += 1
-        return evicted
-
-    def add_keyword(self, obj: int, keyword: str, frequency: int = 1) -> int:
-        """Add one keyword to a POI's document."""
-        with self.lock.write():
-            self._kspin.add_keyword(obj, keyword, frequency)
-            evicted = self.cache.invalidate_keywords([keyword])
-            self._sketch_update("add_keyword", [keyword], obj)
-            self.updates_applied += 1
-        return evicted
-
-    def remove_keyword(self, obj: int, keyword: str) -> int:
-        """Remove one keyword from a POI's document."""
-        with self.lock.write():
-            self._kspin.remove_keyword(obj, keyword)
-            evicted = self.cache.invalidate_keywords([keyword])
-            self._sketch_update("remove_keyword", [keyword], obj)
-            self.updates_applied += 1
-        return evicted
-
-    def rebuild_pending(self) -> list[str]:
-        """Rebuild over-threshold diagrams; evicts their keywords' entries."""
-        with self.lock.write():
-            rebuilt = self._kspin.rebuild_pending()
-            if rebuilt:
-                self.cache.invalidate_keywords(rebuilt)
-        return rebuilt
-
     def apply(self, op: UpdateOp) -> dict:
-        """Apply one :class:`repro.api.UpdateOp` (the canonical entry point).
+        """Apply one :class:`repro.api.UpdateOp` — the only write path.
 
-        Dispatches to the write-locked update methods above and reports
-        the cache fallout: ``{"applied": ..., "cache_evicted": n}`` or,
-        for ``rebuild``, ``{"applied": "rebuild", "rebuilt": [...]}``.
+        One write-lock block: the index takes the op, the cache loses
+        every entry that read a touched keyword *before* the lock drops
+        (so no stale entry survives), and the sketches follow.  Returns
+        the index's summary plus the cache fallout:
+        ``{"applied": ..., "cache_evicted": n}``, with ``"rebuilt":
+        [...]`` for ``rebuild``.
         """
-        if op.op == "insert":
-            evicted = self.insert_object(op.object, op.document_counts())
-        elif op.op == "delete":
-            evicted = self.delete_object(op.object)
-        elif op.op == "add_keyword":
-            evicted = self.add_keyword(op.object, op.keyword, op.frequency)
-        elif op.op == "remove_keyword":
-            evicted = self.remove_keyword(op.object, op.keyword)
-        elif op.op == "rebuild":
-            rebuilt = self.rebuild_pending()
-            EVENTS.emit("update.applied", op="rebuild", rebuilt=len(rebuilt))
-            return {"applied": "rebuild", "rebuilt": rebuilt}
-        else:  # pragma: no cover - UpdateOp validates op on construction
-            raise ValueError(f"unknown update op {op.op!r}")
-        EVENTS.emit("update.applied", op=op.op, cache_evicted=evicted)
-        return {"applied": op.op, "cache_evicted": evicted}
+        with self.lock.write():
+            # A delete touches whatever the object carries now.
+            keywords = (
+                list(self._kspin.index.document(op.object))
+                if op.op == "delete"
+                else list(op.touched_keywords())
+            )
+            summary = self._kspin.apply(op)
+            keywords = summary.get("rebuilt", keywords)
+            evicted = self.cache.invalidate_keywords(keywords) if keywords else 0
+            if op.op != "rebuild":
+                if self.sketches is not None:
+                    # Inserts extend the Bloom/HLL state exactly; deletes
+                    # stale it until the accumulated count triggers a
+                    # rebuild from live state.
+                    self.sketches.apply_update(op.op, keywords, op.object)
+                    if self.sketches.needs_refresh():
+                        self.sketches.refresh(self._kspin.index)
+                self.updates_applied += 1
+        summary["cache_evicted"] = evicted
+        EVENTS.emit(
+            "update.applied", op=op.op, keywords=len(keywords), cache_evicted=evicted
+        )
+        return summary
 
     def on_rebuilt(self, keyword: str) -> None:
         """Cache-invalidation hook for background rebuild events.

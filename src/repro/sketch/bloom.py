@@ -135,13 +135,6 @@ class BloomFilter:
         """The *realised* FP-rate estimate ``fill_ratio ** k``."""
         return self.fill_ratio() ** self.num_hashes
 
-    def approx_count(self) -> float:
-        """Distinct-key estimate from the fill ratio (Swamidass–Baldi)."""
-        fill = self.fill_ratio()
-        if fill >= 1.0:
-            return float("inf")
-        return -self.num_bits / self.num_hashes * math.log(1.0 - fill)
-
     # ------------------------------------------------------------------
     # Serialization
     # ------------------------------------------------------------------

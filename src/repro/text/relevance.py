@@ -48,18 +48,35 @@ class RelevanceModel:
         # lambda_{t,max} per keyword (used by pseudo lower bounds).
         self._max_impacts: dict[str, float] = {}
         for o in dataset.objects():
-            doc = dataset.document(o)
-            weights = {t: 1.0 + math.log(f) for t, f in doc.items()}
-            norm = math.sqrt(sum(w * w for w in weights.values()))
-            impacts = {t: w / norm for t, w in weights.items()}
+            impacts = self.document_impacts(dataset.document(o))
             self._object_impacts[o] = impacts
-            for t, impact in impacts.items():
-                if impact > self._max_impacts.get(t, 0.0):
-                    self._max_impacts[t] = impact
+            self._lift(impacts)
 
     # ------------------------------------------------------------------
     # Impacts
     # ------------------------------------------------------------------
+    @staticmethod
+    def document_impacts(document: dict[str, int]) -> dict[str, float]:
+        """``lambda_{t,o}`` for a raw ``{keyword: frequency}`` document."""
+        weights = {t: 1.0 + math.log(f) for t, f in document.items() if f > 0}
+        norm = math.sqrt(sum(w * w for w in weights.values()))
+        return {t: w / norm for t, w in weights.items()}
+
+    def _lift(self, impacts: dict[str, float]) -> None:
+        for t, impact in impacts.items():
+            if impact > self._max_impacts.get(t, 0.0):
+                self._max_impacts[t] = impact
+
+    def lift_max_impacts(self, document: dict[str, int]) -> None:
+        """Keep ``lambda_{t,max}`` an upper bound after a write.
+
+        ``document`` is an object's document as a lazy update left it.
+        Pseudo lower bounds divide by the maxima, so they may only grow:
+        a running maximum stays admissible (merely looser) however the
+        corpus changes.
+        """
+        self._lift(self.document_impacts(document))
+
     def object_impact(self, obj: int, keyword: str) -> float:
         """``lambda_{t,o}`` (0 if the keyword is absent from the document)."""
         return self._object_impacts.get(obj, {}).get(keyword, 0.0)
@@ -129,16 +146,11 @@ class RelevanceModel:
         Used for objects whose documents changed after the model was
         built (lazy updates), where the pre-computed impacts are stale.
         """
-        if not document:
-            return 0.0
-        weights = {t: 1.0 + math.log(f) for t, f in document.items() if f > 0}
-        norm = math.sqrt(sum(w * w for w in weights.values()))
-        if norm == 0.0:
-            return 0.0
+        impacts = self.document_impacts(document)
         return sum(
-            impact * (weights[t] / norm)
-            for t, impact in query_impacts.items()
-            if t in weights
+            weight * impacts[t]
+            for t, weight in query_impacts.items()
+            if t in impacts
         )
 
     def max_textual_relevance(

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.api import Query
+from repro.api import Query, UpdateOp
 from repro.core import BackgroundRebuilder, KSpin, brute_force_bknn, results_equivalent
 from repro.distance import DijkstraOracle
 from repro.graph import perturbed_grid_network
@@ -46,7 +46,7 @@ class TestBackgroundRebuilder:
         keyword = popular_keywords(dataset, 1)[0]
         free = [v for v in grid.vertices() if not dataset.is_object(v)][:3]
         for v in free:
-            kspin.insert_object(v, [keyword])
+            kspin.apply(UpdateOp("insert", object=v, document=[keyword]))
         assert kspin.index.nvd(keyword).pending_updates == 3
         with BackgroundRebuilder(kspin.index, grid) as rebuilder:
             rebuilder.schedule(keyword)
@@ -60,7 +60,7 @@ class TestBackgroundRebuilder:
         keyword = popular_keywords(dataset, 1)[0]
         free = [v for v in grid.vertices() if not dataset.is_object(v)][:3]
         for v in free:
-            kspin.insert_object(v, [keyword])
+            kspin.apply(UpdateOp("insert", object=v, document=[keyword]))
         with BackgroundRebuilder(kspin.index, grid) as rebuilder:
             rebuilder.schedule(keyword)
             # Queries keep working while the rebuild is in flight.
@@ -79,9 +79,9 @@ class TestBackgroundRebuilder:
         keywords = popular_keywords(dataset, 2)
         free = [v for v in grid.vertices() if not dataset.is_object(v)]
         # Two updates for keyword[0] (meets threshold 2), one for keyword[1].
-        kspin.insert_object(free[0], [keywords[0]])
-        kspin.insert_object(free[1], [keywords[0]])
-        kspin.insert_object(free[2], [keywords[1]])
+        kspin.apply(UpdateOp("insert", object=free[0], document=[keywords[0]]))
+        kspin.apply(UpdateOp("insert", object=free[1], document=[keywords[0]]))
+        kspin.apply(UpdateOp("insert", object=free[2], document=[keywords[1]]))
         with BackgroundRebuilder(kspin.index, grid) as rebuilder:
             scheduled = rebuilder.schedule_pending()
             rebuilder.wait()

@@ -1,4 +1,4 @@
-"""Tests for continuous route queries and the §5.1 cost model."""
+"""Tests for the §5.1 cost model."""
 
 import pytest
 
@@ -6,20 +6,17 @@ from repro.api import Query
 from repro.core import (
     CostModel,
     KSpin,
-    brute_force_bknn,
-    continuous_bknn,
     fit_cost_model,
     measure_kappa,
     model_accuracy,
-    route_between,
 )
 from repro.core.query_processor import QueryStats
 from repro.datasets import WorkloadGenerator
 from repro.distance import DijkstraOracle
-from repro.graph import RoadNetwork, dijkstra_distance, perturbed_grid_network
+from repro.graph import perturbed_grid_network
 from repro.lowerbound import AltLowerBounder
 
-from tests.test_kspin_queries import make_dataset, popular_keywords
+from tests.test_kspin_queries import make_dataset
 
 
 @pytest.fixture(scope="module")
@@ -34,93 +31,6 @@ def world():
         rho=3,
     )
     return grid, dataset, kspin
-
-
-class TestRouteBetween:
-    def test_trivial_route(self, world):
-        grid, _, _ = world
-        assert route_between(grid, 5, 5) == [5]
-
-    def test_route_is_shortest_path(self, world):
-        grid, _, _ = world
-        route = route_between(grid, 0, grid.num_vertices - 1)
-        assert route[0] == 0
-        assert route[-1] == grid.num_vertices - 1
-        length = sum(
-            grid.edge_weight(a, b) for a, b in zip(route, route[1:])
-        )
-        assert length == pytest.approx(
-            dijkstra_distance(grid, 0, grid.num_vertices - 1)
-        )
-
-    def test_consecutive_vertices_adjacent(self, world):
-        grid, _, _ = world
-        route = route_between(grid, 3, 40)
-        for a, b in zip(route, route[1:]):
-            assert grid.has_edge(a, b)
-
-    def test_disconnected_raises(self):
-        g = RoadNetwork(4)
-        g.add_edge(0, 1, 1.0)
-        g.add_edge(2, 3, 1.0)
-        with pytest.raises(ValueError):
-            route_between(g, 0, 3)
-
-
-class TestContinuousBknn:
-    def test_segments_cover_route(self, world):
-        grid, dataset, kspin = world
-        keywords = popular_keywords(dataset, 2)
-        route = route_between(grid, 0, grid.num_vertices - 1)
-        segments = continuous_bknn(kspin, route, 3, keywords)
-        covered = [v for segment in segments for v in segment.vertices]
-        assert covered == route
-        assert segments[0].start_index == 0
-        assert segments[-1].end_index == len(route) - 1
-        for before, after in zip(segments, segments[1:]):
-            assert after.start_index == before.end_index + 1
-
-    def test_segment_results_match_point_queries(self, world):
-        grid, dataset, kspin = world
-        keywords = popular_keywords(dataset, 2)
-        route = route_between(grid, 0, grid.num_vertices - 1)
-        segments = continuous_bknn(kspin, route, 3, keywords)
-        for segment in segments:
-            expected = brute_force_bknn(
-                grid, dataset, segment.vertices[0], 3, keywords
-            )
-            assert set(segment.result_objects) == {o for o, _ in expected}
-
-    def test_adjacent_segments_differ(self, world):
-        grid, dataset, kspin = world
-        keywords = popular_keywords(dataset, 2)
-        route = route_between(grid, 0, grid.num_vertices - 1)
-        segments = continuous_bknn(kspin, route, 3, keywords)
-        for before, after in zip(segments, segments[1:]):
-            assert set(before.result_objects) != set(after.result_objects)
-
-    def test_single_vertex_route(self, world):
-        grid, dataset, kspin = world
-        keywords = popular_keywords(dataset, 1)
-        segments = continuous_bknn(kspin, [7], 2, keywords)
-        assert len(segments) == 1
-        assert segments[0].vertices == (7,)
-
-    def test_conjunctive_mode(self, world):
-        grid, dataset, kspin = world
-        keywords = popular_keywords(dataset, 2)
-        route = route_between(grid, 0, 20)
-        segments = continuous_bknn(kspin, route, 2, keywords, conjunctive=True)
-        for segment in segments:
-            for obj in segment.result_objects:
-                assert dataset.contains_all(obj, keywords)
-
-    def test_validation(self, world):
-        _, _, kspin = world
-        with pytest.raises(ValueError):
-            continuous_bknn(kspin, [], 3, ["a"])
-        with pytest.raises(ValueError):
-            continuous_bknn(kspin, [0], 0, ["a"])
 
 
 class TestCostModel:

@@ -40,7 +40,6 @@ from repro.graph import (
     dijkstra_distance,
     multi_source_dijkstra,
     perturbed_grid_network,
-    subdivide_for_pois,
     with_one_way_streets,
     write_dimacs,
 )
@@ -161,11 +160,10 @@ class TestDirectedGraph:
             lambda g: GTreeSpatialKeyword(g, KeywordDataset({0: ["a"]})),
             lambda g: Road(g, KeywordDataset({0: ["a"]})),
             lambda g: FsFbs(g, KeywordDataset({0: ["a"]})),
-            lambda g: subdivide_for_pois(g, []),
             lambda g: write_dimacs(g, "unwritten.gr"),
         ],
         ids=["CH", "PHL", "GTree", "Composite", "GTreeSK", "ROAD", "FS-FBS",
-             "subdivide", "dimacs"],
+             "dimacs"],
     )
     def test_symmetric_distance_indexes_refuse(self, directed_grid, build):
         with pytest.raises(RoadNetworkError, match="symmetric"):
@@ -362,7 +360,7 @@ class TestDirectedKSpin:
         kspin = one_way_kspin(directed_grid, dataset)
         keywords = popular_keywords(dataset, 1)
         victim = dataset.inverted_list(keywords[0])[0]
-        kspin.delete_object(victim)
+        kspin.apply(UpdateOp("delete", object=victim))
         result = kspin.execute(Query(0, keywords, k=dataset.inverted_size(keywords[0]))).pairs()
         assert victim not in {o for o, _ in result}
 
@@ -467,11 +465,6 @@ def test_interleaved_updates_match_brute_force(backend):
         seeded = make_dataset(base, seed=5, object_fraction=0.5, vocabulary=4)
         documents = {o: dict(seeded.document(o)) for o in seeded.objects()}
         free = [v for v in g.vertices() if v not in documents]
-        # Top-k's pseudo lower bound uses build-time maximum impacts; one
-        # single-keyword document each pins them at 1.0, so no update
-        # below can lift an object's impact above them.
-        documents[free.pop()] = {"kw0": 1}
-        documents[free.pop()] = {"kw1": 1}
         kspin = one_way_kspin(
             g, KeywordDataset(documents), landmarks=6, rebuild_threshold=3
         )

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.api import Query
+from repro.api import Query, UpdateOp
 from repro.core import (
     BooleanExpression,
     KSpin,
@@ -235,7 +235,7 @@ class TestPersistence:
         save_kspin(kspin, path)
         loaded = load_kspin(path)
         free = next(v for v in grid.vertices() if not dataset.is_object(v))
-        loaded.insert_object(free, ["persisted-kw"])
+        loaded.apply(UpdateOp("insert", object=free, document=["persisted-kw"]))
         assert loaded.execute(Query(free, ["persisted-kw"], k=1)).pairs() == [(free, 0.0)]
 
     def test_bad_magic_rejected(self, tmp_path):

@@ -12,7 +12,6 @@ import pytest
 from repro.api import Query
 from repro.core import KSpin, brute_force_bknn, results_equivalent
 from repro.distance import (
-    AStarOracle,
     ContractionHierarchy,
     DijkstraOracle,
     GTree,
@@ -92,12 +91,6 @@ class TestDisconnectedGraphs:
         oracle = factory(g)
         assert oracle.distance(0, 2) == pytest.approx(2.0)
         assert oracle.distance(0, 5) == math.inf
-
-    def test_astar_handles_disconnection(self):
-        g, _ = two_island_world()
-        oracle = AStarOracle(g, AltLowerBounder(g, num_landmarks=2))
-        assert oracle.distance(0, 4) == math.inf
-
 
 class TestDegenerateCorpora:
     def test_single_object_world(self):

@@ -19,7 +19,7 @@ import random
 import pytest
 from hypothesis import given, settings
 
-from repro.api import Query
+from repro.api import Query, UpdateOp
 from repro.core import KSpin
 from repro.core.label_seeding import LabelHeap, LabelHeapGenerator
 from repro.datasets import WorkloadGenerator, load_dataset
@@ -31,7 +31,7 @@ from repro.distance import (
     importance_order,
 )
 from repro.graph import dijkstra_all, perturbed_grid_network
-from repro.lowerbound import AltLowerBounder, HubLabelLowerBounder
+from repro.lowerbound import AltLowerBounder
 from repro.serve import ClusterCoordinator, Engine
 
 from tests.test_distance_oracles import connected_graph
@@ -182,8 +182,8 @@ class TestUpdateFallbackRebuild:
         assert generator.fallback_heaps == 0
 
         victim = label_engine.execute(query).pairs()[0][0]
-        label_engine.delete_object(victim)
-        nvd_engine.delete_object(victim)
+        label_engine.apply(UpdateOp("delete", object=victim))
+        nvd_engine.apply(UpdateOp("delete", object=victim))
 
         before = generator.fallback_heaps
         answer = label_engine.execute(query).pairs()
@@ -194,8 +194,8 @@ class TestUpdateFallbackRebuild:
         # Force the rebuild and confirm label heaps resume, still exact.
         label_engine.index.rebuild_threshold = 1
         nvd_engine.index.rebuild_threshold = 1
-        assert keyword in label_engine.rebuild_pending()
-        nvd_engine.rebuild_pending()
+        assert keyword in label_engine.apply(UpdateOp("rebuild"))["rebuilt"]
+        nvd_engine.apply(UpdateOp("rebuild"))
         heaps_before = generator.label_heaps
         assert label_engine.execute(query).pairs() == nvd_engine.execute(
             query
@@ -389,26 +389,3 @@ class TestCompositeOracle:
 
     def test_memory_accounts_for_both_indexes(self, world, composite):
         assert composite.memory_bytes() >= composite.labeling.memory_bytes()
-
-
-# ----------------------------------------------------------------------
-# PHL-backed lower bounder
-# ----------------------------------------------------------------------
-class TestHubLabelLowerBounder:
-    def test_bound_is_the_exact_distance(self):
-        grid = perturbed_grid_network(5, 5, seed=2)
-        labeling = HubLabeling(grid, order="ch")
-        bounder = HubLabelLowerBounder(labeling)
-        truth = dijkstra_all(grid, 4)
-        for v in range(grid.num_vertices):
-            assert bounder.lower_bound(4, v) == pytest.approx(truth[v])
-
-    def test_batch_matches_scalar(self):
-        grid = perturbed_grid_network(5, 5, seed=2)
-        labeling = HubLabeling(grid, order="ch")
-        bounder = HubLabelLowerBounder(labeling)
-        others = list(range(0, grid.num_vertices, 2))
-        batch = bounder.lower_bounds_to_many(6, others)
-        assert batch == [bounder.lower_bound(6, v) for v in others]
-        assert bounder.lower_bounds_to_many(6, []) == []
-        assert bounder.memory_bytes() == 0

@@ -1,6 +1,6 @@
 """End-to-end pipeline: build -> query -> update -> rebuild -> persist.
 
-One continuous scenario over a mid-size world, asserting exactness
+One scenario over a mid-size world, asserting exactness
 against brute force at every stage — the closest thing to a production
 smoke test in the suite.
 """
@@ -9,15 +9,15 @@ import random
 
 import pytest
 
-from repro.api import Query
+from repro.api import Query, UpdateOp
 from repro.core import (
     BackgroundRebuilder,
+    BooleanExpression,
     KSpin,
     brute_force_bknn,
+    brute_force_boolean_bknn,
     brute_force_top_k,
-    continuous_bknn,
     results_equivalent,
-    route_between,
 )
 from repro.distance import ContractionHierarchy, HubLabeling
 from repro.graph import perturbed_grid_network
@@ -66,9 +66,9 @@ def test_full_pipeline(pipeline_world, tmp_path):
     free = [v for v in graph.vertices() if not dataset.is_object(v)]
     opened = free[:4]
     for v in opened:
-        kspin.insert_object(v, [keywords[0], "new-chain"])
+        kspin.apply(UpdateOp("insert", object=v, document=[keywords[0], "new-chain"]))
     closed = dataset.inverted_list(keywords[0])[0]
-    kspin.delete_object(closed)
+    kspin.apply(UpdateOp("delete", object=closed))
     live_documents = {}
     for v in list(dataset.objects()) + opened:
         doc = {
@@ -101,12 +101,21 @@ def test_full_pipeline(pipeline_world, tmp_path):
     reloaded = load_kspin(path)
     assert results_equivalent(reloaded.execute(Query(q, [keywords[0]], k=6)).pairs(), after)
 
-    # --- Stage 5: continuous query on the reloaded index. ---------------
-    route = route_between(graph, 0, graph.num_vertices - 1)
-    segments = continuous_bknn(reloaded, route, 3, [keywords[0]])
-    assert sum(len(s.vertices) for s in segments) == len(route)
-    expected_first = brute_force_bknn(graph, reference, route[0], 3, [keywords[0]])
-    assert set(segments[0].result_objects) == {o for o, _ in expected_first}
+    # --- Stage 5: one batch along a route on the reloaded index. --------
+    route = ch.shortest_path(0, graph.num_vertices - 1)
+    batch = [Query(v, [keywords[0]], k=3) for v in route]
+    along = reloaded.execute_many(batch)
+    assert len(along) == len(route)
+    groups = [[keywords[0]], ["new-chain", keywords[1]]]
+    expression = BooleanExpression(groups)
+    for v, answer in zip(route, along):
+        assert results_equivalent(
+            answer.pairs(), brute_force_bknn(graph, reference, v, 3, [keywords[0]])
+        )
+        assert results_equivalent(
+            reloaded.boolean_bknn(v, 3, groups),
+            brute_force_boolean_bknn(graph, reference, v, 3, expression),
+        )
 
 
 def test_pipeline_oracle_swap_after_reload(pipeline_world, tmp_path):

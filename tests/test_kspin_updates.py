@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro.api import Query
+from repro.api import Query, UpdateOp
 from repro.core import KSpin, brute_force_bknn, brute_force_top_k, results_equivalent
 from repro.core.updates import apply_lazy_inserts, pick_update_keywords
 from repro.distance import DijkstraOracle
@@ -54,7 +54,7 @@ class TestObjectDeletion:
     def test_deleted_object_never_returned(self, grid, dataset, kspin):
         keywords = popular_keywords(dataset, 1)
         victim = dataset.inverted_list(keywords[0])[0]
-        kspin.delete_object(victim)
+        kspin.apply(UpdateOp("delete", object=victim))
         result = kspin.execute(Query(0, keywords, k=dataset.inverted_size(keywords[0]))).pairs()
         assert victim not in {o for o, _ in result}
 
@@ -63,7 +63,7 @@ class TestObjectDeletion:
         rng = random.Random(1)
         victims = rng.sample(dataset.objects(), 3)
         for v in victims:
-            kspin.delete_object(v)
+            kspin.apply(UpdateOp("delete", object=v))
         reference = current_dataset(grid, kspin, dataset.objects())
         for q in (0, 10, 25):
             expected = brute_force_bknn(grid, reference, q, 5, keywords)
@@ -75,7 +75,7 @@ class TestObjectDeletion:
             v for v in grid.vertices() if not kspin.index.document(v)
         )
         with pytest.raises(KeyError):
-            kspin.delete_object(empty_vertex)
+            kspin.apply(UpdateOp("delete", object=empty_vertex))
 
 
 class TestObjectInsertion:
@@ -83,7 +83,7 @@ class TestObjectInsertion:
         new_vertex = next(
             v for v in grid.vertices() if not dataset.is_object(v)
         )
-        kspin.insert_object(new_vertex, ["brand-new-keyword"])
+        kspin.apply(UpdateOp("insert", object=new_vertex, document=["brand-new-keyword"]))
         result = kspin.execute(Query(new_vertex, ["brand-new-keyword"], k=1)).pairs()
         assert result == [(new_vertex, 0.0)]
 
@@ -91,7 +91,7 @@ class TestObjectInsertion:
         keywords = popular_keywords(dataset, 2)
         free = [v for v in grid.vertices() if not dataset.is_object(v)][:4]
         for v in free:
-            kspin.insert_object(v, [keywords[0]])
+            kspin.apply(UpdateOp("insert", object=v, document=[keywords[0]]))
         universe = list(dataset.objects()) + free
         reference = current_dataset(grid, kspin, universe)
         for q in (0, 12, 30):
@@ -108,7 +108,7 @@ class TestObjectInsertion:
         keywords = popular_keywords(dataset, 2)
         free = [v for v in grid.vertices() if not dataset.is_object(v)][:3]
         for v in free:
-            kspin.insert_object(v, {keywords[0]: 2, keywords[1]: 1})
+            kspin.apply(UpdateOp("insert", object=v, document={keywords[0]: 2, keywords[1]: 1}))
         universe = list(dataset.objects()) + free
         reference = current_dataset(grid, kspin, universe)
         query_impacts = kspin.relevance.query_impacts(keywords)
@@ -128,31 +128,31 @@ class TestObjectInsertion:
 
     def test_empty_document_rejected(self, kspin):
         with pytest.raises(ValueError):
-            kspin.insert_object(0, [])
+            kspin.apply(UpdateOp("insert", object=0, document=[]))
 
 
 class TestKeywordUpdates:
     def test_add_keyword_makes_object_match(self, grid, dataset, kspin):
         obj = dataset.objects()[0]
-        kspin.add_keyword(obj, "added-keyword")
+        kspin.apply(UpdateOp("add_keyword", object=obj, keyword="added-keyword"))
         result = kspin.execute(Query(obj, ["added-keyword"], k=1)).pairs()
         assert result == [(obj, 0.0)]
 
     def test_remove_keyword_stops_matching(self, grid, dataset, kspin):
         keyword = popular_keywords(dataset, 1)[0]
         obj = dataset.inverted_list(keyword)[0]
-        kspin.remove_keyword(obj, keyword)
+        kspin.apply(UpdateOp("remove_keyword", object=obj, keyword=keyword))
         size = dataset.inverted_size(keyword)
         result = kspin.execute(Query(0, [keyword], k=size)).pairs()
         assert obj not in {o for o, _ in result}
 
     def test_remove_missing_keyword_raises(self, dataset, kspin):
         with pytest.raises(KeyError):
-            kspin.remove_keyword(dataset.objects()[0], "never-there")
+            kspin.apply(UpdateOp("remove_keyword", object=dataset.objects()[0], keyword="never-there"))
 
     def test_add_keyword_validation(self, dataset, kspin):
         with pytest.raises(ValueError):
-            kspin.add_keyword(dataset.objects()[0], "x", frequency=0)
+            kspin.apply(UpdateOp("add_keyword", object=dataset.objects()[0], keyword="x", frequency=0))
 
 
 class TestRebuild:
@@ -160,8 +160,8 @@ class TestRebuild:
         keyword = popular_keywords(dataset, 1)[0]
         free = [v for v in grid.vertices() if not dataset.is_object(v)][:6]
         for v in free:
-            kspin.insert_object(v, [keyword])
-        rebuilt = kspin.rebuild_pending()
+            kspin.apply(UpdateOp("insert", object=v, document=[keyword]))
+        rebuilt = kspin.apply(UpdateOp("rebuild"))["rebuilt"]
         assert keyword in rebuilt
         assert kspin.index.nvd(keyword).pending_updates == 0
 
@@ -169,8 +169,8 @@ class TestRebuild:
         keyword = popular_keywords(dataset, 1)[0]
         free = [v for v in grid.vertices() if not dataset.is_object(v)][:6]
         for v in free:
-            kspin.insert_object(v, [keyword])
-        kspin.rebuild_pending()
+            kspin.apply(UpdateOp("insert", object=v, document=[keyword]))
+        kspin.apply(UpdateOp("rebuild"))
         universe = list(dataset.objects()) + free
         reference = current_dataset(grid, kspin, universe)
         expected = brute_force_bknn(grid, reference, 0, 5, [keyword])

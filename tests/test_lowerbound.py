@@ -1,4 +1,4 @@
-"""Tests for the Lower Bounding Module (ALT, Euclidean, composite)."""
+"""Tests for the Lower Bounding Module (ALT)."""
 
 import random
 
@@ -9,8 +9,6 @@ from hypothesis import strategies as st
 from repro.graph import RoadNetwork, dijkstra_distance, perturbed_grid_network
 from repro.lowerbound import (
     AltLowerBounder,
-    CompositeLowerBounder,
-    EuclideanLowerBounder,
     LowerBounder,
     ZeroLowerBounder,
 )
@@ -90,46 +88,6 @@ class TestAlt:
     def test_memory_reported(self, grid):
         alt = AltLowerBounder(grid, num_landmarks=4)
         assert alt.memory_bytes() == 4 * grid.num_vertices * 8
-
-
-class TestEuclidean:
-    def test_admissible(self, grid):
-        euclid = EuclideanLowerBounder(grid)
-        rng = random.Random(4)
-        for _ in range(60):
-            u = rng.randrange(grid.num_vertices)
-            v = rng.randrange(grid.num_vertices)
-            assert euclid.lower_bound(u, v) <= dijkstra_distance(grid, u, v) + 1e-9
-
-    def test_rejects_nonpositive_speed(self, grid):
-        with pytest.raises(ValueError):
-            EuclideanLowerBounder(grid, max_speed=0.0)
-
-    def test_no_memory_cost(self, grid):
-        assert EuclideanLowerBounder(grid).memory_bytes() == 0
-
-
-class TestComposite:
-    def test_takes_tightest(self, grid):
-        alt = AltLowerBounder(grid, num_landmarks=4)
-        euclid = EuclideanLowerBounder(grid)
-        combined = CompositeLowerBounder([alt, euclid])
-        rng = random.Random(5)
-        for _ in range(30):
-            u = rng.randrange(grid.num_vertices)
-            v = rng.randrange(grid.num_vertices)
-            expected = max(alt.lower_bound(u, v), euclid.lower_bound(u, v))
-            assert combined.lower_bound(u, v) == pytest.approx(expected)
-
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            CompositeLowerBounder([])
-
-    def test_name_and_memory(self, grid):
-        alt = AltLowerBounder(grid, num_landmarks=2)
-        combined = CompositeLowerBounder([alt, ZeroLowerBounder()])
-        assert "ALT" in combined.name
-        assert combined.memory_bytes() == alt.memory_bytes()
 
 
 class TestZero:

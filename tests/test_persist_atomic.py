@@ -4,7 +4,7 @@ import os
 
 import pytest
 
-from repro.api import Query
+from repro.api import Query, UpdateOp
 from repro.core import KSpin
 from repro.distance import DijkstraOracle
 from repro.graph import perturbed_grid_network
@@ -35,7 +35,7 @@ def test_save_leaves_no_temp_files(kspin, tmp_path):
 def test_resave_replaces_atomically(kspin, tmp_path):
     path = tmp_path / "index.kspin"
     save_kspin(kspin, str(path))
-    kspin.insert_object(7, ["cafe"])
+    kspin.apply(UpdateOp("insert", object=7, document=["cafe"]))
     save_kspin(kspin, str(path))
     reloaded = load_kspin(str(path))
     assert reloaded.execute(Query(0, ["cafe"], k=1)).pairs()

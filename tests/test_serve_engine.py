@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.api import Query
+from repro.api import Query, UpdateOp
 from repro.core import KSpin
 from repro.core.updates import BackgroundRebuilder
 from repro.datasets import load_dataset
@@ -73,7 +73,7 @@ class TestEngine:
 
     def test_insert_invalidates_stale_entry(self, engine, kspin):
         stale = engine.execute(KW0).pairs()
-        engine.insert_object(0, ["kw0000"])  # an object *at* the query vertex
+        engine.apply(UpdateOp("insert", object=0, document=["kw0000"]))  # an object *at* the query vertex
         answer = engine.execute(KW0)
         assert not answer.cached
         assert answer.pairs() != stale
@@ -83,7 +83,7 @@ class TestEngine:
     def test_delete_invalidates_stale_entry(self, engine, kspin):
         before = engine.execute(KW0).pairs()
         nearest = before[0][0]
-        engine.delete_object(nearest)
+        engine.apply(UpdateOp("delete", object=nearest))
         after = engine.execute(KW0)
         assert not after.cached
         assert nearest not in [obj for obj, _ in after.pairs()]
@@ -91,7 +91,7 @@ class TestEngine:
 
     def test_unrelated_keywords_survive_update(self, engine):
         engine.execute(Query(5, ["kw0001"], k=2))
-        engine.insert_object(9, ["kw0031"])
+        engine.apply(UpdateOp("insert", object=9, document=["kw0031"]))
         assert engine.execute(Query(5, ["kw0001"], k=2)).cached
 
     def test_update_stats_totals_aggregate(self, engine):

@@ -78,7 +78,7 @@ class TestHotKeywordAdmission:
         assert engine.admission.is_hot(["kw0000"])
         heat_before = engine.admission.heat("kw0000")
 
-        engine.insert_object(0, ["kw0000"])
+        engine.apply(UpdateOp("insert", object=0, document=["kw0000"]))
 
         answer = engine.execute(KW0)
         assert not answer.cached  # the update invalidated the entry
@@ -94,7 +94,7 @@ class TestHotKeywordAdmission:
         engine = Engine(kspin, cache_size=0)
         before = engine.sketches.cardinality("kw0000")
         assert before == kspin.index.inverted_size("kw0000")
-        engine.insert_object(0, ["kw0000"])
+        engine.apply(UpdateOp("insert", object=0, document=["kw0000"]))
         assert engine.sketches.cardinality("kw0000") >= before
         assert engine.sketches.may_contain("kw0000")
 
