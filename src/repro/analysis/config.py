@@ -46,6 +46,7 @@ GUARDED_ATTRIBUTES: dict[str, dict[str, frozenset[str]]] = {
         "ServerMetrics": frozenset({
             "shed",
             "timeouts",
+            "rate_limited",
             "queries_served",
             "_requests",
             "_errors",
@@ -63,6 +64,9 @@ GUARDED_ATTRIBUTES: dict[str, dict[str, frozenset[str]]] = {
             "updates_applied",
             "fallback_queries",
             "retried_requests",
+            "dispatches",
+            "short_circuits",
+            "skipped_shards",
             "workers",
             "_journal",
             "_pool",
@@ -371,7 +375,6 @@ OBSERVED_SURFACES: dict[str, tuple[str, ...]] = {
     "cli:stats": (),
     "cli:build": (),
     "cli:query": (),
-    "cli:sketch": (),
     "cli:lint": (),
     "cli:typecheck": (),
     "cli:demo": (),
@@ -395,7 +398,6 @@ INSTRUMENTATION_NAMES = frozenset({
     "worker.stop",
     "batch.scatter",
     "batch.gather",
-    "sketch.refresh",
     "slo.burn_start",
     "slo.burn_stop",
     "update.applied",
@@ -408,7 +410,7 @@ INSTRUMENTATION_NAMES = frozenset({
     "cluster.execute",
     "cluster.dispatch",
     "cluster.merge",
-    "cluster.sketch_short_circuit",
+    "cluster.short_circuit",
     "worker.query",
     "engine.cache_lookup",
     "engine.lock_wait",
@@ -434,7 +436,7 @@ WATCHED_ATTRIBUTES: tuple[tuple[str, str, str, tuple[str, ...]], ...] = (
         "repro.serve.metrics",
         "ServerMetrics",
         "_lock",
-        ("shed", "timeouts", "queries_served"),
+        ("shed", "timeouts", "rate_limited", "queries_served"),
     ),
     (
         "repro.serve.cache",
@@ -446,6 +448,12 @@ WATCHED_ATTRIBUTES: tuple[tuple[str, str, str, tuple[str, ...]], ...] = (
         "repro.serve.cluster",
         "ClusterCoordinator",
         "_stats_lock",
-        ("fallback_queries", "retried_requests"),
+        (
+            "fallback_queries",
+            "retried_requests",
+            "dispatches",
+            "short_circuits",
+            "skipped_shards",
+        ),
     ),
 )

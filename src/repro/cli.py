@@ -22,11 +22,6 @@ Commands
     Dump or follow the server's flight-recorder event stream
     (``/v1/debug/events``): admission sheds, cache evictions, worker
     lifecycle, SLO burn transitions — one causally-ordered record.
-``sketch``
-    Build the probabilistic-sketch registry for an index and report
-    per-shard Bloom fill ratios, HyperLogLog cardinality estimates
-    against the true inverted sizes, and the lossy-counter top-N hot
-    keywords.
 ``lint``
     Run the project-invariant linter (KSP rules, stdlib-only) over the
     source tree; non-zero exit on any finding.
@@ -263,28 +258,21 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     cluster = None
-    sketch_routing = not args.no_sketch_routing
     if args.cluster > 0:
         from repro.serve import ClusterCoordinator
 
         print(f"Forking {args.cluster} worker processes "
-              f"({args.placement} placement, sketch routing "
-              f"{'on' if sketch_routing else 'off'}) ...")
+              f"({args.placement} placement) ...")
         cluster = ClusterCoordinator(
             kspin,
             num_workers=args.cluster,
             placement=args.placement,
             cache_size=args.cache_size,
             snapshot_path=args.index or None,
-            sketch_routing=sketch_routing,
         ).start()
         backend = cluster
     else:
-        backend = Engine(
-            kspin,
-            cache_size=args.cache_size,
-            enable_sketches=sketch_routing,
-        )
+        backend = Engine(kspin, cache_size=args.cache_size)
     from repro.obs.slo import DEFAULT_WINDOWS, parse_objective, scaled_windows
 
     slo_objectives = None
@@ -490,84 +478,6 @@ def _cmd_explain(args: argparse.Namespace) -> int:
             print(f"  #{rank}: vertex {obj}  value={value:.4f}")
     _print_cost_model(result.stats)
     print(f"wall time: {wall_ms:.3f} ms (traced {root.duration * 1000.0:.3f} ms)")
-    return 0
-
-
-def _cmd_sketch(args: argparse.Namespace) -> int:
-    """Build the sketch registry for an index and print its report."""
-    from repro.bench import print_table
-    from repro.core.cost_model import selectivity_accuracy
-    from repro.sketch import IndexSketches, LossyCounter
-
-    kspin = _open_index(args)
-    index = kspin.index
-    sketches = IndexSketches.from_index(
-        index,
-        num_shards=args.shards,
-        fp_rate=args.fp_rate,
-        precision=args.precision,
-    )
-
-    snap = sketches.snapshot()
-    print(f"Sketch registry: {snap['keywords']} keywords over "
-          f"{snap['num_shards']} shard(s); HLL global object estimate "
-          f"{snap['total_objects']} (precision {args.precision}, "
-          f"standard error "
-          f"{sketches.object_sketch.relative_error() * 100:.1f}%)")
-    print_table(
-        "Per-shard Bloom filters",
-        ["Shard", "Keywords", "Fill ratio", "FP rate", "Saturated"],
-        [
-            [s["shard"], s["keywords"], f"{s['fill_ratio']:.4f}",
-             f"{s['fp_rate']:.6f}", "yes" if s["saturated"] else "no"]
-            for s in snap["shards"]
-        ],
-    )
-
-    # HLL estimates next to the exact inverted sizes: the planner's view
-    # versus ground truth, ranked by true size.
-    true_sizes = {
-        keyword: index.inverted_size(keyword) for keyword in index.keywords()
-    }
-    if args.keywords:
-        chosen = list(dict.fromkeys(args.keywords))
-    else:
-        chosen = sorted(true_sizes, key=lambda kw: -true_sizes[kw])[: args.top]
-    rows = []
-    for keyword in chosen:
-        true = true_sizes.get(keyword, 0)
-        est = sketches.cardinality(keyword)
-        err = abs(est - true) / true if true else (1.0 if est else 0.0)
-        rows.append(
-            [keyword, true, est, f"{err * 100:.1f}%",
-             f"{sketches.selectivity(keyword):.5f}",
-             sketches.shard_of(keyword)]
-        )
-    print_table(
-        "HyperLogLog cardinality vs. true inverted size",
-        ["Keyword", "True", "Estimate", "Error", "rho", "Shard"],
-        rows,
-    )
-    mean_err = selectivity_accuracy(sketches, true_sizes)
-    print(f"Mean relative cardinality error over all "
-          f"{len(true_sizes)} keywords: {mean_err * 100:.2f}%")
-
-    # Hot keywords: the lossy counter over the corpus keyword stream —
-    # the same structure the cache admission gate runs over query
-    # traffic, demonstrated here on document frequencies.
-    heat = LossyCounter(epsilon=args.epsilon)
-    for keyword in index.keywords():
-        nvd = index.nvd(keyword)
-        if nvd is None:
-            continue
-        for _ in nvd.live_objects():
-            heat.add(keyword)
-    print_table(
-        f"Top-{args.top} hot keywords (lossy counter, "
-        f"epsilon={args.epsilon:g}, error bound {heat.error_bound()})",
-        ["Keyword", "Count (lower bound)"],
-        [[keyword, count] for keyword, count in heat.top(args.top)],
-    )
     return 0
 
 
@@ -790,10 +700,6 @@ def build_parser() -> argparse.ArgumentParser:
                        metavar="REQUESTS",
                        help="per-client burst allowance "
                             "(default: 2 * --rate-limit)")
-    serve.add_argument("--no-sketch-routing", action="store_true",
-                       help="disable Bloom/HLL sketches (shard skipping, "
-                            "cardinality planning, hot-keyword cache "
-                            "admission)")
     serve.add_argument("--slo", action="append", metavar="SPEC",
                        help="declare a latency/error objective, e.g. "
                             "bknn-p99:latency:50ms:0.99 or "
@@ -829,30 +735,6 @@ def build_parser() -> argparse.ArgumentParser:
     kind.add_argument("--topk", dest="kind", action="store_const",
                       const="topk", help="weighted top-k")
     explain.set_defaults(kind="bknn")
-
-    sketch = commands.add_parser(
-        "sketch",
-        help="inspect the probabilistic-sketch registry for an index",
-    )
-    _add_index_source(sketch)
-    sketch.add_argument("--shards", type=int, default=4,
-                        help="shards to spread the Bloom filters over "
-                             "(default 4)")
-    sketch.add_argument("--fp-rate", type=float, default=0.01,
-                        help="configured Bloom false-positive bound "
-                             "(default 0.01)")
-    sketch.add_argument("--precision", type=int, default=10,
-                        help="HyperLogLog precision p; 2^p registers "
-                             "(default 10)")
-    sketch.add_argument("--epsilon", type=float, default=0.001,
-                        help="lossy-counter error bound as a fraction of "
-                             "the stream (default 0.001)")
-    sketch.add_argument("--top", type=int, default=10,
-                        help="rows in the cardinality and hot-keyword "
-                             "tables (default 10)")
-    sketch.add_argument("--keywords", nargs="+",
-                        help="inspect these keywords instead of the "
-                             "largest ones")
 
     lint = commands.add_parser(
         "lint",
@@ -953,7 +835,6 @@ def main(argv: list[str] | None = None) -> int:
         "explain": _cmd_explain,
         "profile": _cmd_profile,
         "events": _cmd_events,
-        "sketch": _cmd_sketch,
         "lint": _cmd_lint,
         "typecheck": _cmd_typecheck,
         "demo": _cmd_demo,

@@ -14,28 +14,18 @@ This module fits the model's two constants from measured queries and
 predicts query time from a :class:`~repro.core.query_processor.QueryStats`
 snapshot, so benchmarks can check how much of the measured time the
 model explains and tests can check the kappa bounds.
-
-Sketch-backed selectivity (Observation 1)
------------------------------------------
-The planner's input is keyword selectivity ``rho = |inv(t)| / |O|``.
-Computing it exactly walks every live-object set; the helpers at the
-bottom read an :class:`~repro.sketch.registry.IndexSketches` registry
-instead — HyperLogLog cardinalities with a known relative error and the
-no-false-zero guarantee (an estimate of 0 proves the keyword matches
-nothing), so planning costs O(registers) instead of O(postings).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Sequence
 
 from repro import api
 from repro.core.framework import KSpin
 from repro.core.query_processor import QueryStats
 from repro.datasets.workloads import Query
-from repro.sketch.registry import IndexSketches
 
 
 @dataclass(frozen=True)
@@ -153,64 +143,3 @@ def model_accuracy(
         if measured > 0:
             errors.append(abs(predicted - measured) / measured)
     return sum(errors) / len(errors) if errors else math.inf
-
-
-# ----------------------------------------------------------------------
-# Sketch-backed selectivity prediction (Observation 1 without the walk)
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class SelectivityEstimate:
-    """One keyword's HLL-predicted selectivity.
-
-    ``relative_error`` is the sketch's standard error (``1.04/sqrt(m)``)
-    — the confidence the planner has in the ranking, reported by the
-    ``repro sketch`` CLI next to the true cardinalities.
-    """
-
-    keyword: str
-    cardinality: int
-    rho: float
-    relative_error: float
-
-
-def estimate_selectivities(
-    sketches: IndexSketches, keywords: Sequence[str]
-) -> list[SelectivityEstimate]:
-    """Per-keyword ``rho`` estimates from the sketch registry.
-
-    Replaces the exact ``inverted_size`` walk in planning contexts: each
-    estimate costs a fixed register scan, independent of ``|inv(t)|``.
-    A cardinality of 0 is exact (HLL has no false zeros), so callers may
-    short-circuit provably-empty conjunctive plans on it.
-    """
-    estimates = []
-    for keyword in dict.fromkeys(keywords):
-        sketch = sketches.keyword_cardinality.get(keyword)
-        estimates.append(
-            SelectivityEstimate(
-                keyword=keyword,
-                cardinality=sketches.cardinality(keyword),
-                rho=sketches.selectivity(keyword),
-                relative_error=(
-                    sketch.relative_error() if sketch is not None else 0.0
-                ),
-            )
-        )
-    return estimates
-
-
-def selectivity_accuracy(
-    sketches: IndexSketches, true_sizes: Mapping[str, int]
-) -> float:
-    """Mean relative cardinality error against exact inverted sizes.
-
-    Used by the sketch benchmark to assert the HLL stays inside its
-    configured error envelope on real corpora.
-    """
-    errors = []
-    for keyword, true_size in true_sizes.items():
-        if true_size <= 0:
-            continue
-        estimated = sketches.cardinality(keyword)
-        errors.append(abs(estimated - true_size) / true_size)
-    return sum(errors) / len(errors) if errors else 0.0

@@ -124,11 +124,14 @@ class KeywordSeparatedIndex:
         return obj in self._overlay_documents or obj in self._removed_keywords
 
     def inverted_size(self, keyword: str) -> int:
-        """Current ``|inv(t)|`` including lazy updates."""
+        """Current ``|inv(t)|`` including lazy updates, exact and O(1).
+
+        The one number keyword ranking (Observation 1, the §4.1.2
+        rarest-heap rule) and cluster routing read; 0 means no live
+        object carries ``keyword``.
+        """
         nvd = self._nvds.get(keyword)
-        if nvd is None:
-            return 0
-        return len(nvd.live_objects())
+        return 0 if nvd is None else nvd.live_count()
 
     # ------------------------------------------------------------------
     # Updates (paper §6.2)
@@ -143,8 +146,8 @@ class KeywordSeparatedIndex:
 
         The object is lazily added to each of its keywords' diagrams
         (over one-way streets: the diagram is rebuilt with it); a
-        keyword with no diagram yet gets a fresh small one (paper §6.2,
-        Non-NVD Updates).
+        keyword with no diagram yet, or no live object left in it, gets
+        a fresh small one (paper §6.2, Non-NVD Updates).
         """
         if isinstance(document, Mapping):
             counts = {str(t): int(f) for t, f in document.items() if int(f) > 0}
@@ -168,7 +171,9 @@ class KeywordSeparatedIndex:
         distance_fn: DistanceFn,
     ) -> None:
         nvd = self._nvds.get(keyword)
-        if nvd is None:
+        if nvd is None or not nvd.live_count():
+            # No diagram, or one whose every generator is tombstoned
+            # (nothing left to route an affected-set search from).
             self._nvds[keyword] = ApproximateNVD.build(
                 self._graph, [obj], rho=self.rho, keyword=keyword
             )
@@ -236,7 +241,7 @@ class KeywordSeparatedIndex:
         rebuilt = []
         for keyword, nvd in list(self._nvds.items()):
             if nvd.pending_updates >= self.rebuild_threshold:
-                if nvd.live_objects():
+                if nvd.live_count():
                     self._nvds[keyword] = nvd.rebuild(self._graph)
                 else:
                     del self._nvds[keyword]

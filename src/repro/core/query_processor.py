@@ -145,15 +145,6 @@ class QueryProcessor:
         The Network Distance Module (any exact technique).
     heap_generator:
         Factory for on-demand inverted heaps.
-    selectivity:
-        Optional ``keyword -> estimated |inv(t)|`` hook (an
-        :class:`~repro.sketch.registry.IndexSketches` cardinality
-        estimate).  Used only to *rank* keywords by rarity for the
-        conjunctive planner, so the ranking never walks live-object
-        sets; a mis-ranking costs speed, never correctness.  An
-        estimate of 0 is trusted as proof of emptiness — the HLL
-        no-false-zero invariant: a keyword estimating 0 was never
-        inserted, hence provably matches nothing.
     """
 
     def __init__(
@@ -163,21 +154,13 @@ class QueryProcessor:
         relevance: RelevanceModel,
         oracle: DistanceOracle,
         heap_generator: HeapGenerator,
-        selectivity: "Callable[[str], int] | None" = None,
     ) -> None:
         self._graph = graph
         self._index = index
         self._relevance = relevance
         self._oracle = oracle
         self._heap_generator = heap_generator
-        self._selectivity = selectivity
         self.last_stats = QueryStats()
-
-    def _estimated_size(self, keyword: str) -> int:
-        """Estimated ``|inv(t)|`` — sketch-backed when a hook is set."""
-        if self._selectivity is not None:
-            return self._selectivity(keyword)
-        return self._index.inverted_size(keyword)
 
     def answer(self, query: Query) -> list[tuple[int, float]]:
         """Run the algorithm ``query.kind`` / ``query.mode`` select.
@@ -315,7 +298,7 @@ class QueryProcessor:
         stats = QueryStats()
         scan = groups[0]
         if len(groups) > 1:
-            sizes = [sum(self._estimated_size(t) for t in g) for g in groups]
+            sizes = [sum(map(self._index.inverted_size, g)) for g in groups]
             if 0 in sizes:
                 self.last_stats = stats
                 return []  # some clause matches no object at all
@@ -324,8 +307,7 @@ class QueryProcessor:
         if score is not None:
             keywords = list(dict.fromkeys(t for g in groups for t in g))
             impacts = self._relevance.query_impacts(keywords)
-        # A sketch's rarity estimate may be stale: a scanned keyword
-        # with no live diagram just opens no heap.
+        # A scanned keyword with no live object just opens no heap.
         heaps = self._create_heaps(query, scan, stats)
         if score is None:
             key = None
@@ -448,7 +430,7 @@ class QueryProcessor:
             heaps = []
             for keyword in keywords:
                 nvd = self._index.nvd(keyword)
-                if nvd is None or not nvd.live_objects():
+                if nvd is None or not nvd.live_count():
                     continue
                 heaps.append(
                     self._heap_generator.heap_for(keyword, nvd, query, coordinates)

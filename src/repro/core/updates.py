@@ -100,7 +100,7 @@ class BackgroundRebuilder:
                 if keyword is None:
                     return
                 nvd = self._index.nvd(keyword)
-                if nvd is None or not nvd.live_objects():
+                if nvd is None or not nvd.live_count():
                     continue
                 fresh = nvd.rebuild(self._graph)
                 # Atomic swap: dict item assignment is a single bytecode.

@@ -19,13 +19,6 @@ packages that idea for K-SPIN serving:
 * **kNN** always routes to the labels (the point of the exercise — see
   :mod:`repro.distance.object_labels`).
 
-The HLL selectivity hook (:meth:`set_selectivity`, wired by
-:class:`repro.serve.Engine` from the index sketches) feeds the same
-cost estimate *before* a batch exists: :meth:`plan` predicts a keyword
-set's candidate volume and reports which refinement backend the
-composite would pick, which the serve layer exposes for explainability
-and the bench ladder asserts against.
-
 Every routing decision lands in :attr:`route_counts`, so dominated
 routing is observable (and gated in ``benchmarks/bench_labels.py``).
 All backends are exact, so routing is a pure performance decision —
@@ -36,7 +29,7 @@ from __future__ import annotations
 
 import statistics
 import time
-from typing import Callable, Sequence
+from typing import Sequence
 
 from repro import kernels
 from repro.distance.base import DistanceOracle
@@ -68,7 +61,6 @@ class CompositeOracle(DistanceOracle):
         order = sorted(graph.vertices(), key=lambda v: (-self.ch.rank[v], v))
         self.labeling = HubLabeling(graph, order=order)
         self._sssp = DijkstraOracle(graph)
-        self._selectivity: Callable[[str], int] | None = None
         self._p2p_backend = "phl"
         self.route_counts: dict[str, int] = {
             "p2p_phl": 0,
@@ -79,13 +71,8 @@ class CompositeOracle(DistanceOracle):
         }
 
     # ------------------------------------------------------------------
-    # Hooks
+    # Calibration
     # ------------------------------------------------------------------
-    def set_selectivity(self, hook: Callable[[str], int] | None) -> None:
-        """Install a ``keyword -> estimated |inv(t)|`` hook (HLL-backed
-        in serving) used by :meth:`plan` to predict batch widths."""
-        self._selectivity = hook
-
     def calibrate(
         self, pairs: Sequence[tuple[int, int]], repeats: int = 3
     ) -> dict[str, float]:
@@ -165,37 +152,9 @@ class CompositeOracle(DistanceOracle):
         """CH shortcuts plus label arrays (the shared preprocessing)."""
         return self.ch.memory_bytes() + self.labeling.memory_bytes()
 
-    # ------------------------------------------------------------------
-    # Planning
-    # ------------------------------------------------------------------
     def _use_sssp_rows(self, num_pairs: int, distinct_sources: int) -> bool:
         if not kernels.enabled() or distinct_sources == 0:
             return False
         per_source = num_pairs / distinct_sources
         label_work = per_source * max(1.0, self.labeling.average_label_size())
         return label_work >= self._graph.num_vertices
-
-    def plan(self, keywords: Sequence[str], k: int) -> dict:
-        """Predict how a keyword query's refinement would route.
-
-        Uses the selectivity hook (HLL cardinalities in serving, exact
-        inverted sizes otherwise unavailable -> 0) to estimate the
-        candidate batch one query vertex would refine, then applies the
-        same rule as :meth:`distances_many`.  Advisory only — actual
-        batches re-decide on their true shape.
-        """
-        if self._selectivity is None:
-            predicted = 0
-        else:
-            predicted = sum(
-                self._selectivity(t) for t in dict.fromkeys(keywords)
-            )
-        backend = (
-            "sssp_rows" if self._use_sssp_rows(max(predicted, k), 1) else "labels"
-        )
-        return {
-            "predicted_candidates": predicted,
-            "p2p_backend": self._p2p_backend,
-            "batch_backend": backend,
-            "average_label_size": self.labeling.average_label_size(),
-        }

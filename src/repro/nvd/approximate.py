@@ -143,6 +143,10 @@ class ApproximateNVD:
         """Objects currently answering queries (inserted minus deleted)."""
         return self.objects - self.deleted
 
+    def live_count(self) -> int:
+        """``|inv(t)|`` in O(1): ``deleted`` is a subset of ``objects``."""
+        return len(self.objects) - len(self.deleted)
+
     # ------------------------------------------------------------------
     # Query-side interface (used by the Heap Generator)
     # ------------------------------------------------------------------

@@ -29,7 +29,7 @@ Generation two adds three always-on-capable production facilities:
   disabled; spans additionally record exact per-stage CPU-vs-wall
   attribution (``cpu_ms``) via ``time.thread_time``.
 * :mod:`repro.obs.events` — a bounded append-only flight recorder of
-  discrete serving events (shed, evict, worker death, sketch refresh)
+  discrete serving events (shed, evict, worker death, SLO burn)
   with per-source monotonic sequence numbers; per-process streams merge
   into one causally-ordered record.
 * :mod:`repro.obs.slo` — declarative latency/error objectives evaluated

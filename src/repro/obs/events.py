@@ -29,8 +29,8 @@ Event taxonomy (grep anchors, one dotted namespace per layer):
 admission), ``cache.evict`` / ``cache.admit_rejected`` (result cache),
 ``worker.start`` / ``worker.spawn`` / ``worker.death`` /
 ``worker.restart`` (cluster lifecycle, incl. ``mode=fork|rehydrate``),
-``sketch.refresh``, ``batch.scatter`` / ``batch.gather``, and
-``slo.burn_start`` / ``slo.burn_stop`` from the SLO engine.
+``batch.scatter`` / ``batch.gather``, and ``slo.burn_start`` /
+``slo.burn_stop`` from the SLO engine.
 """
 
 from __future__ import annotations

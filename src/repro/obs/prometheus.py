@@ -251,12 +251,12 @@ def render_prometheus(snapshot: Mapping, namespace: str = "repro") -> str:
             ("updates_applied", "Updates fanned out across the cluster."),
             ("supervisor_sweeps", "Supervisor health sweeps completed."),
             ("dispatches", "Per-shard dispatches issued by the router."),
-            ("sketch_skipped_shards",
-             "Shard dispatches avoided because Bloom filters rejected "
-             "every keyword the shard would have served."),
-            ("sketch_short_circuits",
-             "Queries answered empty without any dispatch (sketches "
-             "proved no keyword matches)."),
+            ("skipped_shards",
+             "Shard dispatches avoided because every keyword the shard "
+             "would have served has no live object."),
+            ("short_circuits",
+             "Queries answered empty without any dispatch (a needed "
+             "keyword has no live object)."),
         ):
             if key in cluster:
                 w.sample(f"cluster_{key}_total", "counter", help_text, cluster[key])
@@ -279,31 +279,6 @@ def render_prometheus(snapshot: Mapping, namespace: str = "repro") -> str:
                 w.histogram("worker_query_latency_seconds",
                             "Engine-side query latency by worker.",
                             payload, {"worker": worker})
-
-    # ------------------------------------------------- sketch registry
-    sketch = snapshot.get("sketch") or {}
-    if sketch:
-        w.sample("sketch_keywords", "gauge",
-                 "Distinct keywords tracked by the sketch registry.",
-                 sketch.get("keywords", 0))
-        w.sample("sketch_objects_estimate", "gauge",
-                 "HyperLogLog estimate of distinct indexed objects.",
-                 sketch.get("total_objects", 0))
-        w.sample("sketch_stale_deletes", "gauge",
-                 "Deletes folded since the last sketch rebuild.",
-                 sketch.get("stale_deletes", 0))
-        for shard_info in sketch.get("shards") or []:
-            labels = {"shard": str(shard_info.get("shard", 0))}
-            w.sample("sketch_bloom_fill_ratio", "gauge",
-                     "Fraction of Bloom bits set for this shard's filter.",
-                     shard_info.get("fill_ratio", 0.0), labels)
-            w.sample("sketch_bloom_fp_rate", "gauge",
-                     "Realized false-positive rate of this shard's filter.",
-                     shard_info.get("fp_rate", 0.0), labels)
-            w.sample("sketch_bloom_saturated", "gauge",
-                     "Whether this shard's filter exceeded the fill cap "
-                     "(routing fails open).",
-                     1 if shard_info.get("saturated") else 0, labels)
 
     # -------------------------------------------------- NVD build state
     build = snapshot.get("nvd_build") or {}

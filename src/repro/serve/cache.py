@@ -276,11 +276,6 @@ class HotKeywordAdmission:
             EVENTS.emit("cache.admit_rejected")
         return decision
 
-    def top(self, n: int = 10) -> list[tuple[str, int]]:
-        """The hottest keywords (``repro sketch`` CLI / metrics)."""
-        with self._lock:
-            return self._heat.top(n)
-
     def snapshot(self) -> dict[str, Any]:
         """Counters plus the serialized heat counter.
 

@@ -21,7 +21,9 @@ index — shared:
   full index; the :mod:`~repro.serve.placement` router decides which
   worker(s) answer for throughput/cache-affinity.  Disjunctive BkNN
   queries spanning several keyword shards scatter and the coordinator
-  merges with :func:`repro.api.merge_results`.
+  merges with :func:`repro.api.merge_results`.  The router reads the
+  parent's exact ``index.inverted_size``: a query that needs a keyword
+  no live object carries is answered empty without a dispatch.
 * **No request is lost.**  A request that hits a dead worker retries on
   the surviving workers and, as a last resort, runs on the parent's own
   in-process engine; the supervisor is kicked to restart the casualty
@@ -57,7 +59,6 @@ from repro.serve.ipc import WorkerDied, WorkerError, WorkerHandle, worker_main
 from repro.serve.placement import KeywordShardRouter, ReplicateRouter
 from repro.serve.supervisor import Supervisor
 from repro.sketch.lossy import LossyCounter
-from repro.sketch.registry import IndexSketches
 
 #: Recognised placement policy names (CLI surface).
 PLACEMENTS = ("replicate", "shard-by-keyword")
@@ -97,13 +98,6 @@ class ClusterCoordinator:
         demand (to a temp file, cleaned up on close) when absent.
     supervise:
         Run the background health checker (on by default).
-    sketch_routing:
-        Build an :class:`~repro.sketch.registry.IndexSketches` registry
-        at fork time and let the router prune provably-empty keywords
-        and shards (on by default; recall-safe because Bloom filters
-        have no false negatives).
-    sketch_fp_rate:
-        Configured Bloom false-positive bound for the shard filters.
     """
 
     def __init__(
@@ -117,8 +111,6 @@ class ClusterCoordinator:
         supervise: bool = True,
         health_interval: float = 1.0,
         ping_timeout: float = 2.0,
-        sketch_routing: bool = True,
-        sketch_fp_rate: float = 0.01,
     ) -> None:
         if num_workers < 1:
             raise ValueError("num_workers must be positive")
@@ -137,25 +129,10 @@ class ClusterCoordinator:
         # no-worker-left fallback.  Cache disabled — the parent answers
         # rarely and must never serve a result its workers would not.
         self._fallback = Engine(kspin, cache_size=0)
-        # Per-shard Bloom filters + per-keyword HLLs, built once in the
-        # parent before forking; workers inherit their own copies via
-        # Engine construction.  Updates are folded in under the update
-        # lock, so routing decisions always reflect every applied op.
-        self.sketches: IndexSketches | None = (
-            IndexSketches.from_index(
-                kspin.index, num_shards=num_workers, fp_rate=sketch_fp_rate
-            )
-            if sketch_routing
-            else None
-        )
-        if placement == "replicate":
-            self.router = ReplicateRouter(num_workers, sketches=self.sketches)
-        else:
-            self.router = KeywordShardRouter(
-                num_workers,
-                inverted_size=kspin.index.inverted_size,
-                sketches=self.sketches,
-            )
+        # The router reads the parent's exact |inv(t)|: every applied
+        # update is visible to the next routing decision.
+        router = ReplicateRouter if placement == "replicate" else KeywordShardRouter
+        self.router = router(num_workers, kspin.index.inverted_size)
         self.workers: list[WorkerHandle | None] = [None] * num_workers
         self._journal: list[dict] = []
         # Reentrant: apply() restarts diverged workers while holding it.
@@ -174,8 +151,8 @@ class ClusterCoordinator:
         self.fallback_queries = 0
         self.retried_requests = 0
         self.dispatches = 0
-        self.sketch_skipped_shards = 0
-        self.sketch_short_circuits = 0
+        self.skipped_shards = 0
+        self.short_circuits = 0
         self.last_error: str | None = None
 
     # ------------------------------------------------------------------
@@ -318,8 +295,8 @@ class ClusterCoordinator:
         """Route a batch of queries with one pipe round-trip per worker.
 
         The native batch path (``execute`` is a one-element batch):
-        every query is planned individually (so Bloom short-circuits
-        and shard skipping stay per-query exact), the per-worker
+        every query is planned individually (so short circuits and
+        shard skipping stay per-query exact), the per-worker
         sub-queries are grouped, and each worker receives its whole
         share in **one** ``query_batch`` IPC request.  Gathering is one
         reply per worker; scattered queries are merged per-query with
@@ -349,12 +326,10 @@ class ClusterCoordinator:
             for i, query in enumerate(queries):
                 plan = self.router.plan(query, inflight)
                 if plan.empty:
-                    # The sketches proved no shard can contribute a
-                    # hit: answer without touching a single worker.
-                    # Bloom "no" has no false negatives, so this is
-                    # exact, not a guess.
+                    # A needed keyword has no live object: answer
+                    # without touching a single worker.
                     short_circuits += 1
-                    with trace_span("cluster.sketch_short_circuit"):
+                    with trace_span("cluster.short_circuit"):
                         results[i] = QueryResult(
                             hits=(), stats=stats_to_dict(None)
                         )
@@ -369,9 +344,9 @@ class ClusterCoordinator:
                         for subquery in plan.assignments.values()
                     )
             with self._stats_lock:
-                self.sketch_short_circuits += short_circuits
+                self.short_circuits += short_circuits
                 self.dispatches += dispatches
-                self.sketch_skipped_shards += skipped
+                self.skipped_shards += skipped
             if per_worker:
                 assert self._pool is not None
                 # True batches (size > 1) leave a scatter/gather pair in
@@ -490,20 +465,6 @@ class ClusterCoordinator:
             summary = self._fallback.apply(op)
             self._journal.append(op.to_dict())
             self.updates_applied += 1
-            if self.sketches is not None:
-                # Folded only after the parent accepted the op, so the
-                # router never trusts bits for a rejected update.
-                # Inserts extend the Bloom/HLL state exactly; deletes
-                # stale it (insert-only sketches) until the refresh
-                # threshold triggers a rebuild from the live index.
-                self.sketches.apply_update(
-                    op.op, op.touched_keywords(), op.object
-                )
-                if self.sketches.needs_refresh():
-                    self.sketches.refresh(self._kspin.index)
-                    EVENTS.emit(
-                        "sketch.refresh", updates=self.updates_applied
-                    )
             evicted = 0
             for index, handle in enumerate(self.workers):
                 if handle is None:
@@ -610,7 +571,6 @@ class ClusterCoordinator:
                 },
                 "updates_applied": self.updates_applied,
                 "journal_length": len(self._journal),
-                "sketch_routing": self.sketches is not None,
             }
         )
         return base
@@ -645,8 +605,8 @@ class ClusterCoordinator:
             "fallback_queries": self.fallback_queries,
             "retried_requests": self.retried_requests,
             "dispatches": self.dispatches,
-            "sketch_skipped_shards": self.sketch_skipped_shards,
-            "sketch_short_circuits": self.sketch_short_circuits,
+            "skipped_shards": self.skipped_shards,
+            "short_circuits": self.short_circuits,
             "updates_applied": self.updates_applied,
             "worker_status": {
                 handle.name: {
@@ -660,8 +620,6 @@ class ClusterCoordinator:
             },
             "per_worker": per_worker,
         }
-        if self.sketches is not None:
-            merged["sketch"] = self.sketches.snapshot()
         progress = getattr(self._kspin.index, "build_progress", None)
         if progress is not None:
             merged["nvd_build"] = progress.snapshot()

@@ -57,7 +57,6 @@ from repro.obs.trace import span as trace_span
 from repro.serve.cache import HotKeywordAdmission, ResultCache, result_key
 from repro.serve.locks import ReadWriteLock
 from repro.serve.metrics import ServerMetrics
-from repro.sketch.registry import IndexSketches
 
 
 class Engine:
@@ -71,15 +70,6 @@ class Engine:
         Result-cache capacity; 0 disables caching.
     metrics:
         Optional shared :class:`ServerMetrics`; one is created if absent.
-    enable_sketches:
-        Build an :class:`~repro.sketch.registry.IndexSketches` registry
-        at construction (i.e. per worker at fork/rehydrate time) so the
-        conjunctive planner ranks keyword rarity from HyperLogLog
-        estimates instead of walking live-object sets.  On by default;
-        incremental updates keep the registry current.
-    hot_threshold:
-        Keyword observations before the lossy-counter admission policy
-        considers it hot (only consulted once the cache is full).
     """
 
     def __init__(
@@ -87,27 +77,14 @@ class Engine:
         kspin: KSpin,
         cache_size: int = 1024,
         metrics: ServerMetrics | None = None,
-        enable_sketches: bool = True,
-        hot_threshold: int = 2,
     ) -> None:
         self._kspin = kspin
         self.cache = ResultCache(cache_size)
-        self.admission = HotKeywordAdmission(hot_threshold=hot_threshold)
-        self.sketches: IndexSketches | None = (
-            IndexSketches.from_index(kspin.index, num_shards=1)
-            if enable_sketches
-            else None
-        )
+        self.admission = HotKeywordAdmission()
         self.metrics = metrics or ServerMetrics()
         self.lock = ReadWriteLock(name="engine.rwlock")
         self._local = threading.local()
         self.updates_applied = 0
-        # A composite oracle plans batch routing from keyword
-        # selectivity; feed it the same HLL estimates the conjunctive
-        # planner uses so its plan() and the planner agree on rarity.
-        set_selectivity = getattr(kspin.oracle, "set_selectivity", None)
-        if set_selectivity is not None and self.sketches is not None:
-            set_selectivity(self.sketches.cardinality)
 
     @property
     def kspin(self) -> KSpin:
@@ -120,12 +97,7 @@ class Engine:
         if processor is None:
             k = self._kspin
             processor = QueryProcessor(
-                k.graph, k.index, k.relevance, k.oracle, k.heap_generator,
-                selectivity=(
-                    self.sketches.cardinality
-                    if self.sketches is not None
-                    else None
-                ),
+                k.graph, k.index, k.relevance, k.oracle, k.heap_generator
             )
             self._local.processor = processor
         return processor
@@ -248,8 +220,8 @@ class Engine:
 
         One write-lock block: the index takes the op, the cache loses
         every entry that read a touched keyword *before* the lock drops
-        (so no stale entry survives), and the sketches follow.  Returns
-        the index's summary plus the cache fallout:
+        (so no stale entry survives).  Returns the index's summary plus
+        the cache fallout:
         ``{"applied": ..., "cache_evicted": n}``, with ``"rebuilt":
         [...]`` for ``rebuild``.
         """
@@ -264,13 +236,6 @@ class Engine:
             keywords = summary.get("rebuilt", keywords)
             evicted = self.cache.invalidate_keywords(keywords) if keywords else 0
             if op.op != "rebuild":
-                if self.sketches is not None:
-                    # Inserts extend the Bloom/HLL state exactly; deletes
-                    # stale it until the accumulated count triggers a
-                    # rebuild from live state.
-                    self.sketches.apply_update(op.op, keywords, op.object)
-                    if self.sketches.needs_refresh():
-                        self.sketches.refresh(self._kspin.index)
                 self.updates_applied += 1
         summary["cache_evicted"] = evicted
         EVENTS.emit(
@@ -311,8 +276,6 @@ class Engine:
         snapshot = self.metrics.snapshot()
         snapshot["cache"] = self.cache.snapshot()
         snapshot["cache"]["admission"] = self.admission.snapshot()
-        if self.sketches is not None:
-            snapshot["sketch"] = self.sketches.snapshot()
         progress = getattr(self._kspin.index, "build_progress", None)
         if progress is not None:
             snapshot["nvd_build"] = progress.snapshot()

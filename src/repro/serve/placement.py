@@ -26,49 +26,39 @@ a correctness one — any worker can answer any query.  Two policies:
       merges per-keyword kNN lists — the disjunctive result is the
       k best of the union, which distributes over keyword subsets.
 
-Sketch-aware pruning
---------------------
-Both routers optionally consult an
-:class:`~repro.sketch.registry.IndexSketches` registry.  A Bloom
-rejection is a *proof* the keyword has no live objects (no false
-negatives), so the router may:
+Empty-keyword pruning
+---------------------
+Both routers take the index's exact ``keyword -> |inv(t)|`` count
+(``kspin.index.inverted_size`` in the coordinator).  A keyword whose
+count is 0 has no live object, so the router:
 
-* short-circuit the whole query to a provably-empty plan
-  (``RoutingPlan.empty``) — any rejected keyword kills a conjunctive
-  query; all keywords rejected kills any query;
-* drop rejected keywords from a disjunctive scatter, skipping every
-  shard that owned only rejected keywords (``RoutingPlan.skipped``
+* short-circuits the whole query to an empty plan
+  (``RoutingPlan.empty``) — any empty keyword kills a conjunctive
+  query; all keywords empty kills any query;
+* drops empty keywords from a disjunctive scatter, skipping every
+  shard that owned only empty keywords (``RoutingPlan.skipped``
   records them for the fan-out counters).
-
-False positives only dispatch sub-queries that come back empty, so
-recall is provably unchanged; a saturated filter fails open inside
-``may_contain`` (full fan-out) rather than over-trusting stale bits.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import TYPE_CHECKING, Callable
+import zlib
+from typing import Callable
 from dataclasses import dataclass, field
 
 from repro.analysis.lockdebug import make_lock
 from repro.api import Query
-from repro.sketch.ring import stable_hash
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.sketch.registry import IndexSketches
 
 
 def shard_of(keyword: str, num_shards: int) -> int:
     """The stable shard index owning ``keyword``.
 
-    CRC-32 (:func:`repro.sketch.ring.stable_hash`) rather than
-    ``hash()``: Python randomises string hashes per process, and the
-    parent router and any rehydrated worker must agree on ownership
-    across process generations.  Bit-compatible with
-    :meth:`repro.sketch.registry.IndexSketches.shard_of`.
+    CRC-32 of the UTF-8 bytes rather than ``hash()``: Python randomises
+    string hashes per process, and the parent router and any rehydrated
+    worker must agree on ownership across process generations.
     """
-    return stable_hash(keyword) % num_shards
+    return zlib.crc32(keyword.encode("utf-8")) % num_shards
 
 
 @dataclass(frozen=True)
@@ -77,9 +67,10 @@ class RoutingPlan:
 
     ``assignments`` maps worker index -> the (sub-)query that worker
     runs.  ``scatter`` is True when results need a merge.  ``empty``
-    marks a sketch short-circuit: the plan proves the answer is empty
-    and nothing is dispatched.  ``skipped`` lists shards a full
-    scatter-gather would have dispatched to but the sketches ruled out.
+    marks a short circuit: some needed keyword has no live object, so
+    the answer is empty and nothing is dispatched.  ``skipped`` lists
+    shards a full scatter-gather would have dispatched to but that own
+    only empty keywords.
     """
 
     assignments: dict[int, Query] = field(default_factory=dict)
@@ -94,12 +85,10 @@ class RoutingPlan:
 
 
 def _rejected_keywords(
-    query: Query, sketches: "IndexSketches | None"
+    query: Query, inverted_size: Callable[[str], int]
 ) -> set[str]:
-    """Query keywords the sketches *prove* have no live objects."""
-    if sketches is None:
-        return set()
-    return {kw for kw in query.keywords if not sketches.may_contain(kw)}
+    """Query keywords no live object carries."""
+    return {kw for kw in query.keywords if not inverted_size(kw)}
 
 
 def _short_circuits(query: Query, rejected: set[str]) -> bool:
@@ -113,7 +102,7 @@ def _short_circuits(query: Query, rejected: set[str]) -> bool:
         return False
     if query.conjunctive:
         return True
-    return len(rejected) == len(query.keywords)
+    return rejected.issuperset(query.keywords)
 
 
 class ReplicateRouter:
@@ -126,19 +115,19 @@ class ReplicateRouter:
     name = "replicate"
 
     def __init__(
-        self,
-        num_workers: int,
-        sketches: "IndexSketches | None" = None,
+        self, num_workers: int, inverted_size: Callable[[str], int]
     ) -> None:
+        """``inverted_size(keyword) -> int`` is the exact live-object
+        count; a keyword counting 0 is pruned."""
         if num_workers < 1:
             raise ValueError("num_workers must be positive")
         self.num_workers = num_workers
-        self.sketches = sketches
+        self._inverted_size = inverted_size
         self._counter = itertools.count()
         self._lock = make_lock("placement.replicate")
 
     def plan(self, query: Query, inflight: list[int]) -> RoutingPlan:
-        rejected = _rejected_keywords(query, self.sketches)
+        rejected = _rejected_keywords(query, self._inverted_size)
         if _short_circuits(query, rejected):
             return RoutingPlan(empty=True)
         with self._lock:
@@ -155,23 +144,18 @@ class KeywordShardRouter:
     name = "shard-by-keyword"
 
     def __init__(
-        self,
-        num_workers: int,
-        inverted_size: Callable[[str], int] | None = None,
-        sketches: "IndexSketches | None" = None,
+        self, num_workers: int, inverted_size: Callable[[str], int]
     ) -> None:
-        """``inverted_size(keyword) -> int`` ranks keyword rarity for the
-        conjunctive/top-k single-owner rule; defaults to treating all
-        keywords as equally rare (first-owner order).  ``sketches``
-        enables Bloom-backed keyword pruning and shard skipping."""
+        """``inverted_size(keyword) -> int`` is the exact live-object
+        count: it ranks keyword rarity for the conjunctive/top-k
+        single-owner rule, and a keyword counting 0 is pruned."""
         if num_workers < 1:
             raise ValueError("num_workers must be positive")
         self.num_workers = num_workers
-        self.sketches = sketches
-        self._inverted_size = inverted_size or (lambda keyword: 0)
+        self._inverted_size = inverted_size
 
     def plan(self, query: Query, inflight: list[int]) -> RoutingPlan:
-        rejected = _rejected_keywords(query, self.sketches)
+        rejected = _rejected_keywords(query, self._inverted_size)
         if _short_circuits(query, rejected):
             return RoutingPlan(empty=True)
         live = [kw for kw in query.keywords if kw not in rejected]
@@ -198,9 +182,8 @@ class KeywordShardRouter:
             return RoutingPlan(assignments={target: query})
         if len(by_shard) == 1:
             # One live shard: route the narrowed query there.  Dropping
-            # Bloom-rejected keywords is result-identical (a proven-dead
-            # keyword contributes no candidates) and skips dead-keyword
-            # heap setup on the worker.
+            # empty keywords is result-identical (they contribute no
+            # candidates).
             (target,) = by_shard.keys()
             narrowed = query if len(live) == len(query.keywords) else Query(
                 vertex=query.vertex,

@@ -19,6 +19,7 @@ from repro.analysis import (
     ALL_RULES,
     MODULE_RULES,
     PROJECT_RULES,
+    config,
     lint_paths,
     lint_source,
     load_baseline,
@@ -86,6 +87,32 @@ class TestRuleFixtures:
         (finding,) = findings
         assert finding.line == 13
         assert finding.render().startswith(str(FIXTURES / "ksp003"))
+
+    @pytest.mark.parametrize(
+        "scope,cls,attr",
+        [
+            ("serve/metrics.py", "ServerMetrics", "rate_limited"),
+            ("serve/cluster.py", "ClusterCoordinator", "dispatches"),
+            ("serve/cluster.py", "ClusterCoordinator", "short_circuits"),
+            ("serve/cluster.py", "ClusterCoordinator", "skipped_shards"),
+        ],
+    )
+    def test_counter_written_under_a_lock_is_registered(self, scope, cls, attr):
+        source = (
+            f"# ksp: scope={scope}\n"
+            f"class {cls}:\n"
+            "    def record(self):\n"
+            f"        self.{attr} += 1\n"
+        )
+        findings = lint_source(source, rules=select_rules(["KSP002"]))
+        assert [f.code for f in findings] == ["KSP002"]
+        # ... and REPRO_LOCK_DEBUG=1 watches the same attribute.
+        watched = {
+            (name, attr_)
+            for _, name, _, attrs in config.WATCHED_ATTRIBUTES
+            for attr_ in attrs
+        }
+        assert (cls, attr) in watched
 
     def test_suppressed_fixture_is_clean(self):
         assert lint_paths([FIXTURES / "ksp_suppressed.py"]) == []

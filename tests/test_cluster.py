@@ -373,36 +373,55 @@ class TestClusterBehindHttp:
 # ----------------------------------------------------------------------
 # Routers in isolation
 # ----------------------------------------------------------------------
+def _all_live(keyword):
+    """An ``inverted_size`` under which no keyword is pruned."""
+    return 1
+
+
 class TestRouters:
+    def test_shard_of_pinned_values(self):
+        # Pinned: ownership feeds journal replay and rehydrated workers,
+        # so the values may never drift between processes or versions.
+        probes = ("kw0000", "kw0001", "thai", "zz", "café")
+        assert [shard_of(kw, 3) for kw in probes] == [1, 2, 2, 0, 2]
+        assert [shard_of(kw, 5) for kw in probes] == [1, 0, 4, 1, 2]
+
+    def test_shard_of_is_crc32_of_utf8(self):
+        # Old journal entries must still route identically.
+        from zlib import crc32
+
+        for key in ("kw0001", "thai", "zz", "café"):
+            assert shard_of(key, 1 << 32) == crc32(key.encode("utf-8"))
+
     def test_replicate_prefers_least_loaded(self):
-        router = ReplicateRouter(3)
+        router = ReplicateRouter(3, _all_live)
         query = Query(vertex=0, keywords=("a",))
         plan = router.plan(query, [5, 0, 5])
         assert plan.single_target == 1
         assert not plan.scatter
 
     def test_replicate_round_robins_when_tied(self):
-        router = ReplicateRouter(3)
+        router = ReplicateRouter(3, _all_live)
         query = Query(vertex=0, keywords=("a",))
         targets = [router.plan(query, [0, 0, 0]).single_target for _ in range(6)]
         assert set(targets) == {0, 1, 2}
 
     def test_shard_single_keyword_routes_to_owner(self):
-        router = KeywordShardRouter(4)
+        router = KeywordShardRouter(4, _all_live)
         query = Query(vertex=0, keywords=("thai",))
         plan = router.plan(query, [0, 0, 0, 0])
         assert plan.single_target == shard_of("thai", 4)
 
     def test_shard_conjunctive_goes_to_rarest_owner(self):
         sizes = {"common": 100, "rare": 2}
-        router = KeywordShardRouter(4, inverted_size=lambda kw: sizes[kw])
+        router = KeywordShardRouter(4, lambda kw: sizes[kw])
         query = Query(vertex=0, keywords=("common", "rare"), mode="and")
         plan = router.plan(query, [0, 0, 0, 0])
         assert not plan.scatter
         assert plan.single_target == shard_of("rare", 4)
 
     def test_shard_disjunctive_scatters_with_keyword_subsets(self):
-        router = KeywordShardRouter(2)
+        router = KeywordShardRouter(2, _all_live)
         spread = [
             kw for kw in ("a", "b", "c", "d", "e", "f")
         ]
@@ -524,13 +543,11 @@ class TestClusterBatches:
             assert results_equivalent(result.pairs(), _direct(kspin, query))
 
     @pytest.mark.parametrize("placement", ["replicate", "shard-by-keyword"])
-    @pytest.mark.parametrize("sketch", [True, False])
-    def test_mixed_batch_with_caches(self, kspin, keywords, placement, sketch):
+    def test_mixed_batch_with_caches(self, kspin, keywords, placement):
         """Hits, misses, duplicates, and empty answers in one batch.
 
-        ``dead`` is conjunctive on a provably-absent keyword (the sketch
-        short-circuits it when routing is on; a worker answers it empty
-        when off) — either way the batch must match sequential execution
+        ``dead`` is conjunctive on an absent keyword (the router
+        short-circuits it) — the batch must match sequential execution
         and the single-process reference.
         """
         dead = Query(
@@ -545,7 +562,6 @@ class TestClusterBatches:
             num_workers=2,
             placement=placement,
             cache_size=64,
-            sketch_routing=sketch,
             supervise=False,
         ) as coordinator:
             coordinator.execute(hot)  # warm: the batch mixes hits and misses

@@ -8,8 +8,8 @@ Three layers, each with its own contract:
 * label-seeded candidate generation (:class:`LabelHeapGenerator`) must
   be **result-identical** to the paper's NVD+ALT seeding on serving
   workloads — through the bare framework, the Engine, and both cluster
-  placements with sketch routing on and off — and must fall back to NVD
-  expansion while a keyword's diagram has pending lazy updates;
+  placements — and must fall back to NVD expansion while a keyword's
+  diagram has pending lazy updates;
 * the :class:`CompositeOracle` routes every query class to an exact
   backend, so routing (and :meth:`calibrate`) can only change speed.
 """
@@ -137,9 +137,7 @@ class TestSeedingIdentity:
         assert generator.fallback_heaps == 0
         assert generator.label_memory_bytes() > 0
 
-    def test_engine_with_sketches(
-        self, composite, kspin_nvd, kspin_labels, workload
-    ):
+    def test_engine_results_bit_identical(self, kspin_nvd, kspin_labels, workload):
         nvd_engine = Engine(kspin_nvd, cache_size=0)
         label_engine = Engine(kspin_labels, cache_size=0)
         for query in workload:
@@ -147,21 +145,17 @@ class TestSeedingIdentity:
                 label_engine.execute(query).pairs()
                 == nvd_engine.execute(query).pairs()
             ), query
-        # The Engine wires its HLL cardinalities into the composite.
-        plan = composite.plan(workload[0].keywords, BKNN_K)
-        assert plan["predicted_candidates"] > 0
 
     @pytest.mark.parametrize("placement", ["replicate", "shard-by-keyword"])
-    @pytest.mark.parametrize("sketch_routing", [True, False])
     def test_cluster_both_placements(
-        self, kspin_nvd, kspin_labels, workload, placement, sketch_routing
+        self, kspin_nvd, kspin_labels, workload, placement
     ):
         """Label-seeded workers (forked with numpy label arrays) match
         the NVD-seeded single-process answers under both placements."""
         queries = workload[:6]
         with ClusterCoordinator(
             kspin_labels, num_workers=2, placement=placement,
-            cache_size=0, health_interval=5.0, sketch_routing=sketch_routing,
+            cache_size=0, health_interval=5.0,
         ) as cluster:
             for query in queries:
                 assert (
@@ -366,26 +360,6 @@ class TestCompositeOracle:
             assert [obj for obj, _ in got_row] == [obj for obj, _ in want_row]
             for (_, gd), (_, wd) in zip(got_row, want_row):
                 assert gd == pytest.approx(wd)
-
-    def test_plan_without_hook_predicts_zero(self, world):
-        oracle = CompositeOracle(world.graph)
-        plan = oracle.plan(["kw0000", "kw0000", "kw0001"], k=3)
-        assert plan["predicted_candidates"] == 0
-        assert plan["batch_backend"] in ("labels", "sssp_rows")
-        assert plan["p2p_backend"] == "phl"
-
-    def test_plan_dedups_keywords_through_hook(self, world):
-        oracle = CompositeOracle(world.graph)
-        calls = []
-
-        def hook(keyword):
-            calls.append(keyword)
-            return 10
-
-        oracle.set_selectivity(hook)
-        plan = oracle.plan(["a", "a", "b"], k=3)
-        assert calls == ["a", "b"]
-        assert plan["predicted_candidates"] == 20
 
     def test_memory_accounts_for_both_indexes(self, world, composite):
         assert composite.memory_bytes() >= composite.labeling.memory_bytes()

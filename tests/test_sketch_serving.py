@@ -1,14 +1,14 @@
-"""Integration tests: sketches wired through engine, cluster, and HTTP.
+"""Integration tests: admission, pruning and rate limiting in serving.
 
-Covers the contracts the sketch subsystem adds to serving:
+Covers the contracts ``repro.sketch`` and the router add to serving:
 
 * cache admission — under pressure only hot keywords earn LRU slots,
   and an update touching a hot keyword invalidates the cached results
   *without* resetting the keyword's heat (heat measures query traffic,
   not index state);
 * cluster — per-worker heat counters merge into one consistent view,
-  and sketch routing answers provably-empty queries without dispatching
-  while staying result-identical on live ones;
+  and the router answers queries that need an empty keyword without
+  dispatching while staying result-identical on live ones;
 * HTTP — per-client leaky buckets return 429 + ``Retry-After`` keyed by
   ``X-Client-Id``, counted apart from 503/504 all the way through the
   JSON metrics, the Prometheus exposition, and the loadgen replay.
@@ -51,12 +51,12 @@ def kspin(world):
 # ----------------------------------------------------------------------
 class TestHotKeywordAdmission:
     def test_spare_capacity_admits_everything(self, kspin):
-        engine = Engine(kspin, cache_size=128, hot_threshold=2)
+        engine = Engine(kspin, cache_size=128)
         engine.execute(KW0)
         assert engine.execute(KW0).cached
 
     def test_full_cache_admits_only_hot_keywords(self, kspin):
-        engine = Engine(kspin, cache_size=2, hot_threshold=2)
+        engine = Engine(kspin, cache_size=2)
         # Fill the two slots while capacity is spare.
         engine.execute(Query(0, ["kw0001"], k=3))
         engine.execute(Query(0, ["kw0002"], k=3))
@@ -72,7 +72,7 @@ class TestHotKeywordAdmission:
         assert admission["admitted"] >= 1
 
     def test_update_on_hot_keyword_invalidates_but_keeps_heat(self, kspin):
-        engine = Engine(kspin, cache_size=64, hot_threshold=2)
+        engine = Engine(kspin, cache_size=64)
         stale = engine.execute(KW0).pairs()
         assert engine.execute(KW0).cached
         assert engine.admission.is_hot(["kw0000"])
@@ -90,14 +90,6 @@ class TestHotKeywordAdmission:
         assert engine.admission.is_hot(["kw0000"])
         assert engine.execute(KW0).cached
 
-    def test_sketch_cardinality_tracks_updates(self, kspin):
-        engine = Engine(kspin, cache_size=0)
-        before = engine.sketches.cardinality("kw0000")
-        assert before == kspin.index.inverted_size("kw0000")
-        engine.apply(UpdateOp("insert", object=0, document=["kw0000"]))
-        assert engine.sketches.cardinality("kw0000") >= before
-        assert engine.sketches.may_contain("kw0000")
-
     def test_admission_block_in_metrics(self, kspin):
         engine = Engine(kspin, cache_size=4)
         engine.execute(KW0)
@@ -105,11 +97,11 @@ class TestHotKeywordAdmission:
         admission = snapshot["cache"]["admission"]
         assert admission["observed"] >= 1
         assert "counter" in admission
-        assert snapshot["sketch"]["num_shards"] == 1
+        assert "sketch" not in snapshot
 
 
 # ----------------------------------------------------------------------
-# Cluster: merged heat and sketch routing
+# Cluster: merged heat and empty-keyword pruning
 # ----------------------------------------------------------------------
 class TestClusterSketches:
     def test_heat_consistent_across_workers_and_update_invalidates(self, kspin):
@@ -137,7 +129,7 @@ class TestClusterSketches:
             merged = cluster.metrics_snapshot()["cache"]["admission"]
             assert dict(merged["top"]).get("kw0000", 0) >= 6
 
-    def test_sketch_routing_short_circuits_and_matches(self, kspin):
+    def test_empty_keyword_short_circuits_and_matches(self, kspin):
         live = Query(vertex=0, keywords=("kw0000", "kw0001"), k=3)
         salted = Query(
             vertex=0, keywords=("kw0000", "kw0001", "zz-missing"), k=3
@@ -151,32 +143,17 @@ class TestClusterSketches:
         ) as cluster:
             expected = kspin.execute(live).pairs()
             assert cluster.execute(live).pairs() == expected
-            # A missing disjunctive keyword changes nothing (no false
-            # negatives, dead keywords contribute no heaps).
+            # A missing disjunctive keyword changes nothing (dead
+            # keywords contribute no heaps).
             assert cluster.execute(salted).pairs() == expected
-            # Conjunctive on a provably-absent keyword: answered empty
-            # with zero dispatches.
+            # Conjunctive on an absent keyword: answered empty with zero
+            # dispatches.
             before = cluster.metrics_snapshot()["cluster"]
             assert cluster.execute(dead).pairs() == []
             after = cluster.metrics_snapshot()["cluster"]
-            assert after["sketch_short_circuits"] == (
-                before["sketch_short_circuits"] + 1
-            )
+            assert after["short_circuits"] == before["short_circuits"] + 1
             assert after["dispatches"] == before["dispatches"]
-            assert cluster.metrics_snapshot()["sketch"]["num_shards"] == 2
-
-    def test_sketch_routing_off_still_exact(self, kspin):
-        dead = Query(
-            vertex=0, keywords=("kw0000", "zz-missing"), k=3, mode="and"
-        )
-        with ClusterCoordinator(
-            kspin, num_workers=2, placement="shard-by-keyword",
-            cache_size=0, health_interval=5.0, sketch_routing=False,
-        ) as cluster:
-            assert cluster.execute(dead).pairs() == []
-            snap = cluster.metrics_snapshot()
-            assert snap["cluster"]["sketch_short_circuits"] == 0
-            assert "sketch" not in snap
+            assert "sketch" not in cluster.metrics_snapshot()
 
 
 # ----------------------------------------------------------------------
@@ -264,7 +241,7 @@ class TestRateLimitedServer:
         assert "repro_rate_limited_total" in text
         assert "repro_rate_limiter_limited_total" in text
         assert "repro_shed_total 0" in text
-        assert "repro_sketch_bloom_fill_ratio" in text
+        assert "repro_sketch_" not in text
         assert "repro_cache_admitted_total" in text
 
     def test_loadgen_counts_limited_separately(self, server):
