@@ -8,10 +8,10 @@ result-identical by construction, and asserted to be):
   point-to-point on random pairs?  (It must never be slower: that is
   the smoke gate; labels exist purely to buy query speed with memory.)
 * **BkNN seeding** — does label-backed heap seeding
-  (``KSpin(seeding="labels")``, forward scans of per-keyword object
-  labels) beat the paper's NVD+ALT lazy expansion on BkNN p50?  Both
-  sides share one oracle, so the answers are bit-identical; only
-  candidate generation differs.
+  (``KSpin(seeding="labels")``, one exact flat scan over each query
+  keyword's label rows) beat the paper's NVD+ALT lazy expansion on BkNN
+  p50?  Both sides read the same labels, so the answers are
+  bit-identical; only candidate generation differs.
 * **composite routing** — per query class (p2p, pairwise batch, kNN),
   does :class:`~repro.distance.CompositeOracle` stay within 10% of the
   measured per-class winner?  A composite that picks a strictly
@@ -220,9 +220,9 @@ def _knn_suite(graph, backends: dict, smoke: bool) -> dict:
 def _seeding_suite(world, smoke: bool) -> dict:
     """End-to-end BkNN p50: NVD+ALT seeding vs label seeding.
 
-    Both frameworks share one composite oracle (and therefore identical
-    refinement distances); only candidate generation differs, so the
-    answers must be — and are asserted — bit-identical.
+    Both frameworks share one composite oracle: NVD+ALT refines with
+    its p2p label merge, label seeding reads the same sums off its scan,
+    so the answers must be — and are asserted — bit-identical.
     """
     oracle = CompositeOracle(world.graph)
     alt = AltLowerBounder(world.graph, num_landmarks=4)
@@ -271,7 +271,6 @@ def _seeding_suite(world, smoke: bool) -> dict:
         "per_backend": readings,
         "speedup_p50": speedup,
         "label_heaps": gen.label_heaps,
-        "fallback_heaps": gen.fallback_heaps,
         "object_label_bytes": gen.label_memory_bytes(),
     }
 

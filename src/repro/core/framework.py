@@ -72,11 +72,11 @@ class KSpin:
     seeding:
         Candidate-generation backend for the Heap Generator.  The
         default ``"nvd"`` is the paper's APX-NVD lazy expansion;
-        ``"labels"`` seeds heaps by forward scans of per-keyword object
-        labels (requires a hub-labeling oracle — :class:`HubLabeling`
-        or a :class:`~repro.distance.composite.CompositeOracle` — and
-        transparently falls back to NVD expansion for keywords with
-        pending lazy updates, so results are always exact).
+        ``"labels"`` scores every live object of a query keyword in
+        one exact scan over hub-label rows (requires a hub-labeling
+        oracle — :class:`HubLabeling` or a
+        :class:`~repro.distance.composite.CompositeOracle`; lazy
+        updates are visible to the next query, there is no fallback).
     """
 
     def __init__(
@@ -225,7 +225,7 @@ class KSpin:
         if op.op == "rebuild":
             rebuilt = self.index.rebuild_pending()
             if rebuilt:
-                # Label seeding re-snapshots the fresh diagrams.
+                # Label seeding drops the replaced diagrams' rows.
                 self.heap_generator.invalidate(rebuilt)
             return {"applied": op.op, "rebuilt": rebuilt}
         if op.op == "delete":

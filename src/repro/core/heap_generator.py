@@ -67,6 +67,9 @@ class InvertedHeap:
     keeping the counter comparable across backends.
     """
 
+    #: Keys are lower bounds; the Query Processor still needs ``d(q, o)``.
+    exact = False
+
     def __init__(
         self,
         keyword: str,

@@ -331,17 +331,28 @@ class QueryProcessor:
         results = _TopKList(k)
         evaluated: set[int] = set()
         with trace_span("processor.search", algorithm=algorithm):
-            queue = [
-                (heap.min_key() if key is None else key(i), i)
-                for i, heap in enumerate(heaps)
-                if not heap.empty()
-            ]
-            heapq.heapify(queue)
+
+            def keyed_heaps() -> list[tuple[float, int]]:
+                queue = [
+                    (heap.min_key() if key is None else key(i), i)
+                    for i, heap in enumerate(heaps)
+                    if not heap.empty()
+                ]
+                heapq.heapify(queue)
+                return queue
+
+            queue = keyed_heaps()
             while queue and queue[0][0] < results.threshold():
                 i = queue[0][1]
                 heap = heaps[i]
+                floor = None if key is None else heap.min_key()
                 popped = heap.pop()
-                if heap.empty():
+                if floor is not None and heap.min_key() < floor:
+                    # Lazy expansion lowered this MINKEY, so it may now
+                    # count towards another heap's pseudo relevance: the
+                    # queued keys of the other heaps can be too high.
+                    queue = keyed_heaps()
+                elif heap.empty():
                     heapq.heappop(queue)
                 else:
                     heapq.heapreplace(
@@ -370,9 +381,12 @@ class QueryProcessor:
                         continue
                     if score(bound, relevance) > results.threshold():
                         continue  # cheap LB score filter (Algorithm 3, line 10)
-                with trace_timed("oracle.distance"):
-                    distance = self._oracle.distance(query, candidate)
-                stats.distance_computations += 1
+                if heap.exact:
+                    distance = bound  # the heap's key is d(q, c) already
+                else:
+                    with trace_timed("oracle.distance"):
+                        distance = self._oracle.distance(query, candidate)
+                    stats.distance_computations += 1
                 if distance < INFINITY:  # unreachable objects are not results
                     results.offer(
                         candidate,

@@ -6,7 +6,6 @@ from repro.distance.composite import CompositeOracle
 from repro.distance.dijkstra_oracle import BidirectionalDijkstraOracle, DijkstraOracle
 from repro.distance.gtree import GTree, GTreeNode
 from repro.distance.hub_labeling import HubLabeling, importance_order
-from repro.distance.object_labels import KeywordLabelIndex
 
 __all__ = [
     "BidirectionalDijkstraOracle",
@@ -17,7 +16,6 @@ __all__ = [
     "GTree",
     "GTreeNode",
     "HubLabeling",
-    "KeywordLabelIndex",
     "importance_order",
     "verify_oracle",
 ]

@@ -16,8 +16,9 @@ packages that idea for K-SPIN serving:
   row touches all ``n`` vertices, a label pass touches
   ``pairs-per-source x avg-label`` entries, so the kernel wins only on
   wide same-source batches (and only when the kernels are enabled);
-* **kNN** always routes to the labels (the point of the exercise — see
-  :mod:`repro.distance.object_labels`).
+* **kNN** always routes to the labels (the point of the exercise —
+  :meth:`HubLabeling.label_rows` is the scan it and
+  :mod:`repro.core.label_seeding` share).
 
 Every routing decision lands in :attr:`route_counts`, so dominated
 routing is observable (and gated in ``benchmarks/bench_labels.py``).

@@ -242,27 +242,13 @@ class HubLabeling(DistanceOracle):
         candidate_list = [int(c) for c in candidates]
         if not candidate_list:
             return [[] for _ in sources]
-        indptr = self._indptr
-        starts = indptr[candidate_list]
-        ends = indptr[np.asarray(candidate_list, dtype=np.int64) + 1]
-        widths = ends - starts
-        # Concatenated label rows of every candidate, built once and
-        # reused across all sources.
-        gather = _row_gather_index(starts, widths)
-        cand_hubs = self._hub_ids[gather]
-        cand_dists = self._hub_dists[gather]
-        # reduceat needs each segment non-empty; empty labels (isolated
-        # vertices) are padded with one sentinel that always scores inf.
-        segment_offsets, padded_hubs, padded_dists, empty_mask = _pad_segments(
-            widths, cand_hubs, cand_dists
-        )
+        # Built once and reused across all sources.
+        hubs, dists, offsets = self.label_rows(candidate_list)
         out: list[list[tuple[int, float]]] = []
         for s in sources:
             s = int(s)
             dense = self.dense_source_vector(s)
-            sums = dense[padded_hubs] + padded_dists
-            per_candidate = np.minimum.reduceat(sums, segment_offsets)
-            per_candidate[empty_mask] = INFINITY
+            per_candidate = np.minimum.reduceat(dense[hubs] + dists, offsets)
             self.query_count += len(candidate_list)
             scored = sorted(
                 ((0.0 if c == s else float(d)), c)
@@ -270,6 +256,25 @@ class HubLabeling(DistanceOracle):
             )
             out.append([(c, d) for d, c in scored[:k] if d != INFINITY])
         return out
+
+    def label_rows(
+        self, vertices: Sequence[int]
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(hubs, dists, offsets)``: the label rows of ``vertices``,
+        concatenated for one segmented scan.
+
+        With ``dense = dense_source_vector(s)``,
+        ``np.minimum.reduceat(dense[hubs] + dists, offsets)`` is the
+        exact distance from ``s`` to every vertex, in the given order
+        (``inf`` for an unreachable one).  ``reduceat`` needs each
+        segment non-empty, so an empty label is padded with one
+        sentinel entry that always scores ``inf``.
+        """
+        vertex_ids = np.asarray(vertices, dtype=np.int64)
+        starts = self._indptr[vertex_ids]
+        widths = self._indptr[vertex_ids + 1] - starts
+        gather = _row_gather_index(starts, widths)
+        return _pad_segments(widths, self._hub_ids[gather], self._hub_dists[gather])
 
     def dense_source_vector(self, source: int) -> np.ndarray:
         """``float64[num hubs]`` of hub distances from ``source``.
@@ -397,18 +402,18 @@ def _row_gather_index(starts: np.ndarray, widths: np.ndarray) -> np.ndarray:
 
 def _pad_segments(
     widths: np.ndarray, hubs: np.ndarray, dists: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Segment offsets for ``np.minimum.reduceat`` over padded rows.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(hubs, dists, offsets)`` for ``np.minimum.reduceat`` over rows.
 
-    Empty rows get one sentinel entry (hub 0 with an ``inf`` distance)
-    so every reduceat segment is non-empty; the returned mask marks
-    them for post-reduction overwrite.
+    Empty rows get one sentinel entry (hub 0 with an ``inf`` distance,
+    which no source distance can bring below ``inf``) so every reduceat
+    segment is non-empty.
     """
     empty_mask = widths == 0
     if not empty_mask.any():
         offsets = np.zeros(len(widths), dtype=np.int64)
         np.cumsum(widths[:-1], out=offsets[1:])
-        return offsets, hubs, dists, empty_mask
+        return hubs, dists, offsets
     padded_widths = np.where(empty_mask, 1, widths)
     offsets = np.zeros(len(padded_widths), dtype=np.int64)
     np.cumsum(padded_widths[:-1], out=offsets[1:])
@@ -419,4 +424,4 @@ def _pad_segments(
     fill[offsets[empty_mask]] = False
     out_hubs[fill] = hubs
     out_dists[fill] = dists
-    return offsets, out_hubs, out_dists, empty_mask
+    return out_hubs, out_dists, offsets

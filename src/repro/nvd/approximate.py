@@ -205,9 +205,10 @@ class ApproximateNVD:
         Finds the 1NN ``p`` of ``obj`` (via the quadtree candidates),
         BFSes the adjacency graph from ``p``, prunes any expanded object
         ``o_e`` with ``d(obj, o_e) >= 2 * MaxRadius(o_e)``, and
-        co-locates ``obj`` on every affected node.  The over-approximate
-        affected set never hurts correctness (paper: "A(o) may contain
-        some objects that are not affected").
+        co-locates ``obj`` on every affected node and its adjacent
+        nodes.  The over-approximate affected set never hurts
+        correctness (paper: "A(o) may contain some objects that are not
+        affected").
         """
         if obj in self.deleted:
             # Re-inserting a tombstoned object just revives it.
@@ -222,11 +223,10 @@ class ApproximateNVD:
             self.adjacency.setdefault(obj, set())
             self.pending_updates += 1
             return set()
-        candidates = [
-            c for c in self.seed_objects(coordinates) if not self.is_deleted(c)
-        ]
-        if not candidates:  # every generator deleted; degenerate but legal
-            candidates = sorted(self.live_objects())
+        # A tombstoned generator still owns its cell and routes
+        # expansion, so it locates the new object's cell like any other;
+        # an unreachable vertex can sit in a leaf with no candidates.
+        candidates = self.seed_objects(coordinates) or sorted(self.objects)
         nearest = min(candidates, key=lambda c: distance_fn(obj, c))
         affected: set[int] = set()
         frontier = [nearest]
@@ -242,11 +242,17 @@ class ApproximateNVD:
                 if radius is not None and distance_fn(obj, neighbor) >= 2 * radius:
                     continue  # Theorem 2: cell cannot change
                 frontier.append(neighbor)
+        # A generator whose cell is unchanged but borders the new cell is
+        # an old neighbour of an affected one, and must surface ``obj``
+        # too or Property 1 breaks for queries inside that cell.
+        surfacing = set(affected)
         for a in affected:
+            surfacing.update(self.adjacency.get(a, ()))
+        for a in surfacing:
             self.colocated.setdefault(a, set()).add(obj)
         self.objects.add(obj)
-        # The new object's own expansion reaches its affected region.
-        self.adjacency[obj] = set(affected)
+        # The new object's own expansion reaches the same region.
+        self.adjacency[obj] = surfacing
         self.pending_updates += 1
         return affected
 

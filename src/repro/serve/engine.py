@@ -29,10 +29,14 @@ Known benign races (audited, paper §5.1/§6 structures):
 fills recompute the same idempotent value, and its
 ``matrix_operations`` counter may undercount under races; neither
 affects results.  ``AltLowerBounder`` and ``HubLabeling`` are
-read-only after construction.  ``LabelHeapGenerator``'s per-keyword
-object-label cache is filled at query time — concurrent fills build the
-same idempotent snapshot from diagram state the read lock freezes, so
-the last writer wins with an identical value.
+read-only after construction.  ``LabelHeapGenerator`` fills two caches
+at query time.  Its per-keyword label rows are gathered from diagram
+state the read lock freezes, so concurrent fills publish identical
+values and the last writer wins.  Its dense query-vector memo is one
+``(vertex, array)`` tuple, swapped by a single assignment and never
+mutated in place: a reader holds the pair it unpacked whatever another
+thread stores next, and two threads over different vertices only cost
+each other the memo's hit.  Its ``label_heaps`` counter may undercount.
 """
 
 from __future__ import annotations

@@ -8,31 +8,33 @@ Three layers, each with its own contract:
 * label-seeded candidate generation (:class:`LabelHeapGenerator`) must
   be **result-identical** to the paper's NVD+ALT seeding on serving
   workloads — through the bare framework, the Engine, and both cluster
-  placements — and must fall back to NVD expansion while a keyword's
-  diagram has pending lazy updates;
+  placements — and must see every lazy update at the very next query,
+  with no rebuild and no second algorithm to fall back to;
 * the :class:`CompositeOracle` routes every query class to an exact
   backend, so routing (and :meth:`calibrate`) can only change speed.
 """
 
 import random
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings
 
 from repro.api import Query, UpdateOp
-from repro.core import KSpin
+from repro.core import KSpin, brute_force_bknn, results_equivalent
 from repro.core.label_seeding import LabelHeap, LabelHeapGenerator
 from repro.datasets import WorkloadGenerator, load_dataset
 from repro.distance import (
     CompositeOracle,
     DijkstraOracle,
     HubLabeling,
-    KeywordLabelIndex,
     importance_order,
 )
-from repro.graph import dijkstra_all, perturbed_grid_network
+from repro.graph import RoadNetwork, dijkstra_all, perturbed_grid_network
 from repro.lowerbound import AltLowerBounder
 from repro.serve import ClusterCoordinator, Engine
+from repro.text import KeywordDataset
 
 from tests.test_distance_oracles import connected_graph
 from tests.test_kspin_queries import make_dataset, popular_keywords
@@ -164,37 +166,55 @@ class TestSeedingIdentity:
                 ), query
 
 
-class TestUpdateFallbackRebuild:
-    def test_dirty_diagram_falls_back_then_recovers(self, world, composite):
-        label_engine = _kspin(world, composite, "labels")
-        nvd_engine = _kspin(world, composite, "nvd")
-        generator = label_engine.heap_generator
-        keyword = popular_keywords(world.keywords, 1)[0]
+def _shadow_answer(graph, documents, query):
+    """``repro.core.reference`` over the shadow copy of the documents."""
+    return brute_force_bknn(
+        graph, KeywordDataset(documents), query.vertex, query.k,
+        list(query.keywords), conjunctive=query.conjunctive,
+    )
+
+
+class TestUpdatesNeedNoRebuild:
+    def test_every_write_is_visible_to_the_next_query(self, world, composite):
+        """delete, revive, insert, add_keyword, remove_keyword: the very
+        next label-seeded query sees each, no ``rebuild`` in between."""
+        kspin = _kspin(world, composite, "labels")
+        generator = kspin.heap_generator
+        graph, dataset = world.graph, world.keywords
+        documents = {o: dict(dataset.document(o)) for o in dataset.objects()}
+        keyword, other = popular_keywords(dataset, 2)
         query = Query(vertex=0, keywords=(keyword,), k=BKNN_K)
 
-        label_engine.execute(query)
-        assert generator.fallback_heaps == 0
+        def check():
+            answer = kspin.execute(query)
+            assert results_equivalent(
+                answer.pairs(), _shadow_answer(graph, documents, query)
+            )
+            assert answer.stats["distance_computations"] == 0
+            assert generator.fallback_heaps == 0
+            return [obj for obj, _ in answer.pairs()]
 
-        victim = label_engine.execute(query).pairs()[0][0]
-        label_engine.apply(UpdateOp("delete", object=victim))
-        nvd_engine.apply(UpdateOp("delete", object=victim))
-
-        before = generator.fallback_heaps
-        answer = label_engine.execute(query).pairs()
-        assert generator.fallback_heaps == before + 1
-        assert victim not in [obj for obj, _ in answer]
-        assert answer == nvd_engine.execute(query).pairs()
-
-        # Force the rebuild and confirm label heaps resume, still exact.
-        label_engine.index.rebuild_threshold = 1
-        nvd_engine.index.rebuild_threshold = 1
-        assert keyword in label_engine.apply(UpdateOp("rebuild"))["rebuilt"]
-        nvd_engine.apply(UpdateOp("rebuild"))
-        heaps_before = generator.label_heaps
-        assert label_engine.execute(query).pairs() == nvd_engine.execute(
-            query
-        ).pairs()
-        assert generator.label_heaps > heaps_before
+        nearest = check()[0]
+        saved = documents.pop(nearest)
+        kspin.apply(UpdateOp("delete", object=nearest))
+        assert nearest not in check()
+        documents[nearest] = saved
+        kspin.apply(UpdateOp("insert", object=nearest, document=saved))
+        assert check()[0] == nearest  # revived
+        newcomer = next(
+            v for v in graph.neighbors(0) if v[0] not in documents
+        )[0]
+        documents[newcomer] = {keyword: 1}
+        kspin.apply(UpdateOp("insert", object=newcomer, document={keyword: 1}))
+        assert newcomer in check()
+        del documents[newcomer][keyword]
+        documents[newcomer][other] = 1
+        kspin.apply(UpdateOp("add_keyword", object=newcomer, keyword=other))
+        kspin.apply(UpdateOp("remove_keyword", object=newcomer, keyword=keyword))
+        assert newcomer not in check()
+        query = Query(vertex=0, keywords=(other,), k=BKNN_K)
+        assert newcomer in check()
+        assert kspin.index.pending_updates()[keyword] == 4
 
     def test_invalidate_drops_cached_indexes(self, world, composite):
         label_engine = _kspin(world, composite, "labels")
@@ -205,6 +225,78 @@ class TestUpdateFallbackRebuild:
         generator.invalidate([keyword])
         assert generator.label_memory_bytes() == 0
         generator.invalidate(None)  # idempotent on empty cache
+
+    def test_no_oracle_calls_and_no_more_iterations_than_nvd(
+        self, kspin_nvd, kspin_labels, workload
+    ):
+        """Exact keys: the loop never asks the oracle, and examines no
+        more candidates than it does behind ALT lower bounds."""
+        totals = {"nvd": 0, "labels": 0}
+        for query in workload:
+            totals["nvd"] += kspin_nvd.execute(query).stats["iterations"]
+            stats = kspin_labels.execute(query).stats
+            assert stats["distance_computations"] == 0, query
+            assert stats["lower_bound_computations"] == stats["heap_insertions"]
+            totals["labels"] += stats["iterations"]
+        assert 0 < totals["labels"] <= totals["nvd"]
+
+    def test_readers_agree_with_reference_while_a_writer_toggles(
+        self, world, composite
+    ):
+        """Two readers over different vertices share the generator's row
+        cache and dense-vector memo while a third thread deletes and
+        revives one object: every answer is the reference's answer for
+        one of the two states."""
+        kspin = _kspin(world, composite, "labels")
+        engine = Engine(kspin, cache_size=0)
+        graph, dataset = world.graph, world.keywords
+        keyword = popular_keywords(dataset, 1)[0]
+        documents = {o: dict(dataset.document(o)) for o in dataset.objects()}
+        queries = [Query(vertex=v, keywords=(keyword,), k=BKNN_K) for v in (0, 200)]
+        victim = engine.execute(queries[0]).pairs()[0][0]
+        without = {o: d for o, d in documents.items() if o != victim}
+        allowed = [
+            [_shadow_answer(graph, state, q) for state in (documents, without)]
+            for q in queries
+        ]
+        stop = threading.Event()
+        failures: list = []
+        rounds = [0, 0]
+
+        def read(which: int) -> None:
+            while not stop.is_set():
+                pairs = engine.execute(queries[which]).pairs()
+                if not any(results_equivalent(pairs, ok) for ok in allowed[which]):
+                    failures.append((which, pairs))
+                rounds[which] += 1
+
+        def write() -> None:
+            for _ in range(40):
+                engine.apply(UpdateOp("delete", object=victim))
+                engine.apply(
+                    UpdateOp("insert", object=victim, document=documents[victim])
+                )
+            stop.set()
+
+        threads = [threading.Thread(target=read, args=(w,)) for w in (0, 1)]
+        threads.append(threading.Thread(target=write))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            stop.set()
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not failures
+        assert min(rounds) > 0
+        assert kspin.heap_generator.fallback_heaps == 0
+        assert results_equivalent(
+            engine.execute(queries[0]).pairs(), allowed[0][0]
+        )
 
 
 class TestLabelHeapUnits:
@@ -219,63 +311,94 @@ class TestLabelHeapUnits:
         labeling = HubLabeling(grid, order="ch")
         return grid, dataset, kspin, labeling
 
-    def test_index_snapshots_live_objects(self, small):
-        grid, dataset, kspin, labeling = small
-        keyword = popular_keywords(dataset, 1)[0]
+    def test_index_snapshots_live_objects(self, small, monkeypatch):
+        """The row cache is one gather per (diagram instance,
+        ``pending_updates``) pair: reads reuse it, a write or a swapped
+        diagram costs the next query exactly one more."""
+        grid, dataset, _, labeling = small
+        kspin = KSpin(
+            grid, dataset, oracle=labeling,
+            lower_bounder=AltLowerBounder(grid, num_landmarks=4), rho=3,
+            rebuild_threshold=1, seeding="labels",
+        )
+        gathered = []
+        label_rows = labeling.label_rows
+        monkeypatch.setattr(
+            labeling, "label_rows",
+            lambda objects: gathered.append(list(objects)) or label_rows(objects),
+        )
+        keyword, other = popular_keywords(dataset, 2)
         nvd = kspin.index.nvd(keyword)
-        index = KeywordLabelIndex(keyword, labeling, nvd)
-        assert index.num_objects == len(list(nvd.live_objects()))
-        assert index.num_entries() >= index.num_objects  # >=1 hub each
-        assert index.num_hubs > 0
-        assert index.memory_bytes() > 0
-        assert index.is_fresh(nvd)
-        other = kspin.index.nvd(popular_keywords(dataset, 2)[1])
-        assert not index.is_fresh(other)
+        for vertex in (0, 17, 17, 30):
+            kspin.execute(Query(vertex=vertex, keywords=(keyword,), k=2))
+        assert gathered == [sorted(nvd.live_objects())]
+        kspin.execute(Query(vertex=0, keywords=(keyword, other), k=2))
+        assert len(gathered) == 2  # the other keyword's first use
+        victim = min(nvd.live_objects() - kspin.index.nvd(other).objects)
+        kspin.apply(UpdateOp("delete", object=victim))
+        for vertex in (0, 17):
+            kspin.execute(Query(vertex=vertex, keywords=(keyword, other), k=2))
+        assert len(gathered) == 3 and victim not in gathered[-1]
+        assert keyword in kspin.apply(UpdateOp("rebuild"))["rebuilt"]
+        assert kspin.index.nvd(keyword) is not nvd
+        for vertex in (0, 17):
+            kspin.execute(Query(vertex=vertex, keywords=(keyword,), k=2))
+        assert len(gathered) == 4
+        assert gathered[-1] == sorted(kspin.index.nvd(keyword).live_objects())
+        assert kspin.heap_generator.label_memory_bytes() > 0
 
     def test_heap_pops_exact_ascending(self, small):
         grid, dataset, kspin, labeling = small
         keyword = popular_keywords(dataset, 1)[0]
         nvd = kspin.index.nvd(keyword)
-        index = KeywordLabelIndex(keyword, labeling, nvd)
-        query_vertex = 17
-        heap = LabelHeap(keyword, nvd, query_vertex, labeling, index)
+        generator = LabelHeapGenerator(kspin.lower_bounder, labeling)
+        query_vertex = min(nvd.live_objects())  # q itself is an object
+        heap = generator.heap_for(
+            keyword, nvd, query_vertex, grid.coordinates(query_vertex)
+        )
+        assert isinstance(heap, LabelHeap) and heap.exact
+        assert heap.inserted_count == len(nvd.live_objects())
+        assert heap.lower_bound_computations == heap.inserted_count
         truth = dijkstra_all(grid, query_vertex)
         popped = []
         while not heap.empty():
             floor = heap.min_key()
-            item = heap.pop()
-            if item is None:
-                break
-            obj, dist = item
-            # MINKEY(H) is a valid LB; pop may skip duplicate cursors.
-            assert dist >= floor
-            assert dist == pytest.approx(truth[obj])
+            obj, dist = heap.pop()
+            assert dist == floor  # MINKEY(H) is the next exact distance
             popped.append((obj, dist))
+        assert heap.pop() is None and heap.min_key() == float("inf")
+        assert len(popped) == heap.inserted_count
+        assert popped[0] == (query_vertex, 0.0)
         assert popped == sorted(popped, key=lambda p: (p[1], p[0]))
-        assert {obj for obj, _ in popped} == set(nvd.live_objects())
-        assert heap.extractions >= len(popped)
-        assert heap.inserted_count >= heap.extractions
-        assert heap.lower_bound_computations == heap.inserted_count
+        expected = sorted((truth[o], o) for o in nvd.live_objects())
+        assert results_equivalent(popped, [(o, d) for d, o in expected])
 
-    def test_heap_skips_deleted_objects(self, small):
-        grid, dataset, _, labeling = small
-        # Private KSpin: the tombstone below must not leak into the
-        # class-shared fixture's diagrams.
+    def test_ties_break_by_object_id_and_unreachable_is_no_result(self):
+        """A star with two equal arms and an island: the tie pops in
+        object-id order and the island's object is never an answer."""
+        graph = RoadNetwork(6)
+        for v, (x, y) in enumerate(
+            [(0, 0), (1, 0), (-1, 0), (2, 0), (9, 9), (9, 10)]
+        ):
+            graph.set_coordinates(v, x, y)
+        for u, v in ((0, 1), (0, 2), (1, 3), (4, 5)):
+            graph.add_edge(u, v, 1.0)
+        dataset = KeywordDataset({2: ["a"], 1: ["a"], 3: ["a"], 5: ["a"]})
+        labeling = HubLabeling(graph, order="degree")
         kspin = KSpin(
-            grid, dataset, oracle=DijkstraOracle(grid),
-            lower_bounder=AltLowerBounder(grid, num_landmarks=4), rho=3,
+            graph, dataset, oracle=labeling,
+            lower_bounder=AltLowerBounder(graph, num_landmarks=2),
+            seeding="labels",
         )
-        keyword = popular_keywords(dataset, 1)[0]
-        nvd = kspin.index.nvd(keyword)
-        index = KeywordLabelIndex(keyword, labeling, nvd)
-        victim = min(nvd.live_objects())
-        nvd.delete_object(victim)
-        heap = LabelHeap(keyword, nvd, 0, labeling, index)
-        seen = set()
-        while (item := heap.pop()) is not None:
-            seen.add(item[0])
-        assert victim not in seen
-        assert seen == set(nvd.live_objects())
+        heap = kspin.heap_generator.heap_for(
+            "a", kspin.index.nvd("a"), 0, graph.coordinates(0)
+        )
+        assert [heap.pop() for _ in range(4)] == [
+            (1, 1.0), (2, 1.0), (3, 2.0), (5, float("inf")),
+        ]
+        for kind in ("bknn", "topk"):
+            answer = kspin.execute(Query(vertex=0, keywords=("a",), k=4, kind=kind))
+            assert [obj for obj, _ in answer.pairs()] == [1, 2, 3]
 
     def test_seeding_rejects_non_label_oracle(self, small):
         grid, dataset, _, _ = small

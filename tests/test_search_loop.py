@@ -10,7 +10,7 @@ impacts from the live document — the documented update semantics).
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.api import Query, UpdateOp
@@ -126,13 +126,11 @@ def write_a_little(kspin, documents, free, rng):
         kspin.apply(UpdateOp("remove_keyword", object=obj, keyword=keyword))
 
 
-@given(seed=st.integers(min_value=0, max_value=10**6))
-@settings(max_examples=15, deadline=None)
-def test_every_shape_equals_brute_force_under_writes(seed):
+def check_under_writes(seed, seedings):
     rng = random.Random(seed)
     graph = perturbed_grid_network(6, 6, seed=seed % 11)
     dataset = make_dataset(graph, seed=seed, object_fraction=0.4, vocabulary=5)
-    for seeding in ("nvd", "labels"):
+    for seeding in seedings:
         documents = {o: dict(dataset.document(o)) for o in dataset.objects()}
         free = [v for v in graph.vertices() if v not in documents]
         kspin = KSpin(
@@ -150,6 +148,28 @@ def test_every_shape_equals_brute_force_under_writes(seed):
             check_every_shape(graph, documents, kspin, rng)  # lazy writes pending
         assert kspin.apply(UpdateOp("rebuild"))["rebuilt"]
         check_every_shape(graph, documents, kspin, rng)  # rebuilt
+
+
+# 931: a lazy insert located its cell without the tombstoned generator
+# that owns it.  145, 1475: a generator bordering the new cell, itself
+# unaffected, never surfaced the insert.  2094: a MINKEY lowered by lazy
+# expansion left another heap's queued pseudo bound too high.
+@given(seed=st.integers(min_value=0, max_value=10**6))
+@example(seed=931)
+@example(seed=145)
+@example(seed=1475)
+@example(seed=2094)
+@settings(max_examples=15, deadline=None)
+def test_every_shape_equals_brute_force_under_writes(seed):
+    check_under_writes(seed, ("nvd", "labels"))
+
+
+@given(seed=st.integers(min_value=0, max_value=10**6))
+@settings(max_examples=60, deadline=None)
+def test_label_seeding_equals_brute_force_under_writes(seed):
+    """Label seeding on its own rng path (above it runs second, after
+    the NVD arm has advanced the generator)."""
+    check_under_writes(seed, ("labels",))
 
 
 @pytest.fixture(scope="module")
