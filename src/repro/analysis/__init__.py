@@ -1,86 +1,15 @@
-"""``repro.analysis`` — the project's static-analysis subsystem.
+"""``repro.analysis`` — machine checks for the serving stack's invariants.
 
-Three layers, all dependency-free at runtime (``ast`` + ``threading``):
+* ``repro lint`` (:mod:`~repro.analysis.linter`): per-module rules
+  (:mod:`~repro.analysis.rules`, KSP002–KSP007) and whole-program rules
+  (:mod:`~repro.analysis.project_rules`, KSP008, KSP009, KSP011) over a
+  symbol table (:mod:`~repro.analysis.symbols`) and an approximate call
+  graph (:mod:`~repro.analysis.callgraph`).  Stdlib-only.
+* ``REPRO_LOCK_DEBUG=1`` (:mod:`~repro.analysis.lockdebug`): the runtime
+  lock-order graph and the write guards over each class's
+  ``_guarded_by`` declaration.
 
-* a **project-invariant linter** (:mod:`~repro.analysis.rules`,
-  :mod:`~repro.analysis.project_rules`, :mod:`~repro.analysis.linter`):
-  the per-module rules KSP001–KSP007 encode the invariants the serving
-  stack's correctness arguments rest on — frozen API values stay
-  frozen, shared state is written under its declared lock, nothing
-  blocks while holding a lock, fingerprint-reproducible code paths stay
-  deterministic, the supervision/IPC tier never swallows exceptions,
-  nothing unpicklable crosses the IPC boundary, and batch entry points
-  never loop over per-item shims.  The interprocedural rules
-  KSP008–KSP011 run over a whole-program symbol table
-  (:mod:`~repro.analysis.symbols`) and approximate call graph
-  (:mod:`~repro.analysis.callgraph`): no lock-order cycles across call
-  chains, transitive picklability of IPC payloads, engine protocol and
-  batch-registry conformance, and observability coverage of every HTTP
-  route, pipe kind, and CLI verb.  A finding-count ratchet
-  (:mod:`~repro.analysis.baseline`, ``analysis-baseline.json``) lets
-  debt only ever shrink; findings render as text, JSON, or SARIF 2.1.0
-  (:mod:`~repro.analysis.sarif`).  Exposed as ``repro lint``.
-* a **strict typing gate** (:mod:`~repro.analysis.typecheck`): a thin
-  wrapper over ``mypy --strict`` (pinned dev dependency, configured in
-  ``pyproject.toml``).  Exposed as ``repro typecheck``.
-* a **runtime lock-order/race detector**
-  (:mod:`~repro.analysis.lockdebug`): opt-in via
-  ``REPRO_LOCK_DEBUG=1``; builds a global lock-order graph from
-  per-thread acquisition stacks, reports ordering cycles (potential
-  deadlocks) with both acquisition sites, and write-guards the shared
-  attributes declared in :mod:`~repro.analysis.config`.
-
-See ``docs/static-analysis.md`` for the rule catalogue and workflows.
+Nothing is imported here: every server, worker and CLI start imports
+``lockdebug`` and must not pay for the linter.  See
+``docs/static-analysis.md`` for the rule catalogue.
 """
-
-from repro.analysis.baseline import (
-    DEFAULT_BASELINE,
-    RatchetResult,
-    load_baseline,
-    ratchet,
-    write_baseline,
-)
-from repro.analysis.callgraph import CallGraph, Project
-from repro.analysis.findings import Finding
-from repro.analysis.linter import (
-    ALL_RULES,
-    RULES_BY_CODE,
-    changed_files,
-    iter_python_files,
-    lint_paths,
-    lint_source,
-    module_key,
-    select_rules,
-)
-from repro.analysis.project_rules import PROJECT_RULES
-from repro.analysis.rules import MODULE_RULES, Rule
-from repro.analysis.sarif import render_sarif, to_sarif
-from repro.analysis.symbols import ProjectSymbols
-from repro.analysis.typecheck import mypy_available, run_typecheck
-
-__all__ = [
-    "ALL_RULES",
-    "CallGraph",
-    "DEFAULT_BASELINE",
-    "Finding",
-    "MODULE_RULES",
-    "PROJECT_RULES",
-    "Project",
-    "ProjectSymbols",
-    "RULES_BY_CODE",
-    "RatchetResult",
-    "Rule",
-    "changed_files",
-    "iter_python_files",
-    "lint_paths",
-    "lint_source",
-    "load_baseline",
-    "module_key",
-    "mypy_available",
-    "ratchet",
-    "render_sarif",
-    "run_typecheck",
-    "select_rules",
-    "to_sarif",
-    "write_baseline",
-]

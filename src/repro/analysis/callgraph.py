@@ -13,9 +13,9 @@ call, resolved by decreasing confidence:
    annotations), falling back to the global method-name index when the
    name is unambiguous (defined by at most ``_AMBIGUITY_CAP`` classes).
 
-Unresolvable calls are dropped — the KSP rules that consume the graph
-(lock ordering, observability coverage) are *may*-analyses where a
-missed edge can only under-report, never produce a spurious crash.
+Unresolvable calls are dropped: a missed edge can only hide a lock-order
+cycle (KSP008) or make a branch look unobserved (KSP011, answered by an
+explicit ``# ksp: ignore[KSP011]``), never crash the linter.
 Calls routed through the graph remember their source line so lock-cycle
 findings can print the full acquisition path.
 """
@@ -69,7 +69,7 @@ class CallGraph:
         owner = module.classes.get(fn.class_name) if fn.class_name else None
         local_types = _local_types(fn, owner)
         seen: set[tuple[str, int]] = set()
-        for node in ast.walk(fn.node):
+        for node in fn.nodes:
             if not isinstance(node, ast.Call):
                 continue
             callee = self._resolve_callee(node.func, fn, module, owner, local_types)
@@ -188,20 +188,15 @@ class CallGraph:
 
 @dataclass
 class Project:
-    """One whole-program lint unit: symbol table + call graph + sources."""
+    """One whole-program lint unit: symbol table + call graph."""
 
     symbols: ProjectSymbols
     callgraph: CallGraph
-    contexts: list["ModuleContext"]
 
     @classmethod
-    def build(cls, contexts: list["ModuleContext"]) -> "Project":
+    def build(cls, contexts: list[ModuleContext]) -> "Project":
         symbols = ProjectSymbols.build(contexts)
-        return cls(
-            symbols=symbols,
-            callgraph=CallGraph(symbols),
-            contexts=list(contexts),
-        )
+        return cls(symbols=symbols, callgraph=CallGraph(symbols))
 
 
 def _local_types(
@@ -214,7 +209,7 @@ def _local_types(
         leaf = _annotation_leaf(arg.annotation)
         if leaf:
             types[arg.arg] = leaf
-    for node in ast.walk(fn.node):
+    for node in fn.nodes:
         target: ast.expr | None = None
         leaf = None
         if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):

@@ -1,9 +1,7 @@
 """The ``repro lint`` driver: file discovery, suppression, reporting.
 
-Stdlib-only (``ast`` + ``pathlib``): the linter must run in a bare
-checkout with no dev dependencies installed, because it *is* the
-dependency-free half of the static-analysis gate (the other half,
-``repro typecheck``, shells out to mypy when available).
+Stdlib-only (``ast`` + ``pathlib``): the linter runs in a bare
+checkout with no dev dependencies installed.
 
 Suppression
 -----------
@@ -16,8 +14,8 @@ with a bracketed list it suppresses exactly those codes.
 
 Scope markers
 -------------
-Path-scoped rules (shared-state locks, reproducible paths, the IPC
-tier) key off the file's path relative to the ``repro`` package.  A
+Path-scoped rules (reproducible paths, the IPC tier, the dispatchers)
+key off the file's path relative to the ``repro`` package.  A
 file outside the package — e.g. a rule fixture under
 ``tests/fixtures/lint/`` — opts into a scope with a marker in its first
 ten lines::
@@ -28,9 +26,8 @@ ten lines::
 from __future__ import annotations
 
 import re
-import subprocess
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from repro.analysis.callgraph import Project
 from repro.analysis.findings import Finding
@@ -39,8 +36,6 @@ from repro.analysis.rules import MODULE_RULES, ModuleContext, Rule
 
 #: The full catalogue: per-module rules then interprocedural rules.
 ALL_RULES: tuple[Rule, ...] = tuple(MODULE_RULES) + tuple(PROJECT_RULES)
-
-RULES_BY_CODE: dict[str, Rule] = {rule.code: rule for rule in ALL_RULES}
 
 _IGNORE_RE = re.compile(
     r"#\s*ksp:\s*ignore(?:\[(?P<codes>[A-Z0-9,\s]+)\])?"
@@ -52,7 +47,7 @@ _SKIP_DIRS = {"__pycache__", ".git", ".hypothesis", "build", "dist"}
 
 
 def module_key(path: Path) -> str:
-    """The config key for ``path``: its location inside the package.
+    """The module key for ``path``: its location inside the package.
 
     ``src/repro/serve/cluster.py`` -> ``serve/cluster.py``; files not
     under a ``repro`` directory key as their bare filename (scope
@@ -100,12 +95,9 @@ def iter_python_files(paths: Iterable[Path]) -> Iterable[Path]:
                 yield candidate
 
 
-def _parse_module(
-    source: str, path: str, key: str | None
-) -> ModuleContext | Finding:
-    effective_key = _scope_override(source) or key or Path(path).name
+def _parse_module(source: str, path: str, key: str) -> ModuleContext | Finding:
     try:
-        return ModuleContext.parse(path, effective_key, source)
+        return ModuleContext.parse(path, _scope_override(source) or key, source)
     except SyntaxError as error:
         return Finding(
             path=path,
@@ -144,84 +136,41 @@ def _run_rules(
     return sorted(findings)
 
 
-def lint_source(
-    source: str,
-    path: str = "<string>",
-    key: str | None = None,
-    rules: Sequence[Rule] = ALL_RULES,
+def lint_sources(
+    sources: Mapping[str, str], rules: Sequence[Rule] = ALL_RULES
 ) -> list[Finding]:
-    """Lint one source string as a single-module project."""
-    parsed = _parse_module(source, path, key)
-    if isinstance(parsed, Finding):
-        return [parsed]
-    return _run_rules([parsed], rules)
+    """Lint ``{path: source}`` as one whole program.
 
-
-def lint_paths(
-    paths: Sequence[Path | str],
-    rules: Sequence[Rule] = ALL_RULES,
-    changed_only: set[Path] | None = None,
-) -> list[Finding]:
-    """Lint every ``.py`` file under ``paths`` as one whole program.
-
-    All files are parsed into one project — the interprocedural rules
-    need the complete symbol table and call graph regardless of what
-    changed — but when ``changed_only`` is given (``--changed``), only
-    findings located in those files are reported: the analysis stays
-    whole-program, the *report* is diff-sized.
+    Every module is parsed into one project: the interprocedural rules
+    need the complete symbol table and call graph.
     """
     contexts: list[ModuleContext] = []
     findings: list[Finding] = []
-    for file_path in iter_python_files(Path(p) for p in paths):
-        source = file_path.read_text(encoding="utf-8")
-        parsed = _parse_module(source, str(file_path), module_key(file_path))
+    for path, source in sources.items():
+        parsed = _parse_module(source, path, module_key(Path(path)))
         if isinstance(parsed, Finding):
             findings.append(parsed)
         else:
             contexts.append(parsed)
-    findings.extend(_run_rules(contexts, rules))
-    if changed_only is not None:
-        resolved = {p.resolve() for p in changed_only}
-        findings = [
-            f for f in findings if Path(f.path).resolve() in resolved
-        ]
-    return sorted(findings)
+    return sorted(findings + _run_rules(contexts, rules))
 
 
-def changed_files(ref: str = "HEAD", root: Path | None = None) -> set[Path]:
-    """Python files changed relative to ``ref``, plus untracked ones.
+def lint_source(source: str, rules: Sequence[Rule] = ALL_RULES) -> list[Finding]:
+    """Lint one source string as a single-module project."""
+    return lint_sources({"<string>": source}, rules)
 
-    Backs ``repro lint --changed``: committed + working-tree changes
-    against the ref's tree, and untracked files (a brand-new module must
-    not dodge the gate).  Raises ``RuntimeError`` when git is unusable —
-    the caller falls back to a full-report run rather than silently
-    passing.
-    """
-    cwd = root or Path.cwd()
-    changed: set[Path] = set()
-    commands = (
-        ["git", "diff", "--name-only", ref, "--"],
-        ["git", "ls-files", "--others", "--exclude-standard"],
+
+def lint_paths(
+    paths: Sequence[Path | str], rules: Sequence[Rule] = ALL_RULES
+) -> list[Finding]:
+    """Lint every ``.py`` file under ``paths`` as one whole program."""
+    return lint_sources(
+        {
+            str(path): path.read_text(encoding="utf-8")
+            for path in iter_python_files(Path(p) for p in paths)
+        },
+        rules,
     )
-    for command in commands:
-        try:
-            completed = subprocess.run(
-                command,
-                cwd=cwd,
-                capture_output=True,
-                text=True,
-                check=True,
-                timeout=30,
-            )
-        except (OSError, subprocess.SubprocessError) as error:
-            raise RuntimeError(
-                f"cannot determine changed files ({' '.join(command)}): {error}"
-            ) from error
-        for line in completed.stdout.splitlines():
-            name = line.strip()
-            if name.endswith(".py"):
-                changed.add((cwd / name).resolve())
-    return changed
 
 
 def select_rules(codes: Iterable[str] | None) -> list[Rule]:

@@ -9,10 +9,11 @@ threads.  This module closes the gap with an opt-in runtime mode:
   **lock-order graph**; a cycle in that graph is a potential deadlock,
   reported with the ``file:line`` of *both* acquisition sites on every
   edge of the cycle;
-* the shared attributes declared in
-  :data:`repro.analysis.config.WATCHED_ATTRIBUTES` can be wrapped in
-  write-guard descriptors that report any write performed while the
-  declared lock is not held by the writing thread.
+* the shared attributes a serving class declares beside its lock
+  (``_guarded_by = {"_lock": ("hits", ...)}``, the same declaration
+  KSP002 reads) can be wrapped in write-guard descriptors that report
+  any write performed while the declared lock is not held by the
+  writing thread.
 
 Zero cost when off: :func:`make_lock` returns a plain
 ``threading.Lock``/``RLock`` unless debugging was enabled *before* the
@@ -285,7 +286,8 @@ class GuardedAttribute:
 
     The first write (object construction) is exempt; later writes check
     that the instance's ``lock_attr`` — when it is an instrumented
-    :class:`DebugLock` — is in the writing thread's held set.
+    :class:`DebugLock` or a ``ReadWriteLock`` built in debug mode — is
+    in the writing thread's held set.
     """
 
     def __init__(self, attr: str, lock_attr: str) -> None:
@@ -304,11 +306,12 @@ class GuardedAttribute:
     def __set__(self, obj: object, value: Any) -> None:
         if _enabled and self._slot in obj.__dict__:
             lock = getattr(obj, self.lock_attr, None)
-            if isinstance(lock, DebugLock) and id(lock) not in held_locks():
+            debugged = isinstance(lock, DebugLock) or getattr(lock, "_debug", False)
+            if debugged and id(lock) not in held_locks():
                 note_guard_violation(
                     f"{type(obj).__name__}.{self.attr} written at "
                     f"{_call_site()} without holding "
-                    f"{self.lock_attr!r} ({lock.name})"
+                    f"{self.lock_attr!r} ({getattr(lock, 'name', '?')})"
                 )
         obj.__dict__[self._slot] = value
 
@@ -317,27 +320,31 @@ class GuardedAttribute:
 
 
 def instrument() -> list[str]:
-    """Install write guards over the declared shared attributes.
+    """Install write guards over every declared shared attribute.
 
-    Imports each module in
-    :data:`repro.analysis.config.WATCHED_ATTRIBUTES` and replaces the
-    listed attributes with :class:`GuardedAttribute` descriptors.
-    Returns the list of ``Class.attr`` names instrumented; undo with
+    Imports each :mod:`repro.serve` module and, for every class there
+    with a ``_guarded_by`` declaration, replaces each listed attribute
+    with a :class:`GuardedAttribute` checking the lock it is listed
+    under.  Call it before constructing the instances to watch.
+    Returns the ``Class.attr`` names instrumented; undo with
     :func:`uninstrument`.
     """
     import importlib
+    import pkgutil
 
-    from repro.analysis import config
+    import repro.serve
 
     installed: list[str] = []
-    for module_name, class_name, lock_attr, attrs in config.WATCHED_ATTRIBUTES:
-        module = importlib.import_module(module_name)
-        cls = getattr(module, class_name)
-        for attr in attrs:
-            previous = cls.__dict__.get(attr)
-            _patched.append((cls, attr, previous))
-            setattr(cls, attr, GuardedAttribute(attr, lock_attr))
-            installed.append(f"{class_name}.{attr}")
+    for info in pkgutil.iter_modules(repro.serve.__path__, "repro.serve."):
+        module = importlib.import_module(info.name)
+        for cls in list(vars(module).values()):
+            if not isinstance(cls, type) or cls.__module__ != module.__name__:
+                continue
+            for lock_attr, attrs in vars(cls).get("_guarded_by", {}).items():
+                for attr in attrs:
+                    _patched.append((cls, attr, cls.__dict__.get(attr)))
+                    setattr(cls, attr, GuardedAttribute(attr, lock_attr))
+                    installed.append(f"{cls.__name__}.{attr}")
     return installed
 
 

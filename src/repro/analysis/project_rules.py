@@ -3,29 +3,30 @@
 ========  ============================================================
 KSP008    static lock-order-cycle detection over the may-acquire graph
 KSP009    IPC payloads must be *transitively* picklable
-KSP010    engine/oracle/baseline protocol conformance + batch registry
-KSP011    observability coverage of HTTP routes, pipe kinds, CLI verbs
+KSP011    every HTTP route and pipe kind reaches a span or an event
 ========  ============================================================
 
-All four run in :meth:`~repro.analysis.rules.Rule.project_check` over
+All three run in :meth:`~repro.analysis.rules.Rule.project_check` over
 the whole-program :class:`~repro.analysis.callgraph.Project` (symbol
 table + approximate call graph) that :func:`repro.analysis.linter.
-lint_paths` builds once per invocation.  Checks that need the *real*
-modules to be meaningful (staleness of a registry entry, coverage of a
-declared surface) only fire when the project actually contains those
-modules, so rule fixtures — tiny single-file projects — exercise the
-drift direction without dragging in the serving stack.
+lint_sources` builds once per invocation.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Iterator
+from typing import Iterable, Iterator
 
-from repro.analysis import config
-from repro.analysis.callgraph import CallGraph, CallSite, Project, _local_types
+from repro.analysis.callgraph import Project, _local_types
 from repro.analysis.findings import Finding
-from repro.analysis.rules import Rule, dotted_name, is_lock_expr
+from repro.analysis.rules import (
+    IPC_PREFIX,
+    IPC_SEND_METHODS,
+    Rule,
+    dotted_name,
+    is_lock_expr,
+    lock_target,
+)
 from repro.analysis.symbols import (
     UNPICKLABLE_FACTORIES,
     ClassSymbol,
@@ -139,7 +140,7 @@ class _MayAcquireGraph:
                 regions.append(
                     _LockRegion(lock_id, fn.node.lineno, end, fn.node.lineno)
                 )
-        for node in ast.walk(fn.node):
+        for node in fn.nodes:
             if isinstance(node, (ast.With, ast.AsyncWith)):
                 for item in node.items:
                     if not is_lock_expr(item.context_expr):
@@ -171,13 +172,7 @@ class _MayAcquireGraph:
             self.direct[fn.qualname] = direct
 
     def _lock_identity(self, expr: ast.expr, fn: FunctionSymbol) -> str | None:
-        node: ast.expr = expr
-        if isinstance(node, ast.Call):
-            leaf = dotted_name(node.func).rsplit(".", 1)[-1]
-            if leaf in ("read", "write") and isinstance(node.func, ast.Attribute):
-                node = node.func.value  # self.lock.read() -> self.lock
-            elif leaf in ("read_locked", "write_locked") and node.args:
-                node = node.args[0]
+        node = lock_target(expr)
         if (
             isinstance(node, ast.Attribute)
             and isinstance(node.value, ast.Name)
@@ -372,11 +367,16 @@ class IpcPayloadReachabilityRule(Rule):
     code = "KSP009"
     title = "IPC payload reaches an unpicklable type"
 
+    #: Class names the ``multiprocessing`` machinery itself moves across
+    #: a ``Process(...)`` boundary (pipe ends handed to a child are
+    #: reduced by the spawn plumbing, not pickled by our payload code).
+    PROCESS_SAFE_TYPES = frozenset({"Connection", "PipeConnection"})
+
     def project_check(self, project: object) -> Iterator[Finding]:
         assert isinstance(project, Project)
         taint = project.symbols.pickle_taint()
         for module in project.symbols.modules.values():
-            if not module.key.startswith(config.IPC_PREFIX):
+            if not module.key.startswith(IPC_PREFIX):
                 continue
             yield from self._check_module(project, module, taint)
 
@@ -394,11 +394,11 @@ class IpcPayloadReachabilityRule(Rule):
                 module.classes.get(fn.class_name) if fn.class_name else None
             )
             local_types = _local_types(fn, owner)
-            for node in ast.walk(fn.node):
+            for node in fn.nodes:
                 if not isinstance(node, ast.Call):
                     continue
                 callee = dotted_name(node.func).rsplit(".", 1)[-1]
-                if callee not in config.IPC_SEND_METHODS:
+                if callee not in IPC_SEND_METHODS:
                     continue
                 arguments = list(node.args) + [
                     kw.value for kw in node.keywords
@@ -465,7 +465,7 @@ class IpcPayloadReachabilityRule(Rule):
                 return
             type_name = owner.attr_types.get(value.attr)
             detail = f"self.{value.attr}: "
-        if type_name is None or type_name in config.PROCESS_SAFE_TYPES:
+        if type_name is None or type_name in self.PROCESS_SAFE_TYPES:
             return
         chain = taint.get(type_name)
         if chain:
@@ -482,417 +482,117 @@ class IpcPayloadReachabilityRule(Rule):
 
 
 # ----------------------------------------------------------------------
-# KSP010 — engine protocol conformance and the batch registry
+# KSP011 — every externally-driven branch is observable
 # ----------------------------------------------------------------------
-class ProtocolConformanceRule(Rule):
-    """Every engine claiming ``repro.api`` answers it with the same shape.
+#: Dispatcher module -> the variable its branches compare: HTTP routes
+#: in the request router, pipe message kinds in the worker loop.
+DISPATCHERS = {"serve/http.py": "endpoint", "serve/ipc.py": "kind"}
 
-    Three checks against :data:`~repro.analysis.config.ENGINE_REGISTRY`:
-    a registered class must exist and implement each claimed method with
-    the canonical parameter names (extras need defaults); an
-    engine-shaped class (``execute`` + ``execute_many``) in the engine
-    tier must be registered so conformance and batch-equivalence
-    coverage follow it; and every public ``*_many``/``*_batch``
-    definition in the protocol tier must appear in
-    :data:`~repro.analysis.config.BATCH_REGISTRY` naming the sequential
-    reference its equivalence tests run against.
-    """
-
-    code = "KSP010"
-    title = "engine protocol conformance / unregistered batch override"
-
-    def project_check(self, project: object) -> Iterator[Finding]:
-        assert isinstance(project, Project)
-        symbols = project.symbols
-        yield from self._check_registered(symbols)
-        yield from self._check_unregistered_engines(symbols)
-        yield from self._check_batch_registry(symbols)
-
-    def _check_registered(self, symbols: object) -> Iterator[Finding]:
-        for key, classes in config.ENGINE_REGISTRY.items():
-            module = getattr(symbols, "modules").get(key)
-            if module is None:
-                continue  # partial project (fixtures)
-            for class_name, claimed in classes.items():
-                cls = module.classes.get(class_name)
-                if cls is None:
-                    yield _finding(
-                        module.path,
-                        1,
-                        self.code,
-                        f"stale ENGINE_REGISTRY entry: {key} no longer "
-                        f"defines class {class_name!r}",
-                    )
-                    continue
-                for method_name in claimed:
-                    yield from self._check_method(module, cls, method_name)
-
-    def _check_method(
-        self, module: ModuleSymbols, cls: ClassSymbol, method_name: str
-    ) -> Iterator[Finding]:
-        method = cls.methods.get(method_name)
-        if method is None:
-            yield _finding(
-                module.path,
-                cls.lineno,
-                self.code,
-                f"{cls.name} claims the repro.api protocol but does not "
-                f"implement {method_name!r}",
-            )
-            return
-        canonical = config.ENGINE_PROTOCOL_PARAMS.get(method_name)
-        if canonical is None:
-            return
-        actual = method.params[1:]  # drop self
-        head = actual[:len(canonical)]
-        if head != canonical:
-            yield _finding(
-                module.path,
-                method.lineno,
-                self.code,
-                f"{cls.name}.{method_name} signature {head!r} differs from "
-                f"the protocol's {canonical!r}: keyword callers dispatching "
-                "through the protocol will break",
-            )
-            return
-        extras = actual[len(canonical):]
-        if len(extras) > method.defaults:
-            yield _finding(
-                module.path,
-                method.lineno,
-                self.code,
-                f"{cls.name}.{method_name} adds required parameter(s) "
-                f"{extras!r} beyond the protocol: protocol callers cannot "
-                "supply them — give them defaults",
-            )
-
-    def _check_unregistered_engines(self, symbols: object) -> Iterator[Finding]:
-        for key, module in getattr(symbols, "modules").items():
-            if not key.startswith(config.ENGINE_SCAN_PREFIXES):
-                continue
-            registered = config.ENGINE_REGISTRY.get(key, {})
-            for cls in module.classes.values():
-                if cls.name in registered:
-                    continue
-                if "execute" in cls.methods and "execute_many" in cls.methods:
-                    yield _finding(
-                        module.path,
-                        cls.lineno,
-                        self.code,
-                        f"engine-shaped class {cls.name!r} (defines execute "
-                        "+ execute_many) is not in ENGINE_REGISTRY: register "
-                        "it so conformance and batch-equivalence coverage "
-                        "follow it",
-                    )
-
-    def _check_batch_registry(self, symbols: object) -> Iterator[Finding]:
-        present: set[str] = set()
-        for fn in getattr(symbols, "iter_functions")():
-            if not fn.key.startswith(config.BATCH_SCAN_PREFIXES):
-                continue
-            if not fn.name.endswith(config.BATCH_SUFFIXES):
-                continue
-            if fn.name.startswith("_"):
-                continue
-            present.add(fn.qualname)
-            if fn.qualname not in config.BATCH_REGISTRY:
-                yield _finding(
-                    symbols.modules[fn.key].path,  # type: ignore[attr-defined]
-                    fn.lineno,
-                    self.code,
-                    f"batch override {fn.qualname!r} is not registered in "
-                    "BATCH_REGISTRY against its sequential reference: "
-                    "nothing guarantees it computes what the per-item path "
-                    "computes",
-                )
-        modules = getattr(symbols, "modules")
-        for qualname in config.BATCH_REGISTRY:
-            key = qualname.split("::", 1)[0]
-            if key in modules and qualname not in present:
-                yield _finding(
-                    modules[key].path,
-                    1,
-                    self.code,
-                    f"stale BATCH_REGISTRY entry {qualname!r}: no such "
-                    "public batch definition exists",
-                )
+#: Call leaves that open a trace span (``TRACER.trace``, ``span``).
+_SPAN_LEAVES = frozenset({"trace", "trace_span", "span"})
 
 
-# ----------------------------------------------------------------------
-# KSP011 — observability coverage of externally-driven surfaces
-# ----------------------------------------------------------------------
+def _emits(nodes: Iterable[ast.AST]) -> bool:
+    """Whether ``nodes`` open a trace span or emit an event."""
+    for call in nodes:
+        if isinstance(call, ast.Call):
+            dotted = dotted_name(call.func)
+            leaf = dotted.rsplit(".", 1)[-1]
+            if leaf in _SPAN_LEAVES or (leaf == "emit" and "EVENTS" in dotted):
+                return True
+    return False
+
+
+def _compares(test: ast.expr, variable: str) -> bool:
+    """Whether ``test`` compares ``variable`` with ``==`` or ``in``."""
+    return any(
+        isinstance(node, ast.Compare)
+        and isinstance(node.left, ast.Name)
+        and node.left.id == variable
+        and any(isinstance(op, (ast.Eq, ast.In)) for op in node.ops)
+        for node in ast.walk(test)
+    )
+
+
 class ObservabilityCoverageRule(Rule):
-    """Every route, pipe kind, and CLI verb is observably instrumented.
+    """Every HTTP route and pipe message kind reaches a span or an event.
 
-    Surfaces are discovered statically (``endpoint``/``kind`` string
-    comparisons in the router and worker loop, ``add_parser`` verbs) and
-    checked against :data:`~repro.analysis.config.OBSERVED_SURFACES`;
-    span/event emit sites are collected project-wide and checked against
-    :data:`~repro.analysis.config.INSTRUMENTATION_NAMES`.  Drift in
-    either direction is a finding: an unregistered surface or emit name,
-    a stale registry entry, or a surface whose declared names nothing
-    emits.  The whole-registry checks only run when all three surface
-    source modules are in the project (a full-tree lint).
+    Each ``endpoint ==`` branch of the HTTP router and ``kind ==``
+    branch of the worker loop must open a trace span or emit a
+    flight-recorder event (``EVENTS.emit``) — in the branch itself, or
+    in any function the branch reaches through the call graph.  A
+    deliberate exemption (a liveness probe, an observability drain that
+    would recurse) is a ``# ksp: ignore[KSP011]`` on the comparison.
     """
 
     code = "KSP011"
-    title = "observability coverage drift"
-
-    _SPAN_LEAVES = frozenset({"trace", "trace_span", "span"})
+    title = "HTTP route or pipe kind reaches no span or event"
 
     def project_check(self, project: object) -> Iterator[Finding]:
         assert isinstance(project, Project)
-        symbols = project.symbols
-        names, prefixes, sites = self._collect_emits(symbols)
-        yield from self._check_emit_sites(sites)
-        surfaces = self._discover_surfaces(symbols)
-        for surface, (path, line) in sorted(surfaces.items()):
-            if surface not in config.OBSERVED_SURFACES:
-                yield _finding(
-                    path,
-                    line,
-                    self.code,
-                    f"surface {surface!r} is not in OBSERVED_SURFACES: "
-                    "declare the span/event that makes it observable (or "
-                    "an explicit empty exemption)",
-                )
-        full_tree = all(
-            key in symbols.modules for key in config.SURFACE_SOURCES.values()
-        )
-        if not full_tree:
-            return
-        yield from self._check_registry(symbols, surfaces, names, prefixes)
-
-    # -- emit-site collection -------------------------------------------
-    def _collect_emits(
-        self, symbols: object
-    ) -> tuple[set[str], set[str], list[tuple[str, int, str, str]]]:
-        names: set[str] = set()
-        prefixes: set[str] = set()
-        #: (path, line, kind, value) where kind is "name" or "prefix"
-        sites: list[tuple[str, int, str, str]] = []
-        for module in getattr(symbols, "modules").values():
-            for node in ast.walk(module.ctx.tree):
-                if not isinstance(node, ast.Call) or not node.args:
-                    continue
-                dotted = dotted_name(node.func)
-                leaf = dotted.rsplit(".", 1)[-1]
-                is_event = leaf == "emit" and "EVENTS" in dotted
-                is_span = leaf in self._SPAN_LEAVES
-                if not (is_event or is_span):
-                    continue
-                for kind, value in self._literal_names(node.args[0]):
-                    sites.append((module.ctx.path, node.lineno, kind, value))
-                    if kind == "name":
-                        names.add(value)
-                    else:
-                        prefixes.add(value)
-        return names, prefixes, sites
-
-    @staticmethod
-    def _literal_names(arg: ast.expr) -> list[tuple[str, str]]:
-        if isinstance(arg, ast.Constant) and isinstance(arg.value, str):
-            return [("name", arg.value)]
-        if (
-            isinstance(arg, ast.BinOp)
-            and isinstance(arg.op, ast.Add)
-            and isinstance(arg.left, ast.Constant)
-            and isinstance(arg.left.value, str)
-        ):
-            return [("prefix", arg.left.value)]
-        if (
-            isinstance(arg, ast.JoinedStr)
-            and arg.values
-            and isinstance(arg.values[0], ast.Constant)
-            and isinstance(arg.values[0].value, str)
-        ):
-            return [("prefix", arg.values[0].value)]
-        if isinstance(arg, ast.IfExp):
-            results = []
-            for branch in (arg.body, arg.orelse):
-                if isinstance(branch, ast.Constant) and isinstance(
-                    branch.value, str
-                ):
-                    results.append(("name", branch.value))
-            return results
-        return []
-
-    def _check_emit_sites(
-        self, sites: list[tuple[str, int, str, str]]
-    ) -> Iterator[Finding]:
-        for path, line, kind, value in sites:
-            if kind == "name":
-                known = value in config.INSTRUMENTATION_NAMES or value.startswith(
-                    config.INSTRUMENTATION_PREFIXES
-                )
-            else:
-                known = value in config.INSTRUMENTATION_PREFIXES
-            if not known:
-                yield _finding(
-                    path,
-                    line,
-                    self.code,
-                    f"emitted instrumentation {kind} {value!r} is not in the "
-                    "checked-in registry (INSTRUMENTATION_NAMES/_PREFIXES): "
-                    "dashboards and alerts cannot know about it",
-                )
-
-    # -- surface discovery ----------------------------------------------
-    def _discover_surfaces(
-        self, symbols: object
-    ) -> dict[str, tuple[str, int]]:
-        surfaces: dict[str, tuple[str, int]] = {}
-        modules = getattr(symbols, "modules")
-        for surface_kind, key in config.SURFACE_SOURCES.items():
-            module = modules.get(key)
+        emitters = {
+            fn.qualname
+            for fn in project.symbols.iter_functions()
+            if _emits(fn.nodes)
+        }
+        for key, variable in DISPATCHERS.items():
+            module = project.symbols.modules.get(key)
             if module is None:
                 continue
-            tree = module.ctx.tree
-            if surface_kind == "cli":
-                found = self._cli_verbs(tree)
-            elif surface_kind == "ipc":
-                found = self._compared_strings(tree, "kind")
-            else:
-                found = self._http_endpoints(tree)
-            for value, line in found:
-                surfaces.setdefault(
-                    f"{surface_kind}:{value}", (module.ctx.path, line)
-                )
-        return surfaces
-
-    @staticmethod
-    def _cli_verbs(tree: ast.Module) -> list[tuple[str, int]]:
-        verbs = []
-        for node in ast.walk(tree):
-            if (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr == "add_parser"
-                and node.args
-                and isinstance(node.args[0], ast.Constant)
-                and isinstance(node.args[0].value, str)
-            ):
-                verbs.append((node.args[0].value, node.lineno))
-        return verbs
-
-    @staticmethod
-    def _compared_strings(
-        tree: ast.Module, variable: str
-    ) -> list[tuple[str, int]]:
-        values = []
-        for node in ast.walk(tree):
-            if not isinstance(node, ast.Compare):
-                continue
-            if not (
-                isinstance(node.left, ast.Name) and node.left.id == variable
-            ):
-                continue
-            if not any(isinstance(op, (ast.Eq, ast.In)) for op in node.ops):
-                continue
-            for comparator in node.comparators:
-                if isinstance(comparator, ast.Constant) and isinstance(
-                    comparator.value, str
+            owners = {
+                id(fn.node): fn
+                for fn in project.symbols.iter_functions()
+                if fn.key == key
+            }
+            for branch in module.ctx.nodes:
+                if not (
+                    isinstance(branch, ast.If) and _compares(branch.test, variable)
                 ):
-                    values.append((comparator.value, node.lineno))
-                elif isinstance(comparator, ast.Tuple):
-                    for element in comparator.elts:
-                        if isinstance(element, ast.Constant) and isinstance(
-                            element.value, str
-                        ):
-                            values.append((element.value, node.lineno))
-        return values
-
-    def _http_endpoints(self, tree: ast.Module) -> list[tuple[str, int]]:
-        endpoints = self._compared_strings(tree, "endpoint")
-        # Membership tests against module-level tuple constants
-        # (``endpoint in _RATE_LIMITED``) contribute their elements.
-        constants: dict[str, list[tuple[str, int]]] = {}
-        for node in tree.body:
-            if (
-                isinstance(node, ast.Assign)
-                and len(node.targets) == 1
-                and isinstance(node.targets[0], ast.Name)
-                and isinstance(node.value, (ast.Tuple, ast.List))
-            ):
-                elements = [
-                    (element.value, element.lineno)
-                    for element in node.value.elts
-                    if isinstance(element, ast.Constant)
-                    and isinstance(element.value, str)
-                ]
-                constants[node.targets[0].id] = elements
-        for node in ast.walk(tree):
-            if not isinstance(node, ast.Compare):
-                continue
-            if not (
-                isinstance(node.left, ast.Name) and node.left.id == "endpoint"
-            ):
-                continue
-            if not any(isinstance(op, ast.In) for op in node.ops):
-                continue
-            for comparator in node.comparators:
-                if isinstance(comparator, ast.Name):
-                    endpoints.extend(constants.get(comparator.id, []))
-        return endpoints
-
-    # -- full-tree registry checks --------------------------------------
-    def _check_registry(
-        self,
-        symbols: object,
-        surfaces: dict[str, tuple[str, int]],
-        names: set[str],
-        prefixes: set[str],
-    ) -> Iterator[Finding]:
-        modules = getattr(symbols, "modules")
-
-        def emitted(name: str) -> bool:
-            return name in names or any(
-                name.startswith(prefix) for prefix in prefixes
-            )
-
-        for surface, required in sorted(config.OBSERVED_SURFACES.items()):
-            surface_kind = surface.split(":", 1)[0]
-            source = modules.get(config.SURFACE_SOURCES[surface_kind])
-            location = surfaces.get(surface)
-            if location is None:
-                yield _finding(
-                    source.path,
-                    1,
-                    self.code,
-                    f"stale OBSERVED_SURFACES entry {surface!r}: the surface "
-                    "no longer exists in the code",
+                    continue
+                if any(_emits(ast.walk(stmt)) for stmt in branch.body):
+                    continue
+                owner = next(
+                    (
+                        owners[id(node)]
+                        for node in module.ctx.ancestors(branch)
+                        if id(node) in owners
+                    ),
+                    None,
                 )
-                continue
-            for name in required:
-                if not emitted(name):
+                if owner is None or not self._reaches(
+                    project, owner, branch, emitters
+                ):
                     yield _finding(
-                        location[0],
-                        location[1],
+                        module.path,
+                        branch.test.lineno,
                         self.code,
-                        f"surface {surface!r} declares instrumentation "
-                        f"{name!r} but nothing in the tree emits it: the "
-                        "surface is effectively unobservable",
+                        f"this {variable!r} branch reaches no trace span and "
+                        "no EVENTS.emit: the surface is invisible to traces "
+                        "and the event log (instrument it, or mark a "
+                        "deliberate exemption '# ksp: ignore[KSP011]')",
                     )
-        anchor = next(
-            modules[key]
-            for key in config.SURFACE_SOURCES.values()
-            if key in modules
+
+    @staticmethod
+    def _reaches(
+        project: Project,
+        owner: FunctionSymbol,
+        branch: ast.If,
+        emitters: set[str],
+    ) -> bool:
+        start = branch.body[0].lineno
+        end = branch.body[-1].end_lineno or start
+        callgraph = project.callgraph
+        return any(
+            site.callee in emitters
+            or not emitters.isdisjoint(callgraph.reachable(site.callee))
+            for site in callgraph.callees(owner.qualname)
+            if start <= site.line <= end
         )
-        for name in sorted(config.INSTRUMENTATION_NAMES):
-            if not emitted(name):
-                yield _finding(
-                    anchor.path,
-                    1,
-                    self.code,
-                    f"stale INSTRUMENTATION_NAMES entry {name!r}: nothing "
-                    "emits it anymore",
-                )
 
 
 #: The interprocedural half of the catalogue, in order.
 PROJECT_RULES: tuple[Rule, ...] = (
     LockOrderCycleRule(),
     IpcPayloadReachabilityRule(),
-    ProtocolConformanceRule(),
     ObservabilityCoverageRule(),
 )

@@ -1,18 +1,16 @@
 """The project symbol table: one parse of ``src/repro``, shared facts.
 
-Generation two of the analysis subsystem is *whole-program*: the
-interprocedural rules (KSP008–KSP011) reason about invariants that span
-module boundaries — lock acquisition order across call chains, type
-reachability into IPC payloads, protocol conformance, observability
+The interprocedural rules (KSP008, KSP009, KSP011) reason about
+invariants that span module boundaries — lock acquisition order across
+call chains, type reachability into IPC payloads, observability
 coverage.  All of them start from the same pre-computed facts:
 
 * every **class** with its base names, methods, and the *types of its
   attributes* as far as they can be read off ``__init__`` assignments
   and annotations (``self._lock = threading.Lock()`` records both the
   attribute and the fact that its value cannot pickle);
-* every **function and method** with its parameters, its ``# ksp:
-  holds[...]`` lock contracts, and its AST node for the call-graph
-  builder;
+* every **function and method** with its ``# ksp: holds[...]`` lock
+  contracts and its AST node for the call-graph builder;
 * per-module **import aliases** so a call to ``trace_span(...)``
   resolves to ``repro.obs.trace.span``.
 
@@ -25,9 +23,10 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Iterator
 
-from repro.analysis.rules import HOLDS_MARKER, ModuleContext, dotted_name
+from repro.analysis.rules import ModuleContext, dotted_name, holds_contracts
 
 #: Call leaves whose result can never cross a pickle boundary: locks,
 #: condition variables, threads, pools, sockets, thread-local storage.
@@ -50,21 +49,6 @@ UNPICKLABLE_FACTORIES = frozenset({
 })
 
 
-def _holds_contracts(line_text: str) -> tuple[str, ...]:
-    """Lock expressions named in a ``# ksp: holds[self._lock]`` comment."""
-    marker = line_text.find(HOLDS_MARKER)
-    if marker < 0:
-        return ()
-    open_bracket = line_text.find("[", marker)
-    close_bracket = line_text.find("]", open_bracket + 1)
-    if open_bracket < 0 or close_bracket < 0:
-        return ()
-    inner = line_text[open_bracket + 1:close_bracket]
-    return tuple(
-        token.strip() for token in inner.split(",") if token.strip()
-    )
-
-
 @dataclass
 class FunctionSymbol:
     """One function or method, with the facts the project rules need."""
@@ -74,17 +58,16 @@ class FunctionSymbol:
     key: str  # owning module key
     class_name: str | None
     node: ast.FunctionDef | ast.AsyncFunctionDef
-    params: tuple[str, ...]  # positional parameter names, in order
-    defaults: int  # how many of the trailing params have defaults
     holds: tuple[str, ...]  # raw lock expressions from the contract
 
     @property
     def lineno(self) -> int:
         return self.node.lineno
 
-    @property
-    def is_method(self) -> bool:
-        return self.class_name is not None
+    @cached_property
+    def nodes(self) -> list[ast.AST]:
+        """Every node of the body, nested definitions included."""
+        return list(ast.walk(self.node))
 
 
 @dataclass
@@ -190,7 +173,7 @@ class ProjectSymbols:
 
     @staticmethod
     def _collect_imports(ctx: ModuleContext, module: ModuleSymbols) -> None:
-        for node in ast.walk(ctx.tree):
+        for node in ctx.nodes:
             if isinstance(node, ast.Import):
                 for alias in node.names:
                     module.imports[alias.asname or alias.name] = alias.name
@@ -235,9 +218,6 @@ class ProjectSymbols:
         node: ast.FunctionDef | ast.AsyncFunctionDef,
         class_name: str | None,
     ) -> FunctionSymbol:
-        params = tuple(
-            arg.arg for arg in list(node.args.posonlyargs) + list(node.args.args)
-        )
         scope = f"{class_name}.{node.name}" if class_name else node.name
         return FunctionSymbol(
             name=node.name,
@@ -245,9 +225,7 @@ class ProjectSymbols:
             key=ctx.key,
             class_name=class_name,
             node=node,
-            params=params,
-            defaults=len(node.args.defaults),
-            holds=_holds_contracts(ctx.line_text(node.lineno)),
+            holds=holds_contracts(ctx.line_text(node.lineno)),
         )
 
     def _collect_attribute_types(self, symbol: ClassSymbol) -> None:
@@ -268,7 +246,7 @@ class ProjectSymbols:
                 leaf = _annotation_leaf(arg.annotation)
                 if leaf:
                     param_types[arg.arg] = leaf
-            for node in ast.walk(method.node):
+            for node in method.nodes:
                 target: ast.expr | None = None
                 value: ast.expr | None = None
                 annotation: ast.AST | None = None

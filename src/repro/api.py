@@ -14,7 +14,7 @@ journaled, fanned out over IPC, and replayed on worker rehydration.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Protocol, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.query_processor import QueryStats
@@ -460,7 +460,29 @@ class BatchResult:
         return cls(results=tuple(results), errors=tuple(errors))
 
 
-def execute_many_sequential(engine, queries: Sequence[Query]) -> list[QueryResult]:
+class QueryEngine(Protocol):
+    """The engine protocol: what every engine answers, with these names.
+
+    ``execute_many`` must be result-identical to
+    :func:`execute_many_sequential`.  Extra parameters an engine adds
+    to either method need defaults: callers pass only these.
+    """
+
+    def execute(self, query: Query) -> QueryResult: ...
+
+    def execute_many(self, queries: Sequence[Query]) -> list[QueryResult]: ...
+
+
+class UpdatableEngine(QueryEngine, Protocol):
+    """An engine that also takes index mutations (``KSpin``, ``Engine``,
+    ``ClusterCoordinator``; the four baselines are query-only)."""
+
+    def apply(self, op: UpdateOp) -> dict: ...
+
+
+def execute_many_sequential(
+    engine: QueryEngine, queries: Sequence[Query]
+) -> list[QueryResult]:
     """Reference batch semantics: answer each query independently, in order.
 
     This is the *definition* of ``execute_many`` — engines without a
@@ -484,7 +506,7 @@ def batch_error_object(exc: BaseException) -> dict:
     return {"code": "internal", "message": f"{exc.__class__.__name__}: {exc}"}
 
 
-def execute_batch(engine, batch: QueryBatch) -> BatchResult:
+def execute_batch(engine: QueryEngine, batch: QueryBatch) -> BatchResult:
     """Answer a batch with per-item error isolation.
 
     The happy path hands the whole batch to ``engine.execute_many`` in

@@ -25,9 +25,6 @@ Commands
 ``lint``
     Run the project-invariant linter (KSP rules, stdlib-only) over the
     source tree; non-zero exit on any finding.
-``typecheck``
-    Run the strict typing gate (``mypy --strict``; pinned dev
-    dependency) over the source tree.
 ``demo``
     Run the Figure-1 quickstart end to end.
 
@@ -492,19 +489,10 @@ def _default_lint_paths() -> list[str]:
 
 
 def _cmd_lint(args: argparse.Namespace) -> int:
-    """Run the whole-program linter (KSP001–KSP011)."""
+    """Run the whole-program linter (the KSP rules)."""
     import json
-    from pathlib import Path
 
-    from repro.analysis import (
-        ALL_RULES,
-        changed_files,
-        lint_paths,
-        ratchet,
-        render_sarif,
-        select_rules,
-        write_baseline,
-    )
+    from repro.analysis.linter import ALL_RULES, lint_paths, select_rules
 
     if args.list_rules:
         for rule in ALL_RULES:
@@ -515,35 +503,12 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     except ValueError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
-    changed: set | None = None
-    if args.changed is not None:
-        try:
-            changed = changed_files(args.changed or "HEAD")
-        except RuntimeError as error:
-            print(f"warning: {error}; reporting all findings",
-                  file=sys.stderr)
-    paths = args.paths or _default_lint_paths()
-    findings = lint_paths(paths, rules=rules, changed_only=changed)
-    if args.format == "sarif":
-        print(render_sarif(findings, rules, root=Path.cwd()))
-    elif args.format == "json":
+    findings = lint_paths(args.paths or _default_lint_paths(), rules=rules)
+    if args.format == "json":
         print(json.dumps([f.to_dict() for f in findings], indent=2))
     else:
         for finding in findings:
             print(finding.render())
-    baseline_path = Path(args.baseline)
-    if args.write_baseline:
-        payload = write_baseline(baseline_path, findings, root=Path.cwd())
-        print(
-            f"repro lint: wrote {baseline_path} "
-            f"(counts: {payload['counts']})",
-            file=sys.stderr,
-        )
-        return 0
-    if args.ratchet:
-        result = ratchet(findings, baseline_path, root=Path.cwd())
-        print(result.summary(), file=sys.stderr)
-        return 0 if result.ok else 1
     if findings:
         if args.format == "text":
             print(f"repro lint: {len(findings)} finding(s)", file=sys.stderr)
@@ -551,14 +516,6 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     if args.format == "text":
         print("repro lint: clean")
     return 0
-
-
-def _cmd_typecheck(args: argparse.Namespace) -> int:
-    """Run the strict typing gate (mypy, pinned dev dependency)."""
-    from repro.analysis import run_typecheck
-
-    paths = args.paths or _default_lint_paths()
-    return run_typecheck(paths, strict=not args.no_strict, require=args.require)
 
 
 def _cmd_demo(args: argparse.Namespace) -> int:
@@ -616,9 +573,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="K-SPIN: spatial keyword queries on road networks",
         epilog=(
             "static analysis: `repro lint` runs the project-invariant "
-            "linter (KSP001..., stdlib-only) and `repro typecheck` runs "
-            "the strict typing gate (mypy --strict, dev dependency); "
-            "both are CI gates — see docs/static-analysis.md"
+            "linter (KSP rules, stdlib-only); typing and hygiene are plain "
+            "`mypy` and `ruff check` — see docs/static-analysis.md"
         ),
     )
     parser.add_argument(
@@ -744,40 +700,10 @@ def build_parser() -> argparse.ArgumentParser:
                       help="files or directories (default: src/repro)")
     lint.add_argument("--select", nargs="+", metavar="CODE",
                       help="run only these rule codes (e.g. KSP002 KSP003)")
-    lint.add_argument("--format", default="text",
-                      choices=["text", "json", "sarif"],
-                      help="report format (sarif: SARIF 2.1.0 for code "
-                           "scanners)")
+    lint.add_argument("--format", default="text", choices=["text", "json"],
+                      help="report format")
     lint.add_argument("--list-rules", action="store_true",
                       help="print the rule catalogue and exit")
-    lint.add_argument("--ratchet", action="store_true",
-                      help="gate against the checked-in baseline: fail only "
-                           "if any rule's finding count rises; auto-shrink "
-                           "the baseline when counts fall")
-    lint.add_argument("--baseline", default="analysis-baseline.json",
-                      metavar="PATH",
-                      help="baseline file for --ratchet/--write-baseline "
-                           "(default: analysis-baseline.json)")
-    lint.add_argument("--write-baseline", action="store_true",
-                      help="(re)create the baseline file from the current "
-                           "findings and exit 0")
-    lint.add_argument("--changed", nargs="?", const="HEAD", default=None,
-                      metavar="REF",
-                      help="analyse the whole program but report only "
-                           "findings in files changed vs REF (default HEAD) "
-                           "plus untracked files")
-
-    typecheck = commands.add_parser(
-        "typecheck",
-        help="run the strict typing gate (mypy --strict over src/repro)",
-    )
-    typecheck.add_argument("paths", nargs="*",
-                           help="files or directories (default: src/repro)")
-    typecheck.add_argument("--no-strict", action="store_true",
-                           help="drop the --strict flag (debugging only)")
-    typecheck.add_argument("--require", action="store_true",
-                           help="fail (exit 3) when mypy is not installed "
-                                "instead of skipping — used by CI")
 
     profile = commands.add_parser(
         "profile",
@@ -836,7 +762,6 @@ def main(argv: list[str] | None = None) -> int:
         "profile": _cmd_profile,
         "events": _cmd_events,
         "lint": _cmd_lint,
-        "typecheck": _cmd_typecheck,
         "demo": _cmd_demo,
     }
     return handlers[args.command](args)

@@ -60,6 +60,11 @@ class ResultCache:
         (every ``get`` misses, every ``put`` is dropped).
     """
 
+    #: Shared state and its lock (read by KSP002 and ``lockdebug``).
+    _guarded_by = {
+        "_lock": ("hits", "misses", "invalidations", "_entries", "_by_keyword"),
+    }
+
     def __init__(self, capacity: int = 1024) -> None:
         if capacity < 0:
             raise ValueError("capacity must be non-negative")

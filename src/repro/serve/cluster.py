@@ -100,6 +100,20 @@ class ClusterCoordinator:
         Run the background health checker (on by default).
     """
 
+    #: Shared state and its lock (read by KSP002 and ``lockdebug``):
+    #: membership and the journal change under the update lock; the
+    #: request-path counters have their own small mutex.
+    _guarded_by = {
+        "_update_lock": (
+            "updates_applied", "workers", "_journal", "_pool", "_started",
+            "_snapshot_path", "_owns_snapshot",
+        ),
+        "_stats_lock": (
+            "fallback_queries", "retried_requests", "dispatches",
+            "short_circuits", "skipped_shards",
+        ),
+    }
+
     def __init__(
         self,
         kspin: KSpin,

@@ -76,6 +76,9 @@ class Engine:
         Optional shared :class:`ServerMetrics`; one is created if absent.
     """
 
+    #: Shared state and its lock (read by KSP002 and ``lockdebug``).
+    _guarded_by = {"lock": ("updates_applied",)}
+
     def __init__(
         self,
         kspin: KSpin,

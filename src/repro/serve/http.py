@@ -242,7 +242,7 @@ class _Handler(BaseHTTPRequestHandler):
             # batches.
             batch_params: dict | None = None
             cost = 1.0
-            if endpoint == "/batch":
+            if endpoint == "/batch":  # ksp: ignore[KSP011] traced below
                 batch_params = self._params()
                 raw_queries = batch_params.get("queries")
                 if isinstance(raw_queries, list) and raw_queries:
@@ -279,15 +279,15 @@ class _Handler(BaseHTTPRequestHandler):
                 reply = self._handle_healthz()
             elif endpoint == "/metrics":
                 reply, text = self._handle_metrics()
-            elif endpoint == "/debug/traces":
+            elif endpoint == "/debug/traces":  # ksp: ignore[KSP011] observability drain
                 reply = {
                     "tracing": TRACER.snapshot(),
                     "recent": TRACER.recent_traces(),
                     "slow": TRACER.slow_traces(),
                 }
-            elif endpoint == "/debug/events":
+            elif endpoint == "/debug/events":  # ksp: ignore[KSP011] observability drain
                 reply = self._handle_events()
-            elif endpoint == "/debug/profile":
+            elif endpoint == "/debug/profile":  # ksp: ignore[KSP011] backend emits
                 reply, text = self._handle_profile()
                 if text is not None:
                     text_type = "text/plain; charset=utf-8"

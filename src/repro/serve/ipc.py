@@ -277,13 +277,13 @@ def worker_main(
                 reply = ("ok", body)
             elif kind == "update":
                 reply = ("ok", engine.apply(UpdateOp.from_dict(payload)))
-            elif kind == "ping":
+            elif kind == "ping":  # ksp: ignore[KSP011] liveness probe
                 reply = ("ok", "pong")
-            elif kind == "metrics":
+            elif kind == "metrics":  # ksp: ignore[KSP011] observability drain
                 reply = ("ok", engine.metrics_snapshot())
-            elif kind == "health":
+            elif kind == "health":  # ksp: ignore[KSP011] liveness probe
                 reply = ("ok", {**engine.health(), "worker": name})
-            elif kind == "events":
+            elif kind == "events":  # ksp: ignore[KSP011] observability drain
                 since_seq = 0
                 if isinstance(payload, dict):
                     since_seq = int(payload.get("since_seq", 0))
@@ -291,7 +291,7 @@ def worker_main(
                     "events": EVENTS.events(since_seq=since_seq),
                     "recorder": EVENTS.snapshot(),
                 })
-            elif kind == "profile":
+            elif kind == "profile":  # ksp: ignore[KSP011] PROFILER emits
                 action = "status"
                 hz = None
                 if isinstance(payload, dict):

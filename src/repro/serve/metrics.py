@@ -61,6 +61,16 @@ def merge_latency_payloads(payloads: Iterable[Mapping]) -> dict:
 class ServerMetrics:
     """All serving counters behind one mutex, snapshot for ``/metrics``."""
 
+    #: Shared state and its lock (read by KSP002 and ``lockdebug``).
+    _guarded_by = {
+        "_lock": (
+            "shed", "timeouts", "rate_limited", "queries_served",
+            "_requests", "_errors", "_latency", "_error_latency",
+            "_query_latency", "_endpoint_latency", "_stage_latency",
+            "_stats_totals", "_batch_size",
+        ),
+    }
+
     def __init__(self) -> None:
         self._lock = make_lock("metrics")
         self._latency = LatencyRecorder()

@@ -153,7 +153,7 @@ class ClientRateLimiter:
                 self.limited += 1
             return retry_after
 
-    def _prune_locked(self) -> None:
+    def _prune_locked(self) -> None:  # ksp: holds[self._lock]
         idle = [client for client, bucket in self._buckets.items() if bucket.idle()]
         for client in idle:
             del self._buckets[client]

@@ -1,18 +1,22 @@
-# ksp: scope=serve/metrics.py
-"""Seeded KSP002 violation: shared-state write outside its lock."""
+"""Seeded KSP002 violations: shared state written outside its lock."""
 
 import threading
 
 
-class ServerMetrics:
+class Counters:
+    _guarded_by = {"_lock": ("served",)}
+
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        self.queries_served = 0
+        self.served = 0  # fine: construction, the object is not shared yet
         self.shed = 0
 
-    def record_query(self) -> None:
-        self.queries_served += 1  # violation: no lock held
+    def record_served(self) -> None:
+        self.served += 1  # violation: the declared lock is not held
 
     def record_shed(self) -> None:
         with self._lock:
-            self.shed += 1  # fine: under the declared lock
+            self.shed += 1  # fine: under a lock
+
+    def reset_shed(self) -> None:
+        self.shed = 0  # violation: written under a lock elsewhere, bare here

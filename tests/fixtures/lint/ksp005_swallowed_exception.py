@@ -1,13 +1,5 @@
 # ksp: scope=serve/supervisor.py
-"""Seeded KSP005 violations: swallowed exceptions in the IPC tier."""
-
-
-def sweep(workers: list[object]) -> None:
-    for worker in workers:
-        try:
-            worker.ping()  # type: ignore[attr-defined]
-        except:  # violation: bare except hides worker deaths
-            pass
+"""Seeded KSP005 violation: a swallowed exception in the IPC tier."""
 
 
 def fan_out(handles: list[object]) -> None:

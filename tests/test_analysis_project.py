@@ -1,32 +1,12 @@
 """Unit tests for the whole-program analysis engine.
 
 Covers the layers under the interprocedural rules — the project symbol
-table, the approximate call graph, pickle-taint propagation — plus the
-finding-count ratchet, SARIF rendering, and the registry-drift
-directions (stale entries) that the file fixtures cannot exercise
-without dragging in the whole serving stack.
+table, the approximate call graph, pickle-taint propagation.
 """
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
-
-from repro.analysis import (
-    ALL_RULES,
-    Project,
-    lint_source,
-    load_baseline,
-    ratchet,
-    render_sarif,
-    write_baseline,
-)
-from repro.analysis import config
-from repro.analysis.findings import Finding
-from repro.analysis.project_rules import (
-    ObservabilityCoverageRule,
-    ProtocolConformanceRule,
-)
+from repro.analysis.callgraph import Project
 from repro.analysis.rules import ModuleContext
 from repro.analysis.symbols import ProjectSymbols
 
@@ -169,205 +149,3 @@ class TestCallGraph:
             for site in project.callgraph.callees("pkg/main.py::entry")
         }
         assert callees == {"pkg/util.py::helper"}
-
-
-def _mk(code: str, n: int) -> list[Finding]:
-    return [
-        Finding(path="x.py", line=i + 1, col=0, code=code, message="seed")
-        for i in range(n)
-    ]
-
-
-class TestRatchet:
-    def test_missing_baseline_allows_nothing(self, tmp_path):
-        result = ratchet(_mk("KSP004", 1), tmp_path / "none.json")
-        assert not result.ok
-        assert result.regressions == {"KSP004": (1, 0)}
-
-    def test_regression_fails_and_leaves_file_untouched(self, tmp_path):
-        path = tmp_path / "baseline.json"
-        write_baseline(path, _mk("KSP004", 2))
-        before = path.read_text()
-        result = ratchet(_mk("KSP004", 3), path)
-        assert not result.ok
-        assert result.regressions == {"KSP004": (3, 2)}
-        assert path.read_text() == before
-        assert "do not baseline" in result.summary()
-
-    def test_improvement_auto_shrinks(self, tmp_path):
-        path = tmp_path / "baseline.json"
-        write_baseline(path, _mk("KSP004", 2))
-        result = ratchet(_mk("KSP004", 1), path)
-        assert result.ok and result.shrunk
-        assert result.improvements == {"KSP004": (1, 2)}
-        assert load_baseline(path) == {"KSP004": 1}
-        assert "auto-shrunk" in result.summary()
-
-    def test_update_false_never_writes(self, tmp_path):
-        path = tmp_path / "baseline.json"
-        write_baseline(path, _mk("KSP004", 2))
-        before = path.read_text()
-        result = ratchet(_mk("KSP004", 0), path, update=False)
-        assert result.ok and not result.shrunk
-        assert path.read_text() == before
-
-    def test_counts_not_lines_are_the_contract(self, tmp_path):
-        path = tmp_path / "baseline.json"
-        write_baseline(path, _mk("KSP004", 2))
-        moved = [
-            Finding(path="y.py", line=900 + i, col=0, code="KSP004", message="m")
-            for i in range(2)
-        ]
-        assert ratchet(moved, path).ok  # same count, different positions
-
-
-class TestSarif:
-    def test_log_shape_and_locations(self, tmp_path):
-        findings = [
-            Finding(path=str(tmp_path / "mod.py"), line=7, col=4,
-                    code="KSP003", message="blocking call"),
-        ]
-        payload = json.loads(render_sarif(findings, ALL_RULES, root=tmp_path))
-        assert payload["version"] == "2.1.0"
-        run = payload["runs"][0]
-        assert run["tool"]["driver"]["name"] == "repro-lint"
-        rule_ids = {rule["id"] for rule in run["tool"]["driver"]["rules"]}
-        assert {r.code for r in ALL_RULES} == rule_ids
-        (result,) = run["results"]
-        assert result["ruleId"] == "KSP003"
-        location = result["locations"][0]["physicalLocation"]
-        assert location["artifactLocation"]["uri"] == "mod.py"
-        assert location["region"] == {"startLine": 7, "startColumn": 5}
-
-    def test_empty_findings_is_valid_sarif(self):
-        payload = json.loads(render_sarif([], ALL_RULES, root=Path.cwd()))
-        assert payload["runs"][0]["results"] == []
-
-
-class TestRegistryDrift:
-    """The stale-entry directions of KSP010/KSP011, with injected
-    registries — the real ones match the real tree by construction."""
-
-    def test_stale_engine_registry_entry(self, monkeypatch):
-        monkeypatch.setattr(
-            config, "ENGINE_REGISTRY", {"zmod.py": {"Ghost": ("execute",)}}
-        )
-        findings = lint_source(
-            "class Other:\n    pass\n",
-            key="zmod.py",
-            rules=[ProtocolConformanceRule()],
-        )
-        assert [f.code for f in findings] == ["KSP010"]
-        assert "stale ENGINE_REGISTRY" in findings[0].message
-
-    def test_missing_protocol_method(self, monkeypatch):
-        monkeypatch.setattr(
-            config,
-            "ENGINE_REGISTRY",
-            {"zmod.py": {"Eng": ("execute", "apply")}},
-        )
-        findings = lint_source(
-            "class Eng:\n"
-            "    def execute(self, query):\n"
-            "        pass\n",
-            key="zmod.py",
-            rules=[ProtocolConformanceRule()],
-        )
-        assert len(findings) == 1
-        assert "does not implement 'apply'" in findings[0].message
-
-    def test_signature_divergence(self, monkeypatch):
-        monkeypatch.setattr(
-            config, "ENGINE_REGISTRY", {"zmod.py": {"Eng": ("execute",)}}
-        )
-        findings = lint_source(
-            "class Eng:\n"
-            "    def execute(self, q):\n"
-            "        pass\n",
-            key="zmod.py",
-            rules=[ProtocolConformanceRule()],
-        )
-        assert len(findings) == 1
-        assert "signature" in findings[0].message
-
-    def test_extra_params_need_defaults(self, monkeypatch):
-        monkeypatch.setattr(
-            config, "ENGINE_REGISTRY", {"zmod.py": {"Eng": ("execute",)}}
-        )
-        findings = lint_source(
-            "class Eng:\n"
-            "    def execute(self, query, extra):\n"
-            "        pass\n",
-            key="zmod.py",
-            rules=[ProtocolConformanceRule()],
-        )
-        assert len(findings) == 1
-        assert "required parameter" in findings[0].message
-        # with a default the extra parameter is protocol-compatible
-        ok = lint_source(
-            "class Eng:\n"
-            "    def execute(self, query, extra=None):\n"
-            "        pass\n",
-            key="zmod.py",
-            rules=[ProtocolConformanceRule()],
-        )
-        assert ok == []
-
-    def test_stale_batch_registry_entry(self, monkeypatch):
-        monkeypatch.setattr(
-            config, "BATCH_REGISTRY", {"zmod.py::gone_many": "zmod.py::gone"}
-        )
-        monkeypatch.setattr(config, "BATCH_SCAN_PREFIXES", ("zmod.py",))
-        findings = lint_source(
-            "def still_here():\n    pass\n",
-            key="zmod.py",
-            rules=[ProtocolConformanceRule()],
-        )
-        assert [f.code for f in findings] == ["KSP010"]
-        assert "stale BATCH_REGISTRY" in findings[0].message
-
-    def test_observability_full_tree_checks(self, monkeypatch):
-        monkeypatch.setattr(
-            config,
-            "SURFACE_SOURCES",
-            {"http": "zsurf.py", "ipc": "zsurf.py", "cli": "zsurf.py"},
-        )
-        monkeypatch.setattr(
-            config,
-            "OBSERVED_SURFACES",
-            {"ipc:ping": ("ping.done",), "ipc:gone": ()},
-        )
-        monkeypatch.setattr(
-            config, "INSTRUMENTATION_NAMES", frozenset({"ping.done"})
-        )
-        monkeypatch.setattr(config, "INSTRUMENTATION_PREFIXES", ())
-        findings = lint_source(
-            "def dispatch(kind):\n"
-            "    if kind == 'ping':\n"
-            "        return 'pong'\n",
-            key="zsurf.py",
-            rules=[ObservabilityCoverageRule()],
-        )
-        messages = sorted(f.message for f in findings)
-        assert len(messages) == 3
-        assert any("stale OBSERVED_SURFACES entry 'ipc:gone'" in m
-                   for m in messages)
-        assert any("nothing in the tree emits it" in m for m in messages)
-        assert any("stale INSTRUMENTATION_NAMES entry 'ping.done'" in m
-                   for m in messages)
-
-    def test_unregistered_surface_is_always_checked(self, monkeypatch):
-        monkeypatch.setattr(config, "SURFACE_SOURCES", {"ipc": "zsurf.py"})
-        monkeypatch.setattr(config, "OBSERVED_SURFACES", {})
-        monkeypatch.setattr(config, "INSTRUMENTATION_NAMES", frozenset())
-        findings = lint_source(
-            "def dispatch(kind):\n"
-            "    if kind == 'mystery':\n"
-            "        return None\n",
-            key="zsurf.py",
-            rules=[ObservabilityCoverageRule()],
-        )
-        assert len(findings) == 1
-        assert "surface 'ipc:mystery' is not in OBSERVED_SURFACES" in (
-            findings[0].message
-        )

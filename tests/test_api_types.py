@@ -7,16 +7,20 @@ pin the whole contract.
 """
 
 import importlib
+import inspect
 import pickle
+import pkgutil
 
 import pytest
 
-from repro.analysis.config import ENGINE_REGISTRY
+import repro
 from repro.api import (
     Hit,
     Query,
+    QueryEngine,
     QueryResult,
     UnsupportedQueryError,
+    UpdatableEngine,
     UpdateOp,
     hits_from_pairs,
     merge_results,
@@ -233,20 +237,59 @@ class TestEveryEngineSpeaksTheApi:
 
 
 # ----------------------------------------------------------------------
-# One way in: no engine keeps a positional query method
+# One way in: every engine answers the protocol, and nothing else
 # ----------------------------------------------------------------------
-def registered_engine_classes():
-    for key, classes in ENGINE_REGISTRY.items():
-        module = importlib.import_module(
-            "repro." + key[: -len(".py")].replace("/", ".")
-        )
-        for name in classes:
-            yield getattr(module, name)
+def engine_classes():
+    """Every class in ``repro`` defining both ``execute`` and
+    ``execute_many`` — found by walking the package, not from a list."""
+    found = {}
+    for info in pkgutil.walk_packages(repro.__path__, "repro."):
+        if info.name.endswith("__main__"):
+            continue
+        module = importlib.import_module(info.name)
+        for cls in vars(module).values():
+            if (
+                inspect.isclass(cls)
+                and cls.__module__ == module.__name__
+                and not getattr(cls, "_is_protocol", False)
+                and {"execute", "execute_many"} <= set(vars(cls))
+            ):
+                found[cls.__qualname__] = cls
+    return sorted(found.values(), key=lambda cls: cls.__name__)
 
 
-@pytest.mark.parametrize(
-    "engine_class", list(registered_engine_classes()), ids=lambda c: c.__name__
-)
+ENGINES = engine_classes()
+
+
+def test_engine_walk_finds_every_engine():
+    assert {cls.__name__ for cls in ENGINES} >= {
+        "KSpin", "Engine", "ClusterCoordinator",
+        "NetworkExpansion", "FsFbs", "GTreeSpatialKeyword", "Road",
+    }
+
+
+@pytest.mark.parametrize("engine_class", ENGINES, ids=lambda c: c.__name__)
+def test_engine_matches_the_protocol(engine_class):
+    """``execute(query)``, ``execute_many(queries)`` and, where present,
+    ``apply(op)`` take the protocol's parameters under the protocol's
+    names; anything an engine adds has a default."""
+    protocol = UpdatableEngine if hasattr(engine_class, "apply") else QueryEngine
+    for name in ("execute", "execute_many", "apply"):
+        if not hasattr(engine_class, name):
+            continue
+        expected = list(inspect.signature(getattr(protocol, name)).parameters)
+        method = getattr(engine_class, name)
+        params = list(inspect.signature(method).parameters.values())
+        assert [p.name for p in params[: len(expected)]] == expected, method
+        extras = params[len(expected):]
+        assert all(
+            p.default is not inspect.Parameter.empty
+            or p.kind in (p.VAR_POSITIONAL, p.VAR_KEYWORD)
+            for p in extras
+        ), (method, extras)
+
+
+@pytest.mark.parametrize("engine_class", ENGINES, ids=lambda c: c.__name__)
 def test_engine_has_no_positional_query_method(engine_class):
     for name in ("bknn", "top_k", "knn"):
         assert not hasattr(engine_class, name), (engine_class, name)

@@ -19,8 +19,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import kernels
-from repro.analysis import lint_source
-from repro.analysis.config import REPRODUCIBLE_PREFIXES
+from repro.analysis.linter import lint_source
+from repro.analysis.rules import REPRODUCIBLE_PREFIXES
 from repro.graph import (
     RoadNetwork,
     bidirectional_dijkstra,

@@ -2,13 +2,17 @@
 
 The acceptance gate for this subsystem: provoking an inverted
 acquisition order across two threads must produce a cycle report that
-names *both* acquisition sites as ``file:line`` in this test file.
+names *both* acquisition sites as ``file:line`` in this test file — and
+a ``REPRO_LOCK_DEBUG=1`` test run that records one must fail.
 """
 
 from __future__ import annotations
 
 import os
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import pytest
 
@@ -16,15 +20,45 @@ from repro.analysis import lockdebug
 from repro.analysis.lockdebug import DebugLock, GuardedAttribute, make_lock
 
 
+ROOT = Path(__file__).parent.parent
+
+
 @pytest.fixture(autouse=True)
 def _clean_lockdebug():
-    """Every test starts disabled with an empty graph and no patches."""
+    """Every test starts disabled with an empty graph and no patches.
+
+    Afterwards the state the test found comes back: under
+    ``REPRO_LOCK_DEBUG=1`` the session's mode, its write guards and
+    whatever it recorded so far are ``tests/conftest.py``'s to judge.
+    """
+    was_enabled = lockdebug.enabled()
+    was_instrumented = bool(lockdebug._patched)
+    recorded = (
+        dict(lockdebug._edges), dict(lockdebug._names), list(lockdebug._violations)
+    )
+    lockdebug.uninstrument()
     lockdebug.disable()
     lockdebug.reset()
     yield
     lockdebug.uninstrument()
-    lockdebug.disable()
     lockdebug.reset()
+    lockdebug._edges.update(recorded[0])
+    lockdebug._names.update(recorded[1])
+    lockdebug._violations.extend(recorded[2])
+    if was_enabled:
+        lockdebug.enable(fresh=False)
+    else:
+        lockdebug.disable()
+    if was_instrumented:
+        lockdebug.instrument()
+
+
+def _env(**extra: str) -> dict[str, str]:
+    env = {**os.environ, **extra}
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), str(ROOT), env.get("PYTHONPATH", "")])
+    )
+    return env
 
 
 def test_make_lock_is_plain_when_disabled() -> None:
@@ -166,6 +200,12 @@ def test_instrument_watches_real_server_metrics() -> None:
     lockdebug.enable()
     installed = lockdebug.instrument()
     assert "ServerMetrics.shed" in installed
+    # every class declares its own shared state beside its lock
+    assert {
+        "ResultCache.hits", "ResultCache.invalidations",
+        "ClusterCoordinator.dispatches", "ClusterCoordinator.skipped_shards",
+        "Engine.updates_applied",
+    } <= set(installed)
     try:
         from repro.serve.metrics import ServerMetrics
 
@@ -186,16 +226,6 @@ def test_instrument_watches_real_server_metrics() -> None:
 
 def test_env_var_enables_at_import() -> None:
     """REPRO_LOCK_DEBUG=1 turns the mode on in a fresh interpreter."""
-    import subprocess
-    import sys
-    from pathlib import Path
-
-    src = Path(__file__).parent.parent / "src"
-    env = dict(os.environ)
-    env["REPRO_LOCK_DEBUG"] = "1"
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [str(src), env.get("PYTHONPATH", "")])
-    )
     code = (
         "from repro.analysis import lockdebug\n"
         "from repro.analysis.lockdebug import make_lock, DebugLock\n"
@@ -203,6 +233,55 @@ def test_env_var_enables_at_import() -> None:
         "assert isinstance(make_lock('x'), DebugLock)\n"
     )
     proc = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True
+        [sys.executable, "-c", code],
+        env=_env(REPRO_LOCK_DEBUG="1"), capture_output=True, text=True,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_serving_does_not_import_the_linter() -> None:
+    code = (
+        "import sys\n"
+        "import repro.serve\n"
+        "assert 'repro.analysis.lockdebug' in sys.modules\n"
+        "assert 'repro.analysis.linter' not in sys.modules, sorted(sys.modules)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=_env(), capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_debug_run_fails_on_a_recorded_inversion(tmp_path: Path) -> None:
+    """Every test passing is not enough under REPRO_LOCK_DEBUG=1: a run
+    in which two threads took two locks in opposite orders fails."""
+    (tmp_path / "test_inversion.py").write_text(
+        "import threading\n"
+        "from repro.analysis.lockdebug import make_lock\n"
+        "\n"
+        "def test_opposite_orders():\n"
+        "    first, second = make_lock('first'), make_lock('second')\n"
+        "    def forward():\n"
+        "        with first:\n"
+        "            with second:\n"
+        "                pass\n"
+        "    def backward():\n"
+        "        with second:\n"
+        "            with first:\n"
+        "                pass\n"
+        "    for target in (forward, backward):\n"
+        "        thread = threading.Thread(target=target)\n"
+        "        thread.start()\n"
+        "        thread.join()\n"
+    )
+    proc = subprocess.run(
+        [
+            sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+            "-p", "tests.conftest", "test_inversion.py",
+        ],
+        cwd=tmp_path, env=_env(REPRO_LOCK_DEBUG="1"),
+        capture_output=True, text=True, timeout=120,
+    )
+    assert "1 passed" in proc.stdout, proc.stdout + proc.stderr
+    assert "potential deadlock" in proc.stdout, proc.stdout
+    assert proc.returncode != 0
