@@ -17,9 +17,7 @@ validates:
   absolute floor so one-core CI jitter cannot flake the gate), and a
   collapsed flame-graph artifact is written,
 * the flight recorder captured the run's cache evictions and serves
-  them causally ordered at ``/v1/debug/events``,
-* a synthetic error burst flips a declared SLO ok -> burning -> ok and
-  the ``repro_slo_*`` gauges follow.
+  them causally ordered at ``/v1/debug/events``.
 
 Run: ``PYTHONPATH=src python benchmarks/smoke_observability.py``
 """
@@ -28,15 +26,12 @@ import json
 import os
 import re
 import sys
-import time
-import urllib.error
 import urllib.request
 
 from repro.core import KSpin
 from repro.datasets import WorkloadGenerator, load_dataset
 from repro.distance import DijkstraOracle
 from repro.lowerbound import AltLowerBounder
-from repro.obs.slo import SloObjective
 from repro.serve import Engine, QueryServer, ServeClient, replay
 
 DATASET = "DE-S"
@@ -124,9 +119,6 @@ def main() -> int:
     engine = Engine(kspin, cache_size=256)
     with QueryServer(
         engine, port=0, workers=4, trace=True, slow_query_threshold=0.0,
-        slo_objectives=[SloObjective("availability", target=0.9)],
-        slo_windows=(("fast", 0.2, 0.5, 1.5),),
-        slo_interval=0.0,  # the smoke drives evaluation explicitly
     ).start_background() as server:
         client = ServeClient(server.url)
         result = replay(client, queries, CONCURRENCY, k=K, kind="bknn")
@@ -171,7 +163,6 @@ def main() -> int:
 
         check_profiler_overhead(server, client, queries)
         check_flight_recorder(server, client)
-        check_slo_burn_cycle(server, client)
     print("observability smoke: OK")
     return 0
 
@@ -225,35 +216,6 @@ def check_flight_recorder(server, client) -> None:
         last_seq[source] = event["seq"]
     print(f"events: {len(events)} buffered from {sorted(last_seq)}, "
           f"kinds {sorted(kinds)}")
-
-
-def check_slo_burn_cycle(server, client) -> None:
-    """A synthetic error burst flips the objective ok -> burning -> ok."""
-    server.evaluate_slo()  # baseline sample
-    payload = server.evaluate_slo()
-    assert payload["burning"] == [], payload["burning"]
-    for _ in range(40):  # synthetic failure injection: guaranteed 404s
-        try:
-            _get(f"{server.url}/v1/no-such-endpoint")
-        except urllib.error.HTTPError:
-            pass
-    time.sleep(0.05)
-    payload = server.evaluate_slo()
-    assert payload["burning"] == ["availability"], payload
-    text = _get(f"{server.url}/v1/metrics?format=prometheus")
-    assert 'repro_slo_burning{objective="availability"} 1' in text
-    assert "repro_admission_pressure 0.5" in text
-    for _ in range(10):  # recovery traffic, then wait out the window
-        client.query({"vertex": 0, "k": K, "keywords": ["kw0000"]})
-    time.sleep(0.25)
-    server.evaluate_slo()
-    time.sleep(0.05)
-    payload = server.evaluate_slo()
-    assert payload["burning"] == [], payload["burning"]
-    transitions = payload["objectives"]["availability"]["transitions"]
-    assert transitions == 2, transitions
-    print("slo: availability flipped ok -> burning -> ok "
-          f"({transitions} transitions), admission pressure restored")
 
 
 def _get(url: str) -> str:

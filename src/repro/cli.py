@@ -21,7 +21,7 @@ Commands
 ``events``
     Dump or follow the server's flight-recorder event stream
     (``/v1/debug/events``): admission sheds, cache evictions, worker
-    lifecycle, SLO burn transitions — one causally-ordered record.
+    lifecycle — one causally-ordered record.
 ``lint``
     Run the project-invariant linter (KSP rules, stdlib-only) over the
     source tree; non-zero exit on any finding.
@@ -244,6 +244,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     if args.queue_size < 0:
         print("error: --queue-size must be non-negative", file=sys.stderr)
         return 2
+    if args.rate_burst is not None and args.rate_limit is None:
+        print("error: --rate-burst needs --rate-limit", file=sys.stderr)
+        return 2
     if args.index:
         print(f"Loading index from {args.index} ...")
     else:
@@ -270,40 +273,26 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         backend = cluster
     else:
         backend = Engine(kspin, cache_size=args.cache_size)
-    from repro.obs.slo import DEFAULT_WINDOWS, parse_objective, scaled_windows
-
-    slo_objectives = None
-    slo_windows = DEFAULT_WINDOWS
-    if args.slo:
-        try:
-            slo_objectives = [parse_objective(spec) for spec in args.slo]
-        except ValueError as exc:
-            print(f"error: bad --slo spec: {exc}", file=sys.stderr)
-            return 2
-        slo_windows = scaled_windows(args.slo_window_scale)
-    server = QueryServer(
-        backend,
-        host=args.host,
-        port=args.port,
-        workers=args.workers,
-        max_queue=args.queue_size,
-        deadline=args.deadline,
-        verbose=args.verbose,
-        trace=args.trace,
-        trace_buffer=args.trace_buffer,
-        slow_query_threshold=args.slow_query_threshold,
-        rate_limit=args.rate_limit,
-        rate_burst=args.rate_burst,
-        slo_objectives=slo_objectives,
-        slo_windows=slo_windows,
-        slo_interval=args.slo_interval,
-        slo_shed_pressure=args.slo_shed_pressure,
-    )
-    if slo_objectives:
-        names = ", ".join(obj.name for obj in slo_objectives)
-        print(f"SLO burn-rate engine armed for: {names} "
-              f"(window scale {args.slo_window_scale:g}, shed pressure "
-              f"{args.slo_shed_pressure:g} while burning)")
+    try:
+        server = QueryServer(
+            backend,
+            host=args.host,
+            port=args.port,
+            workers=args.workers,
+            max_queue=args.queue_size,
+            deadline=args.deadline,
+            verbose=args.verbose,
+            trace=args.trace,
+            trace_buffer=args.trace_buffer,
+            slow_query_threshold=args.slow_query_threshold,
+            rate_limit=args.rate_limit,
+            rate_burst=args.rate_burst,
+        )
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        if cluster is not None:
+            cluster.close()
+        return 2
     if args.rate_limit:
         print(f"Per-client rate limit: {args.rate_limit:g} req/s "
               f"(burst {server.rate_limiter.capacity:g}); clients keyed by "
@@ -656,24 +645,6 @@ def build_parser() -> argparse.ArgumentParser:
                        metavar="REQUESTS",
                        help="per-client burst allowance "
                             "(default: 2 * --rate-limit)")
-    serve.add_argument("--slo", action="append", metavar="SPEC",
-                       help="declare a latency/error objective, e.g. "
-                            "bknn-p99:latency:50ms:0.99 or "
-                            "availability:errors:0.999 (repeatable); "
-                            "burn-rate gauges land in /v1/metrics and "
-                            "verbose /v1/healthz")
-    serve.add_argument("--slo-window-scale", type=float, default=1.0,
-                       metavar="FACTOR",
-                       help="multiply the 5m/1h + 30m/6h burn-rate "
-                            "windows by FACTOR (shrink for demos/tests)")
-    serve.add_argument("--slo-interval", type=float, default=1.0,
-                       metavar="SECONDS",
-                       help="background SLO evaluation period; 0 relies "
-                            "on /v1/metrics scrapes only")
-    serve.add_argument("--slo-shed-pressure", type=float, default=0.5,
-                       metavar="FACTOR",
-                       help="admission-queue scale applied while any "
-                            "objective is burning (default 0.5)")
 
     explain = commands.add_parser(
         "explain",

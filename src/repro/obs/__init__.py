@@ -21,7 +21,7 @@ Three pieces, all stdlib-only:
   snapshot, including ``_bucket``/``_sum``/``_count`` series for every
   histogram.
 
-Generation two adds three always-on-capable production facilities:
+Generation two adds two always-on-capable production facilities:
 
 * :mod:`repro.obs.profile` — a stdlib sampling profiler
   (``sys._current_frames()`` at a configurable hz, folded-stack
@@ -29,12 +29,9 @@ Generation two adds three always-on-capable production facilities:
   disabled; spans additionally record exact per-stage CPU-vs-wall
   attribution (``cpu_ms``) via ``time.thread_time``.
 * :mod:`repro.obs.events` — a bounded append-only flight recorder of
-  discrete serving events (shed, evict, worker death, SLO burn)
-  with per-source monotonic sequence numbers; per-process streams merge
-  into one causally-ordered record.
-* :mod:`repro.obs.slo` — declarative latency/error objectives evaluated
-  as multi-window multi-burn-rate alerts over the cumulative counters,
-  with hooks that let burning objectives tighten admission control.
+  discrete serving events (shed, evict, worker death) with per-source
+  monotonic sequence numbers; per-process streams merge into one
+  causally-ordered record.
 
 The vocabulary is the paper's §5.1 cost model — iterations κ, exact
 distance computations, lower-bound computations, heap operations — so a
@@ -56,13 +53,6 @@ from repro.obs.profile import (
     merge_folded,
     render_collapsed,
 )
-from repro.obs.slo import (
-    DEFAULT_WINDOWS,
-    SloObjective,
-    SloTracker,
-    parse_objective,
-    scaled_windows,
-)
 from repro.obs.trace import (
     Span,
     Tracer,
@@ -76,15 +66,12 @@ from repro.obs.trace import (
 )
 
 __all__ = [
-    "DEFAULT_WINDOWS",
     "EVENTS",
     "FlightRecorder",
     "LogHistogram",
     "PROFILER",
     "PROMETHEUS_BOUNDS",
     "SamplingProfiler",
-    "SloObjective",
-    "SloTracker",
     "Span",
     "TRACER",
     "Tracer",
@@ -95,9 +82,7 @@ __all__ = [
     "format_trace",
     "merge_folded",
     "merge_streams",
-    "parse_objective",
     "render_collapsed",
-    "scaled_windows",
     "span",
     "timed",
     "to_jsonl",

@@ -26,11 +26,10 @@ Event shape (JSON-ready, one dict per event)::
 
 Event taxonomy (grep anchors, one dotted namespace per layer):
 ``query.shed`` / ``query.rate_limited`` / ``query.deadline`` (HTTP
-admission), ``cache.evict`` / ``cache.admit_rejected`` (result cache),
-``worker.start`` / ``worker.spawn`` / ``worker.death`` /
-``worker.restart`` (cluster lifecycle, incl. ``mode=fork|rehydrate``),
-``batch.scatter`` / ``batch.gather``, and ``slo.burn_start`` /
-``slo.burn_stop`` from the SLO engine.
+admission), ``cache.evict`` (result cache), ``worker.start`` /
+``worker.spawn`` / ``worker.death`` / ``worker.restart`` (cluster
+lifecycle, incl. ``mode=fork|rehydrate``), and ``batch.scatter`` /
+``batch.gather``.
 """
 
 from __future__ import annotations

@@ -207,20 +207,6 @@ def render_prometheus(snapshot: Mapping, namespace: str = "repro") -> str:
     if "hit_rate" in cache:
         w.sample("cache_hit_rate", "gauge",
                  "Result-cache hits over lookups so far.", cache["hit_rate"])
-    admission = cache.get("admission") or {}
-    if admission:
-        w.sample("cache_admitted_total", "counter",
-                 "Results admitted to the cache by the hot-keyword gate.",
-                 admission.get("admitted", 0))
-        w.sample("cache_admission_rejected_total", "counter",
-                 "Results the hot-keyword gate kept out of the cache.",
-                 admission.get("rejected", 0))
-        w.sample("cache_admission_observed_total", "counter",
-                 "Keyword observations fed to the heat counter.",
-                 admission.get("observed", 0))
-        w.sample("cache_admission_tracked_keywords", "gauge",
-                 "Keywords currently tracked by the lossy heat counter.",
-                 admission.get("tracked", 0))
 
     # -------------------------------------------------------- admission
     if "queue_depth" in snapshot:
@@ -306,42 +292,6 @@ def render_prometheus(snapshot: Mapping, namespace: str = "repro") -> str:
         w.sample("tracing_enabled", "gauge",
                  "Whether end-to-end tracing is on.",
                  1 if tracing.get("enabled") else 0)
-
-    # -------------------------------------------------------------- SLO
-    if "pressure" in snapshot:
-        w.sample("admission_pressure", "gauge",
-                 "Admission queue-bound scale factor (1 = normal; the "
-                 "SLO engine lowers it while an error budget burns).",
-                 snapshot["pressure"])
-    slo = snapshot.get("slo") or {}
-    for name, objective in sorted((slo.get("objectives") or {}).items()):
-        labels = {"objective": name}
-        w.sample("slo_burning", "gauge",
-                 "Whether this objective's error budget is burning "
-                 "(multi-window multi-burn-rate alert state).",
-                 1 if objective.get("burning") else 0, labels)
-        w.sample("slo_target", "gauge",
-                 "Required good-ratio for this objective.",
-                 objective.get("target", 0.0), labels)
-        w.sample("slo_requests_total", "counter",
-                 "Requests evaluated against this objective.",
-                 objective.get("total", 0), labels)
-        w.sample("slo_bad_total", "counter",
-                 "Budget-consuming (bad) requests for this objective.",
-                 objective.get("bad", 0), labels)
-        w.sample("slo_transitions_total", "counter",
-                 "ok<->burning state transitions for this objective.",
-                 objective.get("transitions", 0), labels)
-        for window in objective.get("windows") or []:
-            window_labels = {"objective": name,
-                             "window": str(window.get("window", "?"))}
-            w.sample("slo_burn_rate", "gauge",
-                     "Error-budget burn rate over the short window "
-                     "(1 = spending exactly the budget).",
-                     window.get("short_burn", 0.0), window_labels)
-            w.sample("slo_burn_rate_long", "gauge",
-                     "Error-budget burn rate over the long window.",
-                     window.get("long_burn", 0.0), window_labels)
 
     # --------------------------------------------------- flight recorder
     events = snapshot.get("events") or {}

@@ -12,12 +12,7 @@ module wraps :class:`concurrent.futures.ThreadPoolExecutor` with:
 * a per-request deadline — callers waiting past it get
   :class:`DeadlineExceeded` (the work itself is cancelled if it has not
   started, and otherwise finishes harmlessly in the background);
-* a live ``queue_depth`` gauge for the ``/metrics`` endpoint;
-* a **pressure dial** (:meth:`WorkerPool.set_pressure`) scaling the
-  effective queue bound: the SLO engine turns it down while an error
-  budget is burning, so the pool sheds earlier and the clients that are
-  admitted still meet the objective — trading availability we are
-  already losing for the latency we promised.
+* a live ``queue_depth`` gauge for the ``/metrics`` endpoint.
 """
 
 from __future__ import annotations
@@ -72,7 +67,6 @@ class WorkerPool:
         self._lock = make_lock("admission")
         self._in_flight = 0
         self._closed = False
-        self._pressure = 1.0
 
     # ------------------------------------------------------------------
     # Admission
@@ -82,17 +76,10 @@ class WorkerPool:
         with self._lock:
             if self._closed:
                 raise RuntimeError("worker pool is shut down")
-            queue_cap = int(self.max_queue * self._pressure)
-            if self._in_flight >= self.workers + queue_cap:
+            if self._in_flight >= self.workers + self.max_queue:
                 raise ServerSaturated(
                     f"queue full: {self._in_flight} requests in flight "
-                    f"(capacity {self.workers} running + {queue_cap} queued"
-                    + (
-                        f", pressure {self._pressure:.2f}"
-                        if self._pressure < 1.0
-                        else ""
-                    )
-                    + ")"
+                    f"(capacity {self.workers} running + {self.max_queue} queued)"
                 )
             self._in_flight += 1
         try:
@@ -128,24 +115,6 @@ class WorkerPool:
     # ------------------------------------------------------------------
     # Introspection / lifecycle
     # ------------------------------------------------------------------
-    def set_pressure(self, factor: float) -> None:
-        """Scale the effective queue bound to ``max_queue * factor``.
-
-        ``factor`` is clamped to ``[0, 1]``: 1.0 is normal admission,
-        0.0 keeps only the ``workers`` running slots (everything else
-        sheds).  Running requests are never interrupted — pressure only
-        changes what :meth:`submit` admits from now on.  Called by the
-        SLO burn hook; idempotent and cheap enough to call per
-        evaluation tick.
-        """
-        with self._lock:
-            self._pressure = min(1.0, max(0.0, factor))
-
-    @property
-    def pressure(self) -> float:
-        with self._lock:
-            return self._pressure
-
     @property
     def queue_depth(self) -> int:
         """Requests admitted but not yet finished (running + waiting)."""

@@ -9,13 +9,8 @@ contains ``t`` — other keywords' entries survive, mirroring K-SPIN's
 keyword-separated design where an update to ``inv(t)`` cannot change
 any query that never reads ``t``'s diagram.
 
-Admission is a separate policy object (:class:`HotKeywordAdmission`):
-once the cache is full, every ``put`` displaces a resident entry, so a
-slot should only go to a keyword vector the lossy counter has seen
-enough traffic for — one-off scans stop churning the hot set out.
-While the cache has spare capacity everything is admitted (an empty
-slot costs nothing), so lightly-loaded servers behave exactly as
-before.
+Every result is admitted; a full cache evicts its least recently used
+entry.
 
 Thread safety: every public method takes the internal mutex, so the
 cache can be shared by all worker threads.
@@ -24,11 +19,10 @@ cache can be shared by all worker threads.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Any, Hashable, Iterable
+from typing import Hashable, Iterable
 
 from repro.analysis.lockdebug import make_lock
 from repro.obs.events import EVENTS
-from repro.sketch.lossy import LossyCounter
 
 #: Cache keys are ``(vertex, frozenset(keywords), k, kind, mode)``.
 CacheKey = tuple[int, frozenset[str], int, str, Hashable]
@@ -80,11 +74,6 @@ class ResultCache:
     def __len__(self) -> int:
         with self._lock:
             return len(self._entries)
-
-    def full(self) -> bool:
-        """Whether the next ``put`` of a new key must evict a resident."""
-        with self._lock:
-            return self.capacity > 0 and len(self._entries) >= self.capacity
 
     # ------------------------------------------------------------------
     # Lookup / store
@@ -203,98 +192,4 @@ class ResultCache:
                 "misses": self.misses,
                 "invalidations": self.invalidations,
                 "hit_rate": self.hits / total if total else 0.0,
-            }
-
-
-class HotKeywordAdmission:
-    """Lossy-counter gate deciding which results deserve an LRU slot.
-
-    Every executed query ``observe``\\ s its keywords; ``admit`` is
-    consulted at ``put`` time and answers *yes* when the cache still has
-    spare capacity (an empty slot is free) or when any of the query's
-    keywords is hot — tracked by the counter with at least
-    ``hot_threshold`` observations.  Under Zipf traffic the hot set
-    stays tracked (lossy counting never drops an item above its support
-    bound), while one-off keyword vectors are pruned and stop evicting
-    popular entries.
-
-    Index updates do **not** touch heat: heat measures query traffic,
-    not index contents, so an ``UpdateOp`` invalidating a hot keyword's
-    cached results leaves its admission priority intact — the next
-    query re-fills the slot.
-
-    Thread safety: one mutex around the counter, same discipline as the
-    cache itself.
-    """
-
-    def __init__(
-        self, epsilon: float = 0.001, hot_threshold: int = 2
-    ) -> None:
-        if hot_threshold < 1:
-            raise ValueError("hot_threshold must be positive")
-        self.hot_threshold = hot_threshold
-        self._lock = make_lock("cache.admission")
-        self._heat = LossyCounter(epsilon=epsilon)
-        self.admitted = 0
-        self.rejected = 0
-
-    def observe(self, keywords: Iterable[str]) -> None:
-        """Record one query's keyword traffic."""
-        with self._lock:
-            for keyword in keywords:
-                self._heat.add(keyword)
-
-    def observe_many(self, keyword_vectors: Iterable[Iterable[str]]) -> None:
-        """Record a whole batch's keyword traffic under one lock."""
-        with self._lock:
-            for keywords in keyword_vectors:
-                for keyword in keywords:
-                    self._heat.add(keyword)
-
-    def heat(self, keyword: str) -> int:
-        """The keyword's tracked observation count (0 if cold/pruned)."""
-        with self._lock:
-            return self._heat.estimate(keyword)
-
-    def is_hot(self, keywords: Iterable[str]) -> bool:
-        """Whether any keyword has reached ``hot_threshold`` heat."""
-        with self._lock:
-            return any(
-                self._heat.estimate(keyword) >= self.hot_threshold
-                for keyword in keywords
-            )
-
-    def admit(self, keywords: Iterable[str], under_pressure: bool) -> bool:
-        """Should this result occupy a slot?
-
-        ``under_pressure`` is :meth:`ResultCache.full` — only a full
-        cache pays an eviction per admission, so only then does the
-        gate bite.
-        """
-        decision = not under_pressure or self.is_hot(keywords)
-        with self._lock:
-            if decision:
-                self.admitted += 1
-            else:
-                self.rejected += 1
-        if not decision:
-            EVENTS.emit("cache.admit_rejected")
-        return decision
-
-    def snapshot(self) -> dict[str, Any]:
-        """Counters plus the serialized heat counter.
-
-        The raw ``counter`` payload rides along so the cluster
-        coordinator can merge per-worker heat exactly (lossy-counter
-        merge keeps the error bound over the pooled stream).
-        """
-        with self._lock:
-            return {
-                "hot_threshold": self.hot_threshold,
-                "observed": self._heat.observed,
-                "tracked": len(self._heat),
-                "admitted": self.admitted,
-                "rejected": self.rejected,
-                "top": self._heat.top(10),
-                "counter": self._heat.to_dict(),
             }

@@ -58,7 +58,6 @@ from repro.serve.metrics import merge_latency_payloads
 from repro.serve.ipc import WorkerDied, WorkerError, WorkerHandle, worker_main
 from repro.serve.placement import KeywordShardRouter, ReplicateRouter
 from repro.serve.supervisor import Supervisor
-from repro.sketch.lossy import LossyCounter
 
 #: Recognised placement policy names (CLI surface).
 PLACEMENTS = ("replicate", "shard-by-keyword")
@@ -697,33 +696,6 @@ class ClusterCoordinator:
         merged["query_stats"] = merge_stat_dicts(
             snap.get("query_stats", {}) for snap in snapshots
         )
-        # Hot-keyword admission: merge the per-worker lossy counters so
-        # cluster-wide heat reflects every worker's traffic (the merged
-        # counter keeps the Manku–Motwani error bound over the pooled
-        # stream), then sum the plain admission counters.
-        admissions = [
-            snap["cache"]["admission"]
-            for snap in snapshots
-            if isinstance(snap.get("cache", {}).get("admission"), dict)
-        ]
-        if admissions:
-            pooled_heat: LossyCounter | None = None
-            block: dict = {"admitted": 0, "rejected": 0, "observed": 0}
-            for payload in admissions:
-                for name in ("admitted", "rejected", "observed"):
-                    block[name] += payload.get(name, 0)
-                counter_payload = payload.get("counter")
-                if counter_payload:
-                    counter = LossyCounter.from_dict(counter_payload)
-                    if pooled_heat is None:
-                        pooled_heat = counter
-                    else:
-                        pooled_heat.merge(counter)
-            if pooled_heat is not None:
-                block["counter"] = pooled_heat.to_dict()
-                block["top"] = pooled_heat.top(10)
-                block["tracked"] = len(pooled_heat)
-            merged["cache"]["admission"] = block
         lookups = merged["cache"]["hits"] + merged["cache"]["misses"]
         merged["cache"]["hit_rate"] = (
             merged["cache"]["hits"] / lookups if lookups else 0.0

@@ -58,7 +58,7 @@ from repro.core.query_processor import QueryProcessor, QueryStats
 from repro.obs.events import EVENTS
 from repro.obs.trace import annotate as trace_annotate
 from repro.obs.trace import span as trace_span
-from repro.serve.cache import HotKeywordAdmission, ResultCache, result_key
+from repro.serve.cache import ResultCache, result_key
 from repro.serve.locks import ReadWriteLock
 from repro.serve.metrics import ServerMetrics
 
@@ -87,7 +87,6 @@ class Engine:
     ) -> None:
         self._kspin = kspin
         self.cache = ResultCache(cache_size)
-        self.admission = HotKeywordAdmission()
         self.metrics = metrics or ServerMetrics()
         self.lock = ReadWriteLock(name="engine.rwlock")
         self._local = threading.local()
@@ -131,8 +130,8 @@ class Engine:
         * one validation pass (an unsupported query raises before any
           work; callers wanting per-item error isolation go through
           :func:`repro.api.execute_batch`),
-        * one admission-heat update and **one cache sweep** under a
-          single cache-lock acquisition, splitting hits from misses,
+        * **one cache sweep** under a single cache-lock acquisition,
+          splitting hits from misses,
         * **one read-lock acquisition** for all misses, executed in
           ascending-vertex order so the per-thread CSR workspace's
           one-slot SSSP memo amortises same-source queries, with
@@ -150,10 +149,6 @@ class Engine:
             result_key(q.vertex, q.keywords, q.k, q.kind, q.mode)
             for q in queries
         ]
-        # Heat is observed on every request (hit or miss): admission
-        # measures query traffic, and a hot entry that keeps hitting
-        # must stay hot even though it never re-enters via put().
-        self.admission.observe_many(q.keywords for q in queries)
         with trace_span("engine.cache_lookup", batch=len(queries)):
             cached_entries = self.cache.get_many(keys)
         results: list[QueryResult | None] = [None] * len(queries)
@@ -199,14 +194,8 @@ class Engine:
                     # Stored before the read lock drops: a concurrent
                     # update's invalidation (under the write lock) can
                     # then never miss this entry and leave a stale
-                    # result behind.  A full cache only admits hot
-                    # keyword vectors — each put there evicts a
-                    # resident, and one-off scans must not churn the
-                    # hot set.
-                    if self.admission.admit(
-                        query.keywords, under_pressure=self.cache.full()
-                    ):
-                        self.cache.put(key, pairs)
+                    # result behind.
+                    self.cache.put(key, pairs)
                     self.metrics.record_query_stats(
                         stats, seconds=time.perf_counter() - start
                     )
@@ -282,7 +271,6 @@ class Engine:
         """
         snapshot = self.metrics.snapshot()
         snapshot["cache"] = self.cache.snapshot()
-        snapshot["cache"]["admission"] = self.admission.snapshot()
         progress = getattr(self._kspin.index, "build_progress", None)
         if progress is not None:
             snapshot["nvd_build"] = progress.snapshot()

@@ -45,20 +45,20 @@ Endpoints (all under ``/v1/``; any other path answers ``not_found``):
 ``GET /v1/metrics``
     Request counts, p50/p95/p99 latency, cache hit rate, queue depth,
     aggregated §5.1 ``QueryStats`` counters (cluster backends add a
-    per-worker breakdown).  Scraping also ticks the SLO engine, so the
-    ``repro_slo_*`` gauges are current as of the scrape.
+    per-worker breakdown).
 ``GET /v1/debug/traces`` / ``/v1/debug/events`` / ``/v1/debug/profile``
     Observability surfaces: recent/slow trace trees; the cluster-merged
     flight-recorder event stream (``since_ts`` cursor for follow mode);
     sampling-profiler control (``action=start|stop|status|reset``,
     ``hz=...``, ``format=collapsed`` for flame-graph text).
 ``GET /v1/healthz?verbose=1``
-    Readiness breakdown: per-objective SLO burn state, admission
-    pressure, profiler/recorder/tracer status.
+    Readiness breakdown: admission queue, profiler/recorder/tracer
+    status.
 
 Overload produces explicit errors instead of unbounded queueing:
 **429** when one client exceeds its leaky-bucket budget (the rest of
-the fleet is unaffected), **503** when the admission queue is full,
+the fleet is unaffected), **413** for a batch larger than the whole
+burst (it could never fit, so retrying is pointless), **503** when the admission queue is full,
 **504** when a request misses its deadline.  Clients identify
 themselves with an ``X-Client-Id`` header; anonymous requests are
 bucketed by source address.
@@ -79,11 +79,10 @@ from repro.obs.events import EVENTS
 from repro.obs.profile import PROFILER, render_collapsed
 from repro.obs.prometheus import CONTENT_TYPE as PROMETHEUS_CONTENT_TYPE
 from repro.obs.prometheus import render_prometheus
-from repro.obs.slo import DEFAULT_WINDOWS, SloObjective, SloTracker
 from repro.obs.trace import TRACER, attach
 from repro.serve.admission import DeadlineExceeded, ServerSaturated, WorkerPool
 from repro.serve.ipc import WorkerError
-from repro.sketch.leaky import ClientRateLimiter
+from repro.serve.ratelimit import ClientRateLimiter
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
     from repro.serve.cluster import ClusterCoordinator
@@ -249,6 +248,20 @@ class _Handler(BaseHTTPRequestHandler):
                     cost = float(len(raw_queries))
             if limiter is not None and endpoint in _RATE_LIMITED:
                 client = self.headers.get("X-Client-Id") or self.client_address[0]
+                if cost > limiter.capacity:
+                    # No wait ever makes this charge fit: refuse it
+                    # outright instead of sending a Retry-After loop.
+                    metrics.record_request(
+                        endpoint, time.perf_counter() - start, error=True
+                    )
+                    self._send_error(
+                        413,
+                        "payload_too_large",
+                        f"batch of {int(cost)} queries exceeds the "
+                        f"rate-limit burst of {limiter.capacity:g}; split it",
+                        retry=False,
+                    )
+                    return
                 retry_after = limiter.check(client, cost=cost)
                 if retry_after is not None:
                     if batch_params is None:
@@ -275,9 +288,9 @@ class _Handler(BaseHTTPRequestHandler):
             # recorded before any bytes go out, so a client that has
             # received the response immediately observes the request in
             # /metrics.
-            if endpoint == "/healthz":
+            if endpoint == "/healthz":  # ksp: ignore[KSP011] observability drain
                 reply = self._handle_healthz()
-            elif endpoint == "/metrics":
+            elif endpoint == "/metrics":  # ksp: ignore[KSP011] observability drain
                 reply, text = self._handle_metrics()
             elif endpoint == "/debug/traces":  # ksp: ignore[KSP011] observability drain
                 reply = {
@@ -323,7 +336,6 @@ class _Handler(BaseHTTPRequestHandler):
                 "query.shed",
                 endpoint=endpoint,
                 queue_depth=self.server.pool.queue_depth,
-                pressure=self.server.pool.pressure,
             )
             self._send_error(503, "saturated", str(error), retry=True)
             return
@@ -367,22 +379,17 @@ class _Handler(BaseHTTPRequestHandler):
         """``GET /v1/healthz``; ``?verbose=1`` adds the obs breakdown.
 
         The verbose form is the operator's one-stop readiness view:
-        per-objective SLO burn state, admission pressure, and the
-        profiler/recorder/tracer status lines — everything needed to
-        decide "is this replica healthy enough to keep in rotation".
+        admission-queue occupancy and the profiler/recorder/tracer
+        status lines.
         """
         reply = self.server.backend.health()
         params = parse_qs(urlparse(self.path).query)
         verbose = (params.get("verbose") or ["0"])[-1]
         if verbose not in ("", "0", "false"):
-            slo = self.server.evaluate_slo()
-            reply["slo"] = slo
-            reply["degraded"] = bool(slo and slo.get("burning"))
             reply["admission"] = {
                 "queue_depth": self.server.pool.queue_depth,
                 "workers": self.server.pool.workers,
                 "max_queue": self.server.pool.max_queue,
-                "pressure": self.server.pool.pressure,
             }
             reply["events"] = EVENTS.snapshot()
             reply["profiler"] = PROFILER.snapshot()
@@ -585,26 +592,8 @@ class QueryServer(ThreadingHTTPServer):
         ``X-Client-Id`` header, falling back to the source address.
     rate_burst:
         Burst allowance per client (bucket capacity); defaults to
-        ``2 * rate_limit``.
-    slo_objectives:
-        :class:`~repro.obs.slo.SloObjective` declarations (or ``None``
-        to disable the SLO engine).  Latency objectives probe the
-        success-latency histogram; availability objectives probe
-        error+shed+timeout counts.
-    slo_windows:
-        Burn-rate window pairs for the tracker; defaults to the
-        production 5m/1h + 30m/6h geometry
-        (:data:`~repro.obs.slo.DEFAULT_WINDOWS`), tests pass
-        :func:`~repro.obs.slo.scaled_windows` output.
-    slo_interval:
-        Seconds between background SLO evaluations (0 disables the
-        timer thread; scrapes of ``/metrics`` and verbose ``/healthz``
-        still evaluate lazily).
-    slo_shed_pressure:
-        Admission-pressure factor applied while any objective is
-        burning (see :meth:`WorkerPool.set_pressure`): the queue bound
-        shrinks to ``max_queue * factor`` so the server sheds earlier
-        and admitted requests still meet the latency objective.
+        ``2 * rate_limit``.  Both are validated by
+        :class:`~repro.serve.ratelimit.ClientRateLimiter`.
     """
 
     daemon_threads = True
@@ -623,23 +612,18 @@ class QueryServer(ThreadingHTTPServer):
         slow_query_threshold: float | None = None,
         rate_limit: float | None = None,
         rate_burst: float | None = None,
-        slo_objectives: list[SloObjective] | None = None,
-        slo_windows: tuple = DEFAULT_WINDOWS,
-        slo_interval: float = 1.0,
-        slo_shed_pressure: float = 0.5,
     ) -> None:
-        super().__init__((host, port), _Handler)
-        self.backend = backend
-        self.metrics = ServerMetrics()
+        # Built before the socket binds, so a bad limit leaks no socket.
         self.rate_limiter: ClientRateLimiter | None = None
         if rate_limit is not None:
-            if rate_limit <= 0:
-                raise ValueError("rate_limit must be positive")
             self.rate_limiter = ClientRateLimiter(
                 rate=rate_limit,
                 capacity=rate_burst if rate_burst is not None
                 else max(1.0, 2.0 * rate_limit),
             )
+        super().__init__((host, port), _Handler)
+        self.backend = backend
+        self.metrics = ServerMetrics()
         self.pool = WorkerPool(
             workers=workers, max_queue=max_queue, default_deadline=deadline
         )
@@ -656,57 +640,6 @@ class QueryServer(ThreadingHTTPServer):
         # tracing is on.
         self._trace_sink = self.metrics.record_trace
         TRACER.add_sink(self._trace_sink)
-        # SLO engine: objectives probe the metrics counters; a burning
-        # objective tightens admission via the pressure dial.
-        self.slo: SloTracker | None = None
-        self.slo_shed_pressure = slo_shed_pressure
-        self._burning: set[str] = set()
-        self._burning_lock = threading.Lock()
-        self._slo_stop = threading.Event()
-        self._slo_thread: threading.Thread | None = None
-        if slo_objectives:
-            self.slo = SloTracker(windows=slo_windows)
-            for objective in slo_objectives:
-                if objective.threshold is not None:
-                    threshold = objective.threshold
-                    probe = (
-                        lambda t=threshold:
-                        self.metrics.slo_latency_counts(t)
-                    )
-                else:
-                    probe = self.metrics.slo_availability_counts
-                self.slo.add_objective(objective, probe)
-            self.slo.add_hook(self._on_slo_transition)
-            if slo_interval > 0:
-                self._slo_thread = threading.Thread(
-                    target=self._slo_loop,
-                    args=(slo_interval,),
-                    name="repro-slo",
-                    daemon=True,
-                )
-                self._slo_thread.start()
-
-    def _on_slo_transition(self, name: str, burning: bool) -> None:
-        with self._burning_lock:
-            if burning:
-                self._burning.add(name)
-            else:
-                self._burning.discard(name)
-            pressure = self.slo_shed_pressure if self._burning else 1.0
-        self.pool.set_pressure(pressure)
-
-    def _slo_loop(self, interval: float) -> None:
-        while not self._slo_stop.wait(interval):
-            try:
-                self.evaluate_slo()
-            except Exception:  # pragma: no cover - must not kill the timer
-                pass
-
-    def evaluate_slo(self) -> dict | None:
-        """Run one SLO evaluation tick; None when no objectives are set."""
-        if self.slo is None:
-            return None
-        return self.slo.evaluate()
 
     @property
     def port(self) -> int:
@@ -764,17 +697,9 @@ class QueryServer(ThreadingHTTPServer):
         stages.update(http["stages"])
         snapshot["stages"] = stages
         snapshot["tracing"] = TRACER.snapshot()
-        # A scrape is an evaluation tick: the repro_slo_* gauges are
-        # current as of the scrape even with the timer thread disabled.
-        # Evaluate before sampling the pool so a transition fired by
-        # this very scrape is reflected in the pressure gauge too.
-        slo = self.evaluate_slo()
-        if slo is not None:
-            snapshot["slo"] = slo
         snapshot["queue_depth"] = self.pool.queue_depth
         snapshot["workers"] = self.pool.workers
         snapshot["max_queue"] = self.pool.max_queue
-        snapshot["pressure"] = self.pool.pressure
         snapshot["events"] = EVENTS.snapshot()
         snapshot["profiler"] = PROFILER.snapshot()
         return snapshot
@@ -790,10 +715,6 @@ class QueryServer(ThreadingHTTPServer):
 
     def close(self) -> None:
         """Stop serving and release the pool and socket."""
-        self._slo_stop.set()
-        if self._slo_thread is not None:
-            self._slo_thread.join(timeout=5)
-            self._slo_thread = None
         TRACER.remove_sink(self._trace_sink)
         self.shutdown()
         if self._thread is not None:

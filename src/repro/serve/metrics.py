@@ -200,34 +200,6 @@ class ServerMetrics:
             self.record_stage(stage, seconds)
 
     # ------------------------------------------------------------------
-    # SLO probes (cumulative (total, bad) counts for obs.slo trackers)
-    # ------------------------------------------------------------------
-    def slo_latency_counts(self, threshold_seconds: float) -> tuple[int, int]:
-        """Cumulative ``(total, over-threshold)`` successful-request counts.
-
-        Derived from the success-latency histogram's buckets: a request
-        is *bad* when its whole bucket lies above the threshold — the
-        same bucket-granularity rule the Prometheus ``_bucket`` series
-        uses, so the SLO engine and the dashboards agree.
-        """
-        with self._lock:
-            total = self._latency.count
-            good = self._latency.cumulative([threshold_seconds])[0][1]
-            return total, total - good
-
-    def slo_availability_counts(self) -> tuple[int, int]:
-        """Cumulative ``(total, bad)`` for availability objectives.
-
-        *Bad* is server-fault outcomes: errored, shed (503), and
-        deadline-missed (504) requests.  Rate-limited (429) is the
-        client exceeding its budget and is excluded from both counts.
-        """
-        with self._lock:
-            errors = sum(self._errors.values())
-            total = sum(self._requests.values()) + self.shed + self.timeouts
-            return total, errors + self.shed + self.timeouts
-
-    # ------------------------------------------------------------------
     # Reporting
     # ------------------------------------------------------------------
     def snapshot(self) -> dict:

@@ -24,7 +24,7 @@ from repro.datasets import load_dataset
 from repro.distance import BidirectionalDijkstraOracle, DijkstraOracle
 from repro.lowerbound import AltLowerBounder
 from repro.serve import Engine
-from repro.sketch.leaky import ClientRateLimiter
+from repro.serve.ratelimit import ClientRateLimiter
 
 
 @pytest.fixture(scope="module")

@@ -117,6 +117,17 @@ class TestServeCommand:
         assert args.workers == 16
         assert args.cache_size == 0
 
+    def test_serve_has_no_slo_options(self):
+        import argparse
+
+        subcommands = next(
+            action for action in build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        )
+        dests = {action.dest for action in subcommands.choices["serve"]._actions}
+        assert "slow_query_threshold" in dests
+        assert not {d for d in dests if d == "slo" or d.startswith("slo_")}
+
     def test_serve_index_and_dataset_exclusive(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(

@@ -442,6 +442,33 @@ class TestRouters:
             assert sub.k == query.k and sub.kind == query.kind
 
 
+class TestClusterPruning:
+    def test_empty_keyword_short_circuits_and_matches(self, kspin):
+        live = Query(vertex=0, keywords=("kw0000", "kw0001"), k=3)
+        salted = Query(
+            vertex=0, keywords=("kw0000", "kw0001", "zz-missing"), k=3
+        )
+        dead = Query(
+            vertex=0, keywords=("kw0000", "zz-missing"), k=3, mode="and"
+        )
+        with ClusterCoordinator(
+            kspin, num_workers=2, placement="shard-by-keyword",
+            cache_size=0, health_interval=5.0,
+        ) as cluster:
+            expected = kspin.execute(live).pairs()
+            assert cluster.execute(live).pairs() == expected
+            # A missing disjunctive keyword changes nothing (dead
+            # keywords contribute no heaps).
+            assert cluster.execute(salted).pairs() == expected
+            # Conjunctive on an absent keyword: answered empty with zero
+            # dispatches.
+            before = cluster.metrics_snapshot()["cluster"]
+            assert cluster.execute(dead).pairs() == []
+            after = cluster.metrics_snapshot()["cluster"]
+            assert after["short_circuits"] == before["short_circuits"] + 1
+            assert after["dispatches"] == before["dispatches"]
+
+
 # ----------------------------------------------------------------------
 # Observability across the cluster
 # ----------------------------------------------------------------------

@@ -224,6 +224,28 @@ def test_instrument_watches_real_server_metrics() -> None:
     assert not isinstance(Restored.__dict__.get("shed"), GuardedAttribute)
 
 
+def test_instrument_watches_rate_limiter() -> None:
+    lockdebug.enable()
+    installed = lockdebug.instrument()
+    assert {
+        "ClientRateLimiter.allowed", "ClientRateLimiter.limited",
+        "ClientRateLimiter._buckets",
+    } <= set(installed)
+    try:
+        from repro.serve.ratelimit import ClientRateLimiter
+
+        limiter = ClientRateLimiter(rate=1.0, capacity=1.0)
+        limiter.check("a")  # takes its own lock: clean
+        limiter.check("a")
+        assert lockdebug.violations() == []
+        limiter.limited += 1  # direct unlocked write: flagged
+        assert any(
+            "ClientRateLimiter.limited" in v for v in lockdebug.violations()
+        )
+    finally:
+        lockdebug.uninstrument()
+
+
 def test_env_var_enables_at_import() -> None:
     """REPRO_LOCK_DEBUG=1 turns the mode on in a fresh interpreter."""
     code = (

@@ -1,10 +1,8 @@
-"""Generation-two observability: profiler, flight recorder, SLO engine.
+"""Generation-two observability: profiler and flight recorder.
 
-Unit coverage for :mod:`repro.obs.profile`, :mod:`repro.obs.events`,
-and :mod:`repro.obs.slo`, plus the serving-tier wiring: the
-``/v1/debug/profile`` and ``/v1/debug/events`` endpoints, the verbose
-health breakdown, Prometheus ``repro_slo_*`` gauges, and the
-admission-pressure hook that tightens shedding while an objective burns.
+Unit coverage for :mod:`repro.obs.profile` and :mod:`repro.obs.events`,
+plus the serving-tier wiring: the ``/v1/debug/profile`` and
+``/v1/debug/events`` endpoints and the verbose health breakdown.
 The cluster test reconstructs a SIGKILL-ed worker restart from the
 merged per-process event streams — the flight recorder's reason to
 exist.
@@ -40,14 +38,7 @@ from repro.obs.profile import (
     merge_folded,
     render_collapsed,
 )
-from repro.obs.slo import (
-    DEFAULT_WINDOWS,
-    SloObjective,
-    SloTracker,
-    parse_objective,
-    scaled_windows,
-)
-from repro.obs.trace import Tracer, format_trace
+from repro.obs.trace import TRACER, Tracer, format_trace
 from repro.serve import ClusterCoordinator, Engine, QueryServer, ServeClient
 
 
@@ -196,154 +187,6 @@ class TestSamplingProfiler:
             SamplingProfiler(hz=0)
         with pytest.raises(ValueError):
             SamplingProfiler().start(hz=-1)
-
-
-# ----------------------------------------------------------------------
-# SLO burn-rate engine
-# ----------------------------------------------------------------------
-class TestSloObjective:
-    def test_parse_latency_spec(self):
-        objective = parse_objective("bknn-p99:latency:50ms:0.99")
-        assert objective.name == "bknn-p99"
-        assert objective.threshold == pytest.approx(0.05)
-        assert objective.target == 0.99
-        assert objective.budget == pytest.approx(0.01)
-        assert objective.to_dict()["threshold_ms"] == pytest.approx(50.0)
-
-    def test_parse_errors_spec(self):
-        objective = parse_objective("availability:errors:0.999")
-        assert objective.threshold is None
-        assert objective.target == 0.999
-
-    @pytest.mark.parametrize("spec", [
-        "noparts", "x:latency:50:0.99", "x:latency:50ms", "x:unknown:0.9",
-        "x:errors:1.5", "x:latency:0ms:0.9",
-    ])
-    def test_bad_specs_rejected(self, spec):
-        with pytest.raises(ValueError):
-            parse_objective(spec)
-
-    def test_scaled_windows(self):
-        scaled = scaled_windows(0.001)
-        assert len(scaled) == len(DEFAULT_WINDOWS)
-        for (name, short, long, factor), (n0, s0, l0, f0) in zip(
-            scaled, DEFAULT_WINDOWS
-        ):
-            assert name == n0 and factor == f0
-            assert short == pytest.approx(s0 * 0.001)
-            assert long == pytest.approx(l0 * 0.001)
-        with pytest.raises(ValueError):
-            scaled_windows(0)
-
-
-class TestSloTracker:
-    WINDOWS = [("fast", 5.0, 30.0, 2.0)]
-
-    def _tracker(self):
-        clock = FakeClock()
-        tracker = SloTracker(windows=self.WINDOWS, clock=clock)
-        counts = {"total": 0, "bad": 0}
-        tracker.add_objective(
-            SloObjective("p99", target=0.9),  # budget 0.1
-            lambda: (counts["total"], counts["bad"]),
-        )
-        return tracker, clock, counts
-
-    def test_flips_ok_to_burning_to_ok(self):
-        tracker, clock, counts = self._tracker()
-        transitions = []
-        tracker.add_hook(lambda name, burning: transitions.append(
-            (clock.t, name, burning)
-        ))
-        for _ in range(10):  # healthy traffic
-            clock.t += 1.0
-            counts["total"] += 20
-            payload = tracker.evaluate()
-        assert payload["burning"] == []
-        for _ in range(10):  # 50% bad -> burn 5x budget >= factor 2
-            clock.t += 1.0
-            counts["total"] += 20
-            counts["bad"] += 10
-            payload = tracker.evaluate()
-        assert payload["burning"] == ["p99"]
-        assert payload["objectives"]["p99"]["status"] == "burning"
-        for _ in range(40):  # recovery: healthy until short window clears
-            clock.t += 1.0
-            counts["total"] += 20
-            payload = tracker.evaluate()
-        assert payload["burning"] == []
-        assert [(name, burning) for _t, name, burning in transitions] == [
-            ("p99", True), ("p99", False),
-        ]
-        assert payload["objectives"]["p99"]["transitions"] == 2
-
-    def test_short_blip_does_not_alert(self):
-        """One bad tick inside a long healthy stream: long window vetoes."""
-        tracker, clock, counts = self._tracker()
-        for i in range(60):
-            clock.t += 1.0
-            counts["total"] += 20
-            if i == 30:
-                counts["bad"] += 2  # 10% of one tick's traffic
-            payload = tracker.evaluate()
-        assert payload["burning"] == []
-        assert payload["objectives"]["p99"]["transitions"] == 0
-
-    def test_window_rows_expose_burn_rates(self):
-        tracker, clock, counts = self._tracker()
-        clock.t = 1.0
-        tracker.evaluate()  # baseline sample: (0, 0)
-        clock.t = 2.0
-        counts["total"], counts["bad"] = 100, 30
-        payload = tracker.evaluate()
-        row = payload["objectives"]["p99"]["windows"][0]
-        assert row["window"] == "fast"
-        assert row["factor"] == 2.0
-        # 30% bad over a 10% budget = 3x burn in both windows.
-        assert row["short_burn"] == pytest.approx(3.0)
-        assert row["long_burn"] == pytest.approx(3.0)
-
-    def test_snapshot_does_not_probe(self):
-        clock = FakeClock()
-        tracker = SloTracker(windows=self.WINDOWS, clock=clock)
-        probes = []
-        tracker.add_objective(
-            SloObjective("a", target=0.9),
-            lambda: probes.append(1) or (10, 0),
-        )
-        clock.t = 1.0
-        tracker.evaluate()
-        assert len(probes) == 1
-        snapshot = tracker.snapshot()
-        assert len(probes) == 1  # unchanged
-        assert snapshot["objectives"]["a"]["total"] == 10
-
-    def test_duplicate_objective_rejected(self):
-        tracker, _clock, _counts = self._tracker()
-        with pytest.raises(ValueError):
-            tracker.add_objective(
-                SloObjective("p99", target=0.5), lambda: (0, 0)
-            )
-
-    def test_hook_failure_is_swallowed(self):
-        tracker, clock, counts = self._tracker()
-        tracker.add_hook(lambda name, burning: 1 / 0)
-        seen = []
-        tracker.add_hook(lambda name, burning: seen.append(burning))
-        clock.t = 1.0
-        tracker.evaluate()  # baseline sample
-        clock.t = 2.0
-        counts["total"], counts["bad"] = 10, 10
-        tracker.evaluate()
-        assert seen == [True]  # later hooks still ran
-
-    def test_window_validation(self):
-        with pytest.raises(ValueError):
-            SloTracker(windows=[])
-        with pytest.raises(ValueError):
-            SloTracker(windows=[("bad", 10.0, 5.0, 2.0)])  # short > long
-        with pytest.raises(ValueError):
-            SloObjective("x", target=1.0)
 
 
 # ----------------------------------------------------------------------
@@ -524,7 +367,7 @@ class TestTraceCpuAndRollup:
 
 
 # ----------------------------------------------------------------------
-# Serving wiring: endpoints, gauges, pressure hook
+# Serving wiring: endpoints and health breakdown
 # ----------------------------------------------------------------------
 @pytest.fixture(scope="module")
 def world():
@@ -542,21 +385,14 @@ def kspin(world):
 
 
 @pytest.fixture()
-def slo_server(kspin):
+def traced_server(kspin):
     engine = Engine(kspin, cache_size=64)
-    server = QueryServer(
-        engine,
-        port=0,
-        workers=4,
-        slo_objectives=[
-            SloObjective("availability", target=0.9),
-            SloObjective("bknn-p99", target=0.95, threshold=0.05),
-        ],
-        slo_windows=(("fast", 0.2, 0.5, 1.5),),
-        slo_interval=0.0,  # deterministic: tests drive evaluation
-    )
-    with server.start_background() as running:
-        yield running
+    server = QueryServer(engine, port=0, workers=4, trace=True)
+    try:
+        with server.start_background() as running:
+            yield running
+    finally:
+        TRACER.configure(enabled=False)  # the tracer is process-global
 
 
 def _get(url):
@@ -565,34 +401,12 @@ def _get(url):
 
 
 class TestServingWiring:
-    def test_metrics_exposes_slo_and_pressure_gauges(self, slo_server):
-        client = ServeClient(slo_server.url)
-        client.query({"vertex": 0, "k": 2, "keywords": ["kw0000"]})
-        _status, _headers, text = _get(
-            f"{slo_server.url}/v1/metrics?format=prometheus"
-        )
-        for family in (
-            "repro_admission_pressure 1.0",
-            'repro_slo_burning{objective="availability"} 0',
-            'repro_slo_target{objective="bknn-p99"} 0.95',
-            'repro_slo_burn_rate{objective="availability",window="fast"}',
-            "repro_events_emitted_total",
-            "repro_profiler_enabled 0",
-        ):
-            assert family in text, f"missing {family!r}"
-        snapshot = json.loads(
-            _get(f"{slo_server.url}/v1/metrics")[2]
-        )["result"]
-        assert snapshot["pressure"] == 1.0
-        assert "slo" in snapshot and "profiler" in snapshot
-        assert snapshot["slo"]["objectives"]["availability"]["total"] >= 1
-
-    def test_profile_endpoint_lifecycle(self, slo_server):
-        base = f"{slo_server.url}/v1/debug/profile"
+    def test_profile_endpoint_lifecycle(self, traced_server):
+        base = f"{traced_server.url}/v1/debug/profile"
         status, _h, body = _get(f"{base}?action=start&hz=200")
         assert status == 200
         assert json.loads(body)["result"]["enabled"] is True
-        client = ServeClient(slo_server.url)
+        client = ServeClient(traced_server.url)
         for _ in range(20):
             client.query({"vertex": 0, "k": 2, "keywords": ["kw0000", "kw0001"]})
         status, _h, body = _get(f"{base}?action=stop")
@@ -608,20 +422,20 @@ class TestServingWiring:
             assert int(count) >= 1
             assert stack.startswith("main;")
 
-    def test_profile_bad_action_is_400(self, slo_server):
+    def test_profile_bad_action_is_400(self, traced_server):
         with pytest.raises(urllib.error.HTTPError) as excinfo:
-            _get(f"{slo_server.url}/v1/debug/profile?action=explode")
+            _get(f"{traced_server.url}/v1/debug/profile?action=explode")
         assert excinfo.value.code == 400
         with pytest.raises(urllib.error.HTTPError) as excinfo:
-            _get(f"{slo_server.url}/v1/debug/profile?action=start&hz=0")
+            _get(f"{traced_server.url}/v1/debug/profile?action=start&hz=0")
         assert excinfo.value.code == 400
 
-    def test_events_endpoint_reports_cache_evictions(self, slo_server):
-        client = ServeClient(slo_server.url)
+    def test_events_endpoint_reports_cache_evictions(self, traced_server):
+        client = ServeClient(traced_server.url)
         client.query({"vertex": 0, "k": 2, "keywords": ["kw0000"]})  # populate the cache
         client.update(op="insert", object=3, document=["kw0000"])  # evict it
         payload = json.loads(
-            _get(f"{slo_server.url}/v1/debug/events")[2]
+            _get(f"{traced_server.url}/v1/debug/events")[2]
         )["result"]
         kinds = [e["kind"] for e in payload["events"]]
         assert "cache.evict" in kinds
@@ -629,52 +443,24 @@ class TestServingWiring:
         # since_ts strictly after the last event filters everything out
         last_ts = payload["events"][-1]["ts"]
         later = json.loads(_get(
-            f"{slo_server.url}/v1/debug/events?since_ts={last_ts}"
+            f"{traced_server.url}/v1/debug/events?since_ts={last_ts}"
         )[2])["result"]
         assert all(e["ts"] > last_ts for e in later["events"])
 
-    def test_healthz_verbose_breakdown(self, slo_server):
-        brief = json.loads(_get(f"{slo_server.url}/v1/healthz")[2])["result"]
-        assert "slo" not in brief
+    def test_healthz_verbose_breakdown(self, traced_server):
+        brief = json.loads(_get(f"{traced_server.url}/v1/healthz")[2])["result"]
+        assert "admission" not in brief
         verbose = json.loads(
-            _get(f"{slo_server.url}/v1/healthz?verbose=1")[2]
+            _get(f"{traced_server.url}/v1/healthz?verbose=1")[2]
         )["result"]
         assert verbose["status"] == "ok"
-        assert verbose["degraded"] is False
-        assert set(verbose["admission"]) >= {
-            "queue_depth", "workers", "max_queue", "pressure"
+        assert set(verbose["admission"]) == {
+            "queue_depth", "workers", "max_queue"
         }
-        assert "availability" in verbose["slo"]["objectives"]
+        assert not {"slo", "degraded", "pressure"} & set(verbose)
+        assert verbose["tracing"]["enabled"] is True
         assert verbose["events"]["capacity"] >= 1
         assert verbose["profiler"]["enabled"] in (True, False)
-
-    def test_burning_objective_tightens_admission_pressure(self, slo_server):
-        client = ServeClient(slo_server.url)
-        server = slo_server
-        server.evaluate_slo()  # baseline sample
-        for _ in range(3):
-            client.query({"vertex": 0, "k": 2, "keywords": ["kw0000"]})
-        for _ in range(30):  # hammer an unknown endpoint -> errors
-            with pytest.raises(urllib.error.HTTPError):
-                _get(f"{server.url}/v1/nonsense")
-        time.sleep(0.05)
-        payload = server.evaluate_slo()
-        assert "availability" in payload["burning"]
-        assert payload["objectives"]["availability"]["status"] == "burning"
-        assert server.pool.pressure == pytest.approx(0.5)
-        text = _get(f"{server.url}/v1/metrics?format=prometheus")[2]
-        assert 'repro_slo_burning{objective="availability"} 1' in text
-        assert "repro_admission_pressure 0.5" in text
-        # Recovery: healthy traffic only, wait out the short window.
-        for _ in range(10):
-            client.query({"vertex": 0, "k": 2, "keywords": ["kw0000"]})
-        time.sleep(0.25)
-        payload = server.evaluate_slo()
-        time.sleep(0.05)
-        payload = server.evaluate_slo()
-        assert payload["burning"] == []
-        assert server.pool.pressure == pytest.approx(1.0)
-        assert payload["objectives"]["availability"]["transitions"] == 2
 
     def test_shed_requests_emit_flight_recorder_events(self, kspin):
         engine = Engine(kspin, cache_size=0)
@@ -701,7 +487,7 @@ class TestServingWiring:
                 e for e in payload["events"] if e["kind"] == "query.shed"
             ]
             assert shed_events
-            assert shed_events[-1]["fields"]["pressure"] == 1.0
+            assert set(shed_events[-1]["fields"]) == {"endpoint", "queue_depth"}
 
 
 # ----------------------------------------------------------------------

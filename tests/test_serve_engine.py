@@ -89,6 +89,21 @@ class TestEngine:
         assert nearest not in [obj for obj, _ in after.pairs()]
         assert after.pairs() == kspin.execute(KW0).pairs()
 
+    def test_full_cache_stores_cold_miss_and_evicts_lru(self, kspin):
+        engine = Engine(kspin, cache_size=2)
+        oldest = Query(0, ["kw0001"], k=3)
+        newer = Query(0, ["kw0002"], k=3)
+        cold = Query(5, ["kw0003"], k=3)  # a keyword never queried before
+        engine.execute(oldest)
+        engine.execute(newer)
+        assert len(engine.cache) == 2
+        assert not engine.execute(cold).cached
+        assert len(engine.cache) == 2
+        # The cold miss took the least recently used slot.
+        assert engine.execute(cold).cached
+        assert engine.execute(newer).cached
+        assert not engine.execute(oldest).cached
+
     def test_unrelated_keywords_survive_update(self, engine):
         engine.execute(Query(5, ["kw0001"], k=2))
         engine.apply(UpdateOp("insert", object=9, document=["kw0031"]))
