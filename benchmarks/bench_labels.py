@@ -54,7 +54,7 @@ from repro.lowerbound import AltLowerBounder
 FULL_DATASET = "US-S"
 SMOKE_DATASET = "DE-S"
 
-#: Figure 10 workload shape (matches bench_kernels.py's BkNN suite).
+#: Figure 10 workload shape.
 BKNN_K = 10
 BKNN_TERMS = 2
 NUM_VECTORS = 6
@@ -311,8 +311,7 @@ def run_benchmark(smoke: bool = False) -> dict:
     world = load_dataset(dataset_name)
     graph = world.graph
     kernels.warm(graph)
-    print(f"  graph: {graph.num_vertices} vertices, {graph.num_edges} edges, "
-          f"kernels {'on' if kernels.enabled() else 'off'}")
+    print(f"  graph: {graph.num_vertices} vertices, {graph.num_edges} edges")
     backends = _build_backends(graph)
     composite = backends["composite"]
     suites = {

@@ -5,8 +5,7 @@ K-SPIN decouples keyword indexing from network-distance indexing, so
 *any* exact distance technique slots in (paper §1.2, "Flexibility").
 This example builds one keyword-separated index and runs the identical
 workload through four different Network Distance Modules — Dijkstra,
-bidirectional Dijkstra, Contraction Hierarchies, and hub labeling —
-showing identical results with very different speed/space trade-offs.
+Contraction Hierarchies, hub labeling and G-tree — showing identical results with very different speed/space trade-offs.
 
 Run:  python examples/oracle_comparison.py
 """
@@ -18,7 +17,6 @@ from repro.bench import megabytes
 from repro.core import KSpin, results_equivalent
 from repro.datasets import WorkloadGenerator, load_dataset
 from repro.distance import (
-    BidirectionalDijkstraOracle,
     ContractionHierarchy,
     DijkstraOracle,
     GTree,
@@ -39,9 +37,6 @@ def main() -> None:
     start = time.perf_counter()
     oracles["Dijkstra"] = DijkstraOracle(graph)
     timings["Dijkstra"] = time.perf_counter() - start
-    start = time.perf_counter()
-    oracles["BiDijkstra"] = BidirectionalDijkstraOracle(graph)
-    timings["BiDijkstra"] = time.perf_counter() - start
     start = time.perf_counter()
     ch = ContractionHierarchy(graph)
     oracles["CH"] = ch

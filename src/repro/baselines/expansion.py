@@ -93,33 +93,15 @@ class NetworkExpansion:
                         heapq.heappush(results, (-score, v))
             return True
 
-        if kernels.enabled():
-            # One C-level SSSP, then scan vertices in settle order (a
-            # stable argsort reproduces the heap's (distance, vertex)
-            # tie-breaking) applying the same stopping rule.
-            csr = self._graph.csr()
-            workspace = kernels.get_workspace(csr.num_vertices)
-            all_distances = kernels.sssp(csr, query, workspace)
-            for v in np.argsort(all_distances, kind="stable").tolist():
-                dist_v = float(all_distances[v])
-                if math.isinf(dist_v) or not score_vertex(v, dist_v):
-                    break
-        else:
-            distances = [INFINITY] * self._graph.num_vertices
-            distances[query] = 0.0
-            heap: list[tuple[float, int]] = [(0.0, query)]
-            neighbors = self._graph.neighbors
-            while heap:
-                dist_v, v = heapq.heappop(heap)
-                if dist_v > distances[v]:
-                    continue
-                if not score_vertex(v, dist_v):
-                    break
-                for u, w in neighbors(v):
-                    candidate = dist_v + w
-                    if candidate < distances[u]:
-                        distances[u] = candidate
-                        heapq.heappush(heap, (candidate, u))
+        # One C-level SSSP, then scan vertices in settle order (a stable
+        # argsort reproduces a heap's (distance, vertex) tie-breaking)
+        # applying the stopping rule.
+        csr = self._graph.csr()
+        all_distances = kernels.sssp(csr, query, kernels.get_workspace(csr.num_vertices))
+        for v in np.argsort(all_distances, kind="stable").tolist():
+            dist_v = float(all_distances[v])
+            if math.isinf(dist_v) or not score_vertex(v, dist_v):
+                break
         ordered = sorted((-negative, o) for negative, o in results)
         return [(o, s) for s, o in ordered]
 

@@ -65,7 +65,6 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 
 def _build_oracle(name: str, graph):
     from repro.distance import (
-        BidirectionalDijkstraOracle,
         CompositeOracle,
         ContractionHierarchy,
         DijkstraOracle,
@@ -75,8 +74,6 @@ def _build_oracle(name: str, graph):
 
     if name == "dijkstra":
         return DijkstraOracle(graph)
-    if name == "bidijkstra":
-        return BidirectionalDijkstraOracle(graph)
     if name == "ch":
         return ContractionHierarchy(graph)
     if name == "phl":
@@ -88,7 +85,7 @@ def _build_oracle(name: str, graph):
     raise ValueError(f"unknown oracle {name!r}")
 
 
-ORACLES = ["dijkstra", "bidijkstra", "ch", "phl", "gtree", "auto"]
+ORACLES = ["dijkstra", "ch", "phl", "gtree", "auto"]
 
 
 def _add_index_source(parser: argparse.ArgumentParser) -> None:

@@ -8,9 +8,8 @@ benchmarks use them as the "network expansion" baseline the paper
 excludes for being orders of magnitude slower.
 
 "Simple" refers to the logic, not the speed: ``dijkstra_all`` here is
-the dispatching primitive from :mod:`repro.graph.dijkstra`, so with the
-CSR kernels active even the brute-force references run their searches
-in C.
+the CSR kernel from :mod:`repro.graph.dijkstra` (scipy's C Dijkstra),
+which shares nothing with any K-SPIN structure.
 """
 
 from __future__ import annotations

@@ -166,55 +166,18 @@ class ContractionHierarchy(DistanceOracle):
         queue minimum meets the best meeting-point distance found so
         far (every later meeting through that side can only be worse).
 
-        Unless ``REPRO_KERNELS=python`` forces the dict-based reference
-        implementation, the search runs over the calling thread's
-        generation-stamped :class:`~repro.kernels.SearchWorkspace` flat
-        buffers — O(1) reset between queries, no per-query dict churn.
+        The search runs over the calling thread's generation-stamped
+        :class:`~repro.kernels.SearchWorkspace` flat buffers — O(1)
+        reset between queries, no per-query dict churn.  A buffer slot
+        counts as "unreached" unless its stamp equals the workspace's
+        current generation.  The workspace comes from the per-thread
+        registry, so concurrent queries never share scratch and the
+        oracle itself stays pickle-friendly (no captured buffers or
+        thread-locals on the instance).
         """
         self.query_count += 1
         if source == target:
             return 0.0
-        if kernels.flat_buffers_enabled():
-            return self._distance_stamped(source, target)
-        dist = ({source: 0.0}, {target: 0.0})
-        heaps: tuple[list[tuple[float, int]], list[tuple[float, int]]] = (
-            [(0.0, source)],
-            [(0.0, target)],
-        )
-        best = INFINITY
-        upward = self._upward
-        while heaps[0] or heaps[1]:
-            for side in (0, 1):
-                heap = heaps[side]
-                if not heap:
-                    continue
-                dist_u, u = heapq.heappop(heap)
-                if dist_u >= best:
-                    heap.clear()  # no better meeting via this direction
-                    continue
-                own = dist[side]
-                if dist_u > own.get(u, INFINITY):
-                    continue
-                other = dist[1 - side].get(u)
-                if other is not None and dist_u + other < best:
-                    best = dist_u + other
-                for v, weight in upward[u]:
-                    candidate = dist_u + weight
-                    if candidate < own.get(v, INFINITY) and candidate < best:
-                        own[v] = candidate
-                        heapq.heappush(heap, (candidate, v))
-        return best
-
-    def _distance_stamped(self, source: int, target: int) -> float:
-        """The upward search over preallocated stamped buffers.
-
-        Identical relaxation and termination logic to the dict body in
-        :meth:`distance`; a buffer slot counts as "unreached" unless its
-        stamp equals the workspace's current generation.  The workspace
-        comes from the per-thread registry, so concurrent queries never
-        share scratch and the oracle itself stays pickle-friendly
-        (no captured buffers or thread-locals on the instance).
-        """
         workspace = kernels.get_workspace(self._n)
         generation = workspace.begin()
         forward = workspace.stamped(0)

@@ -15,7 +15,7 @@ packages that idea for K-SPIN serving:
   CSR ``sssp_rows`` kernel on a per-batch cost estimate: a full SSSP
   row touches all ``n`` vertices, a label pass touches
   ``pairs-per-source x avg-label`` entries, so the kernel wins only on
-  wide same-source batches (and only when the kernels are enabled);
+  wide same-source batches;
 * **kNN** always routes to the labels (the point of the exercise —
   :meth:`HubLabeling.label_rows` is the scan it and
   :mod:`repro.core.label_seeding` share).
@@ -32,7 +32,6 @@ import statistics
 import time
 from typing import Sequence
 
-from repro import kernels
 from repro.distance.base import DistanceOracle
 from repro.distance.ch import ContractionHierarchy
 from repro.distance.dijkstra_oracle import DijkstraOracle
@@ -122,7 +121,7 @@ class CompositeOracle(DistanceOracle):
         reads per distinct source (plus one densify); a kernel SSSP row
         always costs ``n``.  The kernel therefore wins exactly when the
         per-source label work reaches ``n`` — wide batches over few
-        sources — and only when the CSR kernels are available.
+        sources.
         """
         if len(sources) != len(targets):
             raise ValueError(
@@ -154,7 +153,7 @@ class CompositeOracle(DistanceOracle):
         return self.ch.memory_bytes() + self.labeling.memory_bytes()
 
     def _use_sssp_rows(self, num_pairs: int, distinct_sources: int) -> bool:
-        if not kernels.enabled() or distinct_sources == 0:
+        if distinct_sources == 0:
             return False
         per_source = num_pairs / distinct_sources
         label_work = per_source * max(1.0, self.labeling.average_label_size())

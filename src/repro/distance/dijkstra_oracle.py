@@ -1,18 +1,18 @@
-"""Index-free distance oracles: plain and bidirectional Dijkstra.
+"""Index-free distance oracle: plain Dijkstra.
 
-These are the "no pre-processing" end of the trade-off spectrum the
-paper's Network Distance Module spans.  They also serve as the ground
+This is the "no pre-processing" end of the trade-off spectrum the
+paper's Network Distance Module spans.  It also serves as the ground
 truth every indexed oracle is tested against.
 
-Both oracles delegate to :mod:`repro.graph.dijkstra`, so under the CSR
-kernels their searches run in C over the calling thread's
+The oracle delegates to :mod:`repro.graph.dijkstra`, so its searches
+run in C over the calling thread's
 :class:`~repro.kernels.SearchWorkspace`.  The workspace's one-slot SSSP
-memo is what makes them fast on the refinement path: the query
+memo is what makes it fast on the refinement path: the query
 processor asks ``distance(query, candidate)`` with the *same* source
 for every candidate, so one search amortises over the whole candidate
 set.  Because the workspace lives in a per-thread registry — never on
-the oracle — the oracles stay stateless, thread-safe, and picklable
-(cluster snapshots ship them as-is).
+the oracle — the oracle stays stateless, thread-safe, and picklable
+(cluster snapshots ship it as-is).
 """
 
 from __future__ import annotations
@@ -21,43 +21,12 @@ from typing import Sequence
 
 from repro import kernels
 from repro.distance.base import DistanceOracle
-from repro.graph.dijkstra import bidirectional_dijkstra, dijkstra_distance
+from repro.graph.dijkstra import dijkstra_distance
 from repro.graph.road_network import RoadNetwork
 
 
-def _csr_distances_many(
-    graph: RoadNetwork, sources: Sequence[int], targets: Sequence[int]
-) -> list[float] | None:
-    """One batched CSR call for pairwise distances; ``None`` off the fast path.
-
-    All rows for the distinct sources come out of a single
-    ``sssp_rows`` C invocation (one scipy dispatch for the whole
-    batch), then each ``(source, target)`` pair is a fancy-index pick.
-    Bit-identical to per-pair Dijkstra: both compute exact SSSP.
-    """
-    if not kernels.enabled():
-        return None
-    if len(sources) != len(targets):
-        raise ValueError(
-            f"pairwise call needs equal lengths, got "
-            f"{len(sources)} sources and {len(targets)} targets"
-        )
-    if not sources:
-        return []
-    csr = graph.csr()
-    order = sorted(set(int(s) for s in sources))
-    row_of = {s: i for i, s in enumerate(order)}
-    rows = kernels.sssp_rows(csr, order)
-    return [float(rows[row_of[int(s)], int(t)]) for s, t in zip(sources, targets)]
-
-
 class DijkstraOracle(DistanceOracle):
-    """Exact distances by early-terminating Dijkstra; no index at all.
-
-    (Under the CSR kernels the early exit becomes a memoised full SSSP
-    — see the module docstring; ``REPRO_KERNELS=python`` restores the
-    literal early-terminating search.)
-    """
+    """Exact distances by a memoised full Dijkstra; no index at all."""
 
     name = "Dijkstra"
 
@@ -72,40 +41,26 @@ class DijkstraOracle(DistanceOracle):
     def distances_many(
         self, sources: Sequence[int], targets: Sequence[int]
     ) -> list[float]:
-        batched = _csr_distances_many(self._graph, sources, targets)
-        if batched is None:
-            return super().distances_many(sources, targets)
-        self.query_count += len(batched)
-        return batched
+        """One batched CSR call for pairwise distances.
+
+        All rows for the distinct sources come out of a single
+        ``sssp_rows`` C invocation (one scipy dispatch for the whole
+        batch), then each ``(source, target)`` pair is a fancy-index
+        pick.  Bit-identical to per-pair :meth:`distance`: both compute
+        exact SSSP.
+        """
+        if len(sources) != len(targets):
+            raise ValueError(
+                f"pairwise call needs equal lengths, got "
+                f"{len(sources)} sources and {len(targets)} targets"
+            )
+        if not sources:
+            return []
+        order = sorted(set(int(s) for s in sources))
+        row_of = {s: i for i, s in enumerate(order)}
+        rows = kernels.sssp_rows(self._graph.csr(), order)
+        self.query_count += len(sources)
+        return [float(rows[row_of[int(s)], int(t)]) for s, t in zip(sources, targets)]
 
     def memory_bytes(self) -> int:
         return 0  # uses only the input graph
-
-
-class BidirectionalDijkstraOracle(DistanceOracle):
-    """Exact distances by bidirectional Dijkstra; still index-free."""
-
-    name = "BiDijkstra"
-
-    def __init__(self, graph: RoadNetwork) -> None:
-        super().__init__()
-        self._graph = graph
-
-    def distance(self, source: int, target: int) -> float:
-        self.query_count += 1
-        return bidirectional_dijkstra(self._graph, source, target)
-
-    def distances_many(
-        self, sources: Sequence[int], targets: Sequence[int]
-    ) -> list[float]:
-        # Under the CSR kernels the bidirectional search already routes
-        # to the same memoised SSSP, so the batched rows are exact here
-        # too; REPRO_KERNELS=python falls back to the sequential loop.
-        batched = _csr_distances_many(self._graph, sources, targets)
-        if batched is None:
-            return super().distances_many(sources, targets)
-        self.query_count += len(batched)
-        return batched
-
-    def memory_bytes(self) -> int:
-        return 0

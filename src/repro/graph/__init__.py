@@ -2,7 +2,6 @@
 
 from repro.graph.dijkstra import (
     INFINITY,
-    bidirectional_dijkstra,
     dijkstra_all,
     dijkstra_distance,
     dijkstra_to_targets,
@@ -22,7 +21,6 @@ __all__ = [
     "RoadNetwork",
     "RoadNetworkError",
     "DimacsFormatError",
-    "bidirectional_dijkstra",
     "dijkstra_all",
     "dijkstra_distance",
     "dijkstra_to_targets",

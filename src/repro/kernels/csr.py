@@ -9,7 +9,7 @@ A :class:`CSRGraph` is three flat numpy arrays:
 
 Two-way streets store *both* arcs, so searches always run
 ``directed=True`` over the matrix — scipy then skips its symmetrise
-pass and the semantics match the list-based code exactly.  A
+pass and the semantics match a walk of the adjacency lists exactly.  A
 :class:`~repro.graph.road_network.RoadNetwork` hands out two views,
 ``csr()`` over leaving arcs and ``csr_in()`` over entering arcs (a
 reverse search is a forward search over the latter); they are one
@@ -26,6 +26,7 @@ import hashlib
 from typing import Any, Callable, Sequence
 
 import numpy as np
+from scipy.sparse import csr_matrix
 
 
 class CSRGraph:
@@ -72,14 +73,8 @@ class CSRGraph:
     # scipy interop
     # ------------------------------------------------------------------
     def matrix(self) -> Any:
-        """The arrays wrapped as a ``scipy.sparse.csr_matrix`` (cached).
-
-        Raises ``ImportError`` when scipy is missing; callers gate on
-        :func:`repro.kernels.scipy_available` first.
-        """
+        """The arrays wrapped as a ``scipy.sparse.csr_matrix`` (cached)."""
         if self._matrix is None:
-            from scipy.sparse import csr_matrix
-
             n = self.num_vertices
             self._matrix = csr_matrix(
                 (self.weights, self.indices, self.indptr), shape=(n, n)

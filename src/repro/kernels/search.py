@@ -1,23 +1,20 @@
 """Search primitives over :class:`~repro.kernels.csr.CSRGraph`.
 
-Each function mirrors one list-based routine in
-:mod:`repro.graph.dijkstra` and must return *identical distances* — the
-property tests in ``tests/test_kernels.py`` enforce this against random
-perturbed-grid networks.  The heavy lifting is delegated to
-``scipy.sparse.csgraph.dijkstra`` (a C implementation over exactly our
-flat arrays); everything here is import-gated so the package works,
-degraded, on a scipy-less interpreter.
+:mod:`repro.graph.dijkstra` exposes each of these over a
+:class:`~repro.graph.road_network.RoadNetwork`; the property tests in
+``tests/test_kernels.py`` check them against a textbook binary-heap
+Dijkstra on random undirected and one-way graphs.  The heavy lifting is
+delegated to ``scipy.sparse.csgraph.dijkstra`` (a C implementation over
+exactly our flat arrays).
 
 Two deliberate semantic notes:
 
 * CSR views store both arcs of an undirected edge, so every call runs
   ``directed=True`` — same results, and scipy skips its symmetrise pass.
 * ``multi_source`` breaks exact distance ties by scipy's internal heap
-  order, where the list-based code uses ``(distance, vertex, owner)``
-  heap order.  Both owners are true nearest sources; real-valued road
-  weights make exact ties measure-zero, and all processes running the
-  same backend agree bit-for-bit (what the cluster fingerprint tests
-  require).
+  order.  Every owner is a true nearest source; real-valued road
+  weights make exact ties measure-zero, and all processes agree
+  bit-for-bit (what the cluster fingerprint tests require).
 """
 
 from __future__ import annotations
@@ -26,33 +23,10 @@ import math
 from typing import Any, Callable, Iterable
 
 import numpy as np
+from scipy.sparse.csgraph import dijkstra
 
 from repro.kernels.csr import CSRGraph
 from repro.kernels.workspace import SearchWorkspace
-
-
-def _load_scipy_dijkstra() -> Callable[..., Any] | None:
-    try:
-        from scipy.sparse.csgraph import dijkstra
-    except ImportError:  # pragma: no cover - exercised on scipy-less hosts
-        return None
-    return dijkstra  # type: ignore[no-any-return]
-
-
-_DIJKSTRA = _load_scipy_dijkstra()
-
-
-def scipy_available() -> bool:
-    """Whether the scipy-backed kernels can run in this interpreter."""
-    return _DIJKSTRA is not None
-
-
-def _require_dijkstra() -> Callable[..., Any]:
-    if _DIJKSTRA is None:  # pragma: no cover - callers gate on scipy_available
-        raise RuntimeError(
-            "CSR kernels need scipy; set REPRO_KERNELS=python or install scipy"
-        )
-    return _DIJKSTRA
 
 
 def sssp(csr: CSRGraph, source: int, workspace: SearchWorkspace | None = None) -> Any:
@@ -66,7 +40,7 @@ def sssp(csr: CSRGraph, source: int, workspace: SearchWorkspace | None = None) -
         cached = workspace.cached_sssp(csr, source)
         if cached is not None:
             return cached
-    distances = _require_dijkstra()(csr.matrix(), directed=True, indices=source)
+    distances = dijkstra(csr.matrix(), directed=True, indices=source)
     if workspace is not None:
         return workspace.store_sssp(csr, source, distances)
     return distances
@@ -81,7 +55,7 @@ def sssp_rows(csr: CSRGraph, sources: Iterable[int]) -> Any:
     index_list = list(sources)
     if not index_list:
         return np.empty((0, csr.num_vertices), dtype=np.float64)
-    rows = _require_dijkstra()(csr.matrix(), directed=True, indices=index_list)
+    rows = dijkstra(csr.matrix(), directed=True, indices=index_list)
     return np.atleast_2d(rows)
 
 
@@ -118,7 +92,7 @@ def multi_source(csr: CSRGraph, sources: Iterable[int]) -> tuple[Any, Any]:
     source_list = sorted(set(sources))
     if not source_list:
         raise ValueError("multi_source needs at least one source")
-    distances, _predecessors, owners = _require_dijkstra()(
+    distances, _predecessors, owners = dijkstra(
         csr.matrix(),
         directed=True,
         indices=source_list,
@@ -139,10 +113,9 @@ def match_scan(
 ) -> list[tuple[int, float]]:
     """Incremental-expansion kNN: first ``k`` matching vertices by distance.
 
-    The list-based baseline settles vertices in ``(distance, vertex)``
-    heap order; scanning a stable argsort of the full distance array
-    visits vertices in exactly that order, so results (including tie
-    order) are identical.
+    A heap-based expansion settles vertices in ``(distance, vertex)``
+    order; scanning a stable argsort of the full distance array visits
+    vertices in exactly that order, ties included.
     """
     if k <= 0:
         return []

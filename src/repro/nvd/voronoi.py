@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro import kernels
 from repro.graph.dijkstra import multi_source_dijkstra
 from repro.graph.road_network import RoadNetwork
 
@@ -69,31 +68,10 @@ class NetworkVoronoiDiagram:
         self._distances = distances
         self.adjacency: dict[int, set[int]] = {o: set() for o in self.objects}
         self.max_radius: dict[int, float] = {o: 0.0 for o in self.objects}
-        if kernels.enabled():
-            self._derive_artefacts_csr(graph, distances, owners)
-        else:
-            for u, v, _ in graph.edges():
-                owner_u, owner_v = owners[u], owners[v]
-                if owner_u != owner_v and owner_u >= 0 and owner_v >= 0:
-                    self.adjacency[owner_u].add(owner_v)
-                    self.adjacency[owner_v].add(owner_u)
-            for v in graph.vertices():
-                owner = owners[v]
-                if owner >= 0 and distances[v] > self.max_radius[owner]:
-                    self.max_radius[owner] = distances[v]
-
-    def _derive_artefacts_csr(
-        self, graph: RoadNetwork, distances: list[float], owners: list[int]
-    ) -> None:
-        """Vectorised adjacency-graph and MaxRadius derivation.
-
-        Instead of walking every edge in python, label each stored arc
-        with its endpoints' owners and reduce: boundary arcs (owners
-        differ, both reachable) become adjacency pairs after a
-        ``np.unique``; a scatter-max over owned vertices gives
-        MaxRadius.  Results are identical to the python loops — the
-        adjacency sets and radius dict are order-insensitive.
-        """
+        # Label each stored arc with its endpoints' owners and reduce:
+        # boundary arcs (owners differ, both reachable) become adjacency
+        # pairs after a ``np.unique``; a scatter-max over owned vertices
+        # gives MaxRadius.
         csr = graph.csr()
         owner_arr = np.asarray(owners, dtype=np.int64)
         dist_arr = np.asarray(distances, dtype=np.float64)

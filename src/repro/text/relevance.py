@@ -120,9 +120,8 @@ class RelevanceModel:
         if not impacts:
             return 0.0
         return sum(
-            weight * impacts[t]
-            for t, weight in query_impacts.items()
-            if t in impacts
+            (weight * impacts[t] for t, weight in query_impacts.items() if t in impacts),
+            0.0,
         )
 
     def spatio_textual_score(
@@ -148,9 +147,8 @@ class RelevanceModel:
         """
         impacts = self.document_impacts(document)
         return sum(
-            weight * impacts[t]
-            for t, weight in query_impacts.items()
-            if t in impacts
+            (weight * impacts[t] for t, weight in query_impacts.items() if t in impacts),
+            0.0,
         )
 
     def max_textual_relevance(
@@ -164,7 +162,7 @@ class RelevanceModel:
         if query_impacts is None:
             query_impacts = self.query_impacts(keywords)
         return sum(
-            weight * self.max_impact(t) for t, weight in query_impacts.items()
+            (weight * self.max_impact(t) for t, weight in query_impacts.items()), 0.0
         )
 
 

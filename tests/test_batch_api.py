@@ -21,7 +21,7 @@ from repro.api import (
 )
 from repro.core import KSpin
 from repro.datasets import load_dataset
-from repro.distance import BidirectionalDijkstraOracle, DijkstraOracle
+from repro.distance import DijkstraOracle
 from repro.lowerbound import AltLowerBounder
 from repro.serve import Engine
 from repro.serve.ratelimit import ClientRateLimiter
@@ -105,14 +105,6 @@ class TestOracleBatchApi:
         batched = oracle.distances_many(sources, targets)
         scalar = [oracle.distance(s, t) for s, t in pairs]
         assert batched == scalar
-
-    def test_bidirectional_distances_many_matches_scalar(self, world):
-        oracle = BidirectionalDijkstraOracle(world.graph)
-        pairs = [(2, 8), (8, 2), (4, 4), (2, 6)]
-        batched = oracle.distances_many([s for s, _ in pairs],
-                                        [t for _, t in pairs])
-        scalar = [oracle.distance(s, t) for s, t in pairs]
-        assert batched == pytest.approx(scalar)
 
     def test_distances_many_length_mismatch(self, world):
         oracle = DijkstraOracle(world.graph)

@@ -15,7 +15,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import kernels
 from repro.api import Query, UpdateOp
 from repro.baselines import FsFbs, GTreeSpatialKeyword, Road
 from repro.core import (
@@ -274,12 +273,11 @@ class TestDirectedNVD:
                     ranking[k] in nvd.adjacency[p] for p in previous
                 ) or ranking[k] in previous
 
-    def test_adjacency_is_mutual_under_both_backends(self, directed_grid):
+    def test_adjacency_is_mutual_and_deterministic(self, directed_grid):
         objects = sorted(random.Random(7).sample(range(directed_grid.num_vertices), 8))
         fingerprints = set()
-        for backend in ("python", "csr"):
-            with kernels.use_backend(backend):
-                nvd = ApproximateNVD.build(directed_grid, objects, rho=3)
+        for _ in range(2):
+            nvd = ApproximateNVD.build(directed_grid, objects, rho=3)
             assert all(a in nvd.adjacency[b] for a in objects for b in nvd.adjacency[a])
             fingerprints.add(nvd.structural_fingerprint())
         assert len(fingerprints) == 1
@@ -452,58 +450,54 @@ def _check_against_brute_force(graph, documents, engine, relevance, rng):
         assert results_equivalent(actual, [(o, s) for s, o in scored[:4]]), (q, actual)
 
 
-@pytest.mark.parametrize("backend", ["csr", "python"])
-def test_interleaved_updates_match_brute_force(backend):
+def test_interleaved_updates_match_brute_force():
     """insert / add_keyword / delete / remove_keyword / rebuild between
-    queries, through a cached Engine, under both kernel backends."""
-    if backend == "csr" and not kernels.scipy_available():
-        pytest.skip("scipy not installed")
+    queries, through a cached Engine."""
     rng = random.Random(14)
-    with kernels.use_backend(backend):
-        base = perturbed_grid_network(7, 7, seed=5)
-        g = with_one_way_streets(base, fraction=0.5, seed=5)
-        seeded = make_dataset(base, seed=5, object_fraction=0.5, vocabulary=4)
-        documents = {o: dict(seeded.document(o)) for o in seeded.objects()}
-        free = [v for v in g.vertices() if v not in documents]
-        kspin = one_way_kspin(
-            g, KeywordDataset(documents), landmarks=6, rebuild_threshold=3
+    base = perturbed_grid_network(7, 7, seed=5)
+    g = with_one_way_streets(base, fraction=0.5, seed=5)
+    seeded = make_dataset(base, seed=5, object_fraction=0.5, vocabulary=4)
+    documents = {o: dict(seeded.document(o)) for o in seeded.objects()}
+    free = [v for v in g.vertices() if v not in documents]
+    kspin = one_way_kspin(
+        g, KeywordDataset(documents), landmarks=6, rebuild_threshold=3
+    )
+    assert not kspin.index.nvd("kw0").is_small
+    engine = Engine(kspin, cache_size=64)
+    probe = Query(free[0], ("kw0",), k=3)
+    for step in range(12):
+        engine.execute(probe)
+        assert engine.execute(probe).cached
+        op = ("insert", "add_keyword", "delete", "remove_keyword")[step % 4]
+        if op == "insert":
+            obj = free.pop()
+            documents[obj] = {"kw0": 1, "kw1": 2}
+            engine.apply(UpdateOp("insert", obj, document=documents[obj]))
+        elif op == "add_keyword":
+            obj = rng.choice(sorted(o for o in documents if "kw0" not in documents[o]))
+            documents[obj]["kw0"] = 1
+            engine.apply(UpdateOp("add_keyword", obj, keyword="kw0"))
+        elif op == "delete":
+            obj = rng.choice(sorted(o for o in documents if "kw0" in documents[o]))
+            del documents[obj]
+            engine.apply(UpdateOp("delete", obj))
+        else:
+            obj = rng.choice(sorted(o for o in documents if len(documents[o]) > 1
+                                    and "kw0" in documents[o]))
+            del documents[obj]["kw0"]
+            engine.apply(UpdateOp("remove_keyword", obj, keyword="kw0"))
+        assert not engine.execute(probe).cached, op
+        if step % 5 == 4:
+            engine.apply(UpdateOp("rebuild"))
+        _check_against_brute_force(g, documents, engine, kspin.relevance, rng)
+        groups = [["kw0"], ["kw1", "kw2"]]
+        q = rng.randrange(g.num_vertices)
+        assert results_equivalent(
+            kspin.boolean_bknn(q, 4, groups),
+            brute_force_boolean_bknn(
+                g, KeywordDataset(documents), q, 4, BooleanExpression(groups)
+            ),
         )
-        assert not kspin.index.nvd("kw0").is_small
-        engine = Engine(kspin, cache_size=64)
-        probe = Query(free[0], ("kw0",), k=3)
-        for step in range(12):
-            engine.execute(probe)
-            assert engine.execute(probe).cached
-            op = ("insert", "add_keyword", "delete", "remove_keyword")[step % 4]
-            if op == "insert":
-                obj = free.pop()
-                documents[obj] = {"kw0": 1, "kw1": 2}
-                engine.apply(UpdateOp("insert", obj, document=documents[obj]))
-            elif op == "add_keyword":
-                obj = rng.choice(sorted(o for o in documents if "kw0" not in documents[o]))
-                documents[obj]["kw0"] = 1
-                engine.apply(UpdateOp("add_keyword", obj, keyword="kw0"))
-            elif op == "delete":
-                obj = rng.choice(sorted(o for o in documents if "kw0" in documents[o]))
-                del documents[obj]
-                engine.apply(UpdateOp("delete", obj))
-            else:
-                obj = rng.choice(sorted(o for o in documents if len(documents[o]) > 1
-                                        and "kw0" in documents[o]))
-                del documents[obj]["kw0"]
-                engine.apply(UpdateOp("remove_keyword", obj, keyword="kw0"))
-            assert not engine.execute(probe).cached, op
-            if step % 5 == 4:
-                engine.apply(UpdateOp("rebuild"))
-            _check_against_brute_force(g, documents, engine, kspin.relevance, rng)
-            groups = [["kw0"], ["kw1", "kw2"]]
-            q = rng.randrange(g.num_vertices)
-            assert results_equivalent(
-                kspin.boolean_bknn(q, 4, groups),
-                brute_force_boolean_bknn(
-                    g, KeywordDataset(documents), q, 4, BooleanExpression(groups)
-                ),
-            )
 
 
 @given(seed=st.integers(min_value=0, max_value=10**6))

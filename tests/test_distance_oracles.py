@@ -12,7 +12,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.distance import (
-    BidirectionalDijkstraOracle,
     ContractionHierarchy,
     DijkstraOracle,
     GTree,
@@ -41,7 +40,6 @@ def all_pairs_sample(graph, rng, count=40):
 
 ORACLE_FACTORIES = {
     "dijkstra": DijkstraOracle,
-    "bidirectional": BidirectionalDijkstraOracle,
     "ch": ContractionHierarchy,
     "hub": HubLabeling,
     "gtree": lambda g: GTree(g, leaf_size=8),

@@ -1,11 +1,10 @@
 """Tests for the CSR graph kernels (repro.kernels).
 
-The list-based implementations in ``repro.graph.dijkstra`` define the
-semantics; the CSR backend must be observationally identical through
-the public dispatch layer.  Property tests drive both backends over
-random graphs (including unreachable vertices, collapsed parallel
-edges, and one-way arcs), and the workspace tests pin down the
-reuse and thread-isolation contracts the serving stack relies on.
+Every search entry point is compared, on random undirected and one-way
+graphs (including unreachable vertices and collapsed parallel edges),
+against one textbook binary-heap Dijkstra that shares no code with the
+kernels (``tests/reference_dijkstra.py``).  The workspace tests pin down
+the reuse and thread-isolation contracts the serving stack relies on.
 """
 
 from __future__ import annotations
@@ -21,19 +20,18 @@ from hypothesis import strategies as st
 from repro import kernels
 from repro.analysis.linter import lint_source
 from repro.analysis.rules import REPRODUCIBLE_PREFIXES
+from repro.distance import DijkstraOracle
 from repro.graph import (
     RoadNetwork,
-    bidirectional_dijkstra,
     dijkstra_all,
     dijkstra_distance,
+    dijkstra_to_targets,
     multi_source_dijkstra,
     network_expansion_knn,
     perturbed_grid_network,
 )
-
-needs_scipy = pytest.mark.skipif(
-    not kernels.scipy_available(), reason="scipy not installed"
-)
+from repro.nvd.voronoi import NetworkVoronoiDiagram
+from tests.reference_dijkstra import textbook_sssp
 
 
 @st.composite
@@ -42,8 +40,8 @@ def sparse_graph(draw):
 
     The tail vertices (if any) are unreachable, exercising the infinity
     and owner ``-1`` conventions.  Duplicate ``add_edge`` calls exercise
-    parallel-edge collapse (the smaller weight must win in both
-    backends because CSR is built from the already-collapsed adjacency).
+    parallel-edge collapse (the smaller weight must win in the CSR view
+    too, because it is built from the already-collapsed adjacency).
     """
     core = draw(st.integers(min_value=2, max_value=10))
     tail = draw(st.integers(min_value=0, max_value=3))
@@ -79,23 +77,74 @@ def directed_graph(draw):
     return g
 
 
-def _both_backends(fn):
-    """Run ``fn`` under each backend and return (python, csr) results."""
-    with kernels.use_backend("python"):
-        reference = fn()
-    with kernels.use_backend("csr"):
-        fast = fn()
-    return reference, fast
+@st.composite
+def integer_weight_graph(draw):
+    """A small random one-way graph whose integer weights make exact
+    distance ties common, so settle order is tested, not just distances."""
+    n = draw(st.integers(min_value=2, max_value=10))
+    g = RoadNetwork(n)
+    for i in range(n - 1):
+        g.add_arc(i, i + 1, float(draw(st.integers(min_value=1, max_value=3))))
+    for _ in range(draw(st.integers(min_value=0, max_value=2 * n))):
+        u = draw(st.integers(min_value=0, max_value=n - 1))
+        v = draw(st.integers(min_value=0, max_value=n - 1))
+        if u != v:
+            g.add_arc(u, v, float(draw(st.integers(min_value=1, max_value=3))))
+    return g
 
 
-@needs_scipy
+def _check_multi_source(g, sources, reverse):
+    """Distances are the per-source minimum; every owner is *a* nearest
+    source (owners may differ from any fixed rule on exact ties), and
+    ``-1`` exactly where no source is reachable."""
+    distances, owners = multi_source_dijkstra(g, sources, reverse=reverse)
+    per_source = {s: textbook_sssp(g, s, reverse=reverse) for s in sources}
+    for v in g.vertices():
+        best = min(per_source[s][v] for s in sources)
+        if best == math.inf:
+            assert distances[v] == math.inf and owners[v] == -1
+        else:
+            assert distances[v] == pytest.approx(best)
+            assert per_source[owners[v]][v] == pytest.approx(best)
+
+
+def _check_expansion(g, source, k):
+    """The first ``k`` matches in ``(distance, vertex)`` settle order."""
+    is_match = lambda v: v % 2 == 0  # noqa: E731 - tiny predicate
+    reference = textbook_sssp(g, source)
+    expected = sorted(
+        (d, v) for v, d in enumerate(reference) if d < math.inf and is_match(v)
+    )[:k]
+    got = network_expansion_knn(g, source, k, is_match)
+    assert [v for v, _ in got] == [v for _, v in expected]
+    assert [d for _, d in got] == pytest.approx([d for d, _ in expected])
+
+
+def _check_nvd_artefacts(g, objects):
+    """Adjacency and MaxRadius recomputed by walking ``graph.edges()``
+    with the diagram's own owners."""
+    nvd = NetworkVoronoiDiagram(g, objects)
+    adjacency = {o: set() for o in nvd.objects}
+    for u, v, _ in g.edges():
+        owner_u, owner_v = nvd.owner(u), nvd.owner(v)
+        if owner_u != owner_v and owner_u >= 0 and owner_v >= 0:
+            adjacency[owner_u].add(owner_v)
+            adjacency[owner_v].add(owner_u)
+    max_radius = {o: 0.0 for o in nvd.objects}
+    for v in g.vertices():
+        owner = nvd.owner(v)
+        if owner >= 0:
+            max_radius[owner] = max(max_radius[owner], nvd.distance_to_owner(v))
+    assert nvd.adjacency == adjacency
+    assert nvd.max_radius == max_radius
+
+
 class TestUndirectedEquivalence:
     @settings(max_examples=40, deadline=None)
     @given(sparse_graph(), st.integers(min_value=0, max_value=9))
     def test_dijkstra_all_matches_reference(self, g, seed):
         source = seed % g.num_vertices
-        reference, fast = _both_backends(lambda: dijkstra_all(g, source))
-        assert fast == pytest.approx(reference)
+        assert dijkstra_all(g, source) == pytest.approx(textbook_sssp(g, source))
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -105,38 +154,48 @@ class TestUndirectedEquivalence:
     )
     def test_p2p_matches_reference(self, g, a, b):
         source, target = a % g.num_vertices, b % g.num_vertices
-        reference, fast = _both_backends(
-            lambda: dijkstra_distance(g, source, target)
+        assert dijkstra_distance(g, source, target) == pytest.approx(
+            textbook_sssp(g, source)[target]
         )
-        assert fast == pytest.approx(reference)
+
+    @settings(max_examples=40, deadline=None)
+    @given(sparse_graph(), st.integers(min_value=0, max_value=9),
+           st.sets(st.integers(min_value=0, max_value=12), max_size=5))
+    def test_to_targets_matches_reference(self, g, seed, raw_targets):
+        source = seed % g.num_vertices
+        targets = {t % g.num_vertices for t in raw_targets}
+        reference = textbook_sssp(g, source)
+        assert dijkstra_to_targets(g, source, targets) == pytest.approx(
+            {t: reference[t] for t in targets}
+        )
 
     @settings(max_examples=40, deadline=None)
     @given(sparse_graph(), st.sets(st.integers(min_value=0, max_value=9),
                                    min_size=1, max_size=4))
     def test_multi_source_matches_reference(self, g, raw_sources):
-        sources = sorted({s % g.num_vertices for s in raw_sources})
-        (ref_dist, ref_owner), (fast_dist, fast_owner) = _both_backends(
-            lambda: multi_source_dijkstra(g, sources)
-        )
-        assert fast_dist == pytest.approx(ref_dist)
-        # Owners may legitimately differ on exact ties; both must name
-        # *a* nearest source (or -1 exactly when unreachable).
-        per_source = {s: dijkstra_all(g, s) for s in sources}
-        for v in g.vertices():
-            if ref_dist[v] == math.inf:
-                assert fast_owner[v] == -1 and ref_owner[v] == -1
-            else:
-                assert per_source[fast_owner[v]][v] == pytest.approx(ref_dist[v])
+        _check_multi_source(g, sorted({s % g.num_vertices for s in raw_sources}), False)
 
     @settings(max_examples=25, deadline=None)
     @given(sparse_graph(), st.integers(min_value=1, max_value=5))
     def test_network_expansion_knn_matches_reference(self, g, k):
-        is_match = lambda v: v % 2 == 0  # noqa: E731 - tiny predicate
-        reference, fast = _both_backends(
-            lambda: network_expansion_knn(g, 0, k, is_match)
+        _check_expansion(g, 0, k)
+
+    @settings(max_examples=30, deadline=None)
+    @given(sparse_graph(), st.lists(st.integers(min_value=0, max_value=12),
+                                    min_size=1, max_size=6))
+    def test_distances_many_matches_reference(self, g, raw):
+        sources = [r % g.num_vertices for r in raw]
+        targets = [(r * 7 + 3) % g.num_vertices for r in raw]
+        expected = [textbook_sssp(g, s)[t] for s, t in zip(sources, targets)]
+        assert DijkstraOracle(g).distances_many(sources, targets) == pytest.approx(
+            expected
         )
-        assert [v for v, _ in fast] == [v for v, _ in reference]
-        assert [d for _, d in fast] == pytest.approx([d for _, d in reference])
+
+    @settings(max_examples=30, deadline=None)
+    @given(sparse_graph(), st.sets(st.integers(min_value=0, max_value=9),
+                                   min_size=1, max_size=4))
+    def test_nvd_artefacts_match_edge_walk(self, g, raw_objects):
+        _check_nvd_artefacts(g, sorted({o % g.num_vertices for o in raw_objects}))
 
     def test_parallel_edges_collapse_to_minimum(self):
         g = RoadNetwork(3)
@@ -144,40 +203,33 @@ class TestUndirectedEquivalence:
         g.add_edge(0, 1, 2.0)  # collapses: min weight wins
         g.add_edge(0, 1, 9.0)  # ignored: larger than existing
         g.add_edge(1, 2, 1.0)
-        reference, fast = _both_backends(lambda: dijkstra_all(g, 0))
-        assert reference == pytest.approx([0.0, 2.0, 3.0])
-        assert fast == pytest.approx(reference)
+        assert textbook_sssp(g, 0) == pytest.approx([0.0, 2.0, 3.0])
+        assert dijkstra_all(g, 0) == pytest.approx([0.0, 2.0, 3.0])
         assert g.csr().num_arcs == 4  # two undirected edges, both arcs
 
     def test_mutation_invalidates_cached_csr(self):
         g = perturbed_grid_network(4, 4, seed=3)
         before = g.csr()
-        with kernels.use_backend("python"):
-            expected_before = dijkstra_all(g, 0)
+        expected_before = textbook_sssp(g, 0)
+        assert dijkstra_all(g, 0) == pytest.approx(expected_before)
         g.add_edge(0, g.num_vertices - 1, 0.01)
-        with kernels.use_backend("python"):
-            expected_after = dijkstra_all(g, 0)
-        with kernels.use_backend("csr"):
-            assert dijkstra_all(g, 0) == pytest.approx(expected_after)
+        expected_after = textbook_sssp(g, 0)
+        assert dijkstra_all(g, 0) == pytest.approx(expected_after)
         assert g.csr() is not before
         assert expected_after != pytest.approx(expected_before)
 
 
-@needs_scipy
 class TestDirectedEquivalence:
     @settings(max_examples=30, deadline=None)
     @given(directed_graph(), st.integers(min_value=0, max_value=9))
     def test_forward_and_reverse_sssp(self, g, seed):
         source = seed % g.num_vertices
-        fwd_ref, fwd_fast = _both_backends(lambda: dijkstra_all(g, source))
-        rev_ref, rev_fast = _both_backends(
-            lambda: dijkstra_all(g, source, reverse=True)
-        )
-        assert fwd_fast == pytest.approx(fwd_ref)
-        assert rev_fast == pytest.approx(rev_ref)
+        assert dijkstra_all(g, source) == pytest.approx(textbook_sssp(g, source))
+        reverse = textbook_sssp(g, source, reverse=True)
+        assert dijkstra_all(g, source, reverse=True) == pytest.approx(reverse)
         # The reverse search is the forward search of the flipped graph.
-        assert [rev_ref[v] for v in g.vertices()] == pytest.approx(
-            [dijkstra_distance(g, v, source) for v in g.vertices()]
+        assert reverse == pytest.approx(
+            [textbook_sssp(g, v)[source] for v in g.vertices()]
         )
 
     @settings(max_examples=30, deadline=None)
@@ -188,35 +240,39 @@ class TestDirectedEquivalence:
     )
     def test_directed_distance(self, g, a, b):
         source, target = a % g.num_vertices, b % g.num_vertices
-        reference, fast = _both_backends(
-            lambda: dijkstra_distance(g, source, target)
+        reference = textbook_sssp(g, source)
+        assert dijkstra_distance(g, source, target) == pytest.approx(reference[target])
+        assert dijkstra_to_targets(g, source, [target, source]) == pytest.approx(
+            {target: reference[target], source: 0.0}
         )
-        assert fast == pytest.approx(reference)
-        # The python meet-in-the-middle walks entering arcs backward.
-        meet_ref, meet_fast = _both_backends(
-            lambda: bidirectional_dijkstra(g, source, target)
-        )
-        assert meet_ref == pytest.approx(reference)
-        assert meet_fast == pytest.approx(reference)
 
     @settings(max_examples=20, deadline=None)
     @given(directed_graph(), st.sets(st.integers(min_value=0, max_value=9),
                                      min_size=1, max_size=3))
     def test_reverse_multi_source(self, g, raw_objects):
         objects = sorted({o % g.num_vertices for o in raw_objects})
-        (ref_dist, ref_owner), (fast_dist, fast_owner) = _both_backends(
-            lambda: multi_source_dijkstra(g, objects, reverse=True)
-        )
-        assert fast_dist == pytest.approx(ref_dist)
-        per_object = {o: dijkstra_all(g, o, reverse=True) for o in objects}
-        for v in range(g.num_vertices):
-            if ref_dist[v] == math.inf:
-                assert fast_owner[v] == -1 and ref_owner[v] == -1
-            else:
-                assert per_object[fast_owner[v]][v] == pytest.approx(ref_dist[v])
+        _check_multi_source(g, objects, True)
+        _check_multi_source(g, objects, False)
+
+    @settings(max_examples=25, deadline=None)
+    @given(directed_graph(), st.integers(min_value=0, max_value=9),
+           st.integers(min_value=1, max_value=5))
+    def test_network_expansion_knn(self, g, seed, k):
+        _check_expansion(g, seed % g.num_vertices, k)
+
+    @settings(max_examples=40, deadline=None)
+    @given(integer_weight_graph(), st.integers(min_value=0, max_value=9),
+           st.integers(min_value=1, max_value=6))
+    def test_expansion_tie_order(self, g, seed, k):
+        _check_expansion(g, seed % g.num_vertices, k)
+
+    @settings(max_examples=30, deadline=None)
+    @given(directed_graph(), st.sets(st.integers(min_value=0, max_value=9),
+                                     min_size=1, max_size=4))
+    def test_nvd_artefacts_match_edge_walk(self, g, raw_objects):
+        _check_nvd_artefacts(g, sorted({o % g.num_vertices for o in raw_objects}))
 
 
-@needs_scipy
 class TestWorkspace:
     def test_repeated_queries_reuse_workspace(self):
         g = perturbed_grid_network(6, 6, seed=7)
@@ -262,8 +318,7 @@ class TestWorkspace:
 
     def test_concurrent_queries_are_isolated(self):
         g = perturbed_grid_network(6, 6, seed=11)
-        with kernels.use_backend("python"):
-            expected = {s: dijkstra_all(g, s) for s in range(8)}
+        expected = {s: textbook_sssp(g, s) for s in range(8)}
         failures: list[str] = []
 
         def worker(source: int) -> None:
@@ -280,8 +335,13 @@ class TestWorkspace:
             t.join()
         assert failures == []
 
+    def test_warm_builds_csr_caches(self):
+        g = perturbed_grid_network(3, 3, seed=1)
+        g.add_arc(0, 8, 1.0)
+        kernels.warm(g)
+        assert g._csr is not None and g._csr_in is not None
 
-@needs_scipy
+
 class TestFingerprintAndPickle:
     def test_fingerprint_stable_across_rebuilds(self):
         a = perturbed_grid_network(5, 5, seed=4)
@@ -318,51 +378,6 @@ class TestFingerprintAndPickle:
         assert g.csr_in().structural_fingerprint() != (
             g.csr().structural_fingerprint()
         )
-
-
-class TestBackendSwitch:
-    def test_python_backend_disables_kernels(self):
-        with kernels.use_backend("python"):
-            assert kernels.active_backend() == "python"
-            assert not kernels.enabled()
-            assert not kernels.flat_buffers_enabled()
-
-    @needs_scipy
-    def test_csr_backend_enables_kernels(self):
-        with kernels.use_backend("csr"):
-            assert kernels.active_backend() == "csr"
-            assert kernels.enabled()
-            assert kernels.flat_buffers_enabled()
-
-    def test_environment_variable_is_honoured(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNELS", "python")
-        assert kernels.active_backend() == "python"
-        monkeypatch.setenv("REPRO_KERNELS", "nonsense")
-        assert kernels.active_backend() in ("csr", "python")  # falls to auto
-
-    def test_override_wins_over_environment(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNELS", "auto")
-        with kernels.use_backend("python"):
-            assert kernels.active_backend() == "python"
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError):
-            with kernels.use_backend("fortran"):
-                pass  # pragma: no cover
-
-    def test_warm_is_noop_without_kernels(self):
-        g = perturbed_grid_network(3, 3, seed=1)
-        with kernels.use_backend("python"):
-            kernels.warm(g)
-            assert g._csr is None
-
-    @needs_scipy
-    def test_warm_builds_csr_caches(self):
-        g = perturbed_grid_network(3, 3, seed=1)
-        g.add_arc(0, 8, 1.0)
-        with kernels.use_backend("csr"):
-            kernels.warm(g)
-            assert g._csr is not None and g._csr_in is not None
 
 
 class TestLintCoverage:

@@ -118,6 +118,13 @@ class TestRelevanceModel:
         assert model.textual_relevance(["thai"], 3) == 0.0
         assert model.textual_relevance(["thai"], 12345) == 0.0
 
+    def test_scores_are_floats_when_nothing_overlaps(self, paper_example):
+        model = RelevanceModel(paper_example)
+        impacts = model.query_impacts(["thai"])
+        assert isinstance(model.textual_relevance(["thai"], 3), float)
+        assert isinstance(model.relevance_from_document({"grocer": 1}, impacts), float)
+        assert isinstance(model.max_textual_relevance([], {}), float)
+
     def test_relevance_bounded_by_max(self, paper_example):
         model = RelevanceModel(paper_example)
         keywords = ["thai", "restaurant"]
