@@ -140,8 +140,7 @@ def run_benchmark(smoke: bool = False) -> dict:
     ipc = 0.0
     for workers in WORKER_LADDER:
         with ClusterCoordinator(
-            kspin, num_workers=workers, placement="replicate",
-            cache_size=0, health_interval=5.0,
+            kspin, num_workers=workers, cache_size=0, health_interval=5.0,
         ) as cluster:
             if workers == 1:
                 # Per-request pipe+pickle cost, measured without any

@@ -146,8 +146,8 @@ def run_batched_benchmark(smoke: bool = False) -> dict:
     rungs = []
     for num_workers in worker_rungs:
         with ClusterCoordinator(
-            kspin, num_workers=num_workers, placement="replicate",
-            cache_size=1024, health_interval=5.0,
+            kspin, num_workers=num_workers, cache_size=1024,
+            health_interval=5.0,
         ) as coordinator:
             # Bit-identical: the batch path must answer exactly what
             # one-at-a-time execution answers, hit for hit.
@@ -189,7 +189,6 @@ def run_batched_benchmark(smoke: bool = False) -> dict:
     payload = {
         "dataset": DATASET,
         "oracle": "ch",
-        "placement": "replicate",
         "requests_per_rung": requests,
         "distinct_queries": NUM_DISTINCT,
         "k": K,

@@ -2,7 +2,7 @@
 
 One query language, many interchangeable engines (the SALT design,
 arXiv:1411.0257): :class:`KSpin <repro.core.framework.KSpin>`, the
-serving :class:`Engine <repro.serve.engine.Engine>`, the process-sharded
+serving :class:`Engine <repro.serve.engine.Engine>`, the process
 :class:`ClusterCoordinator <repro.serve.cluster.ClusterCoordinator>`,
 and all four baselines accept the same frozen :class:`Query` value and
 return the same :class:`QueryResult`, so callers (benchmark harnesses,
@@ -316,8 +316,8 @@ def stats_to_dict(stats: "QueryStats | None") -> dict:
 def merge_stat_dicts(dicts: Iterable[Mapping]) -> dict:
     """Sum §5.1 stats dicts via :meth:`QueryStats.merge` (one fold site).
 
-    Every aggregation of cost counters — scatter-gather merging, the
-    cluster metrics roll-up — goes through the dataclass's own ``merge``
+    Every aggregation of cost counters — the cluster metrics roll-up
+    among them — goes through the dataclass's own ``merge``
     so a new counter field is added in exactly one place.
     """
     from repro.core.query_processor import QueryStats
@@ -340,33 +340,6 @@ def hits_from_pairs(
     if kind == "bknn":
         return tuple(Hit(obj, value, value) for obj, value in pairs)
     return tuple(Hit(obj, None, value) for obj, value in pairs)
-
-
-def merge_results(
-    parts: Sequence[QueryResult], k: int
-) -> QueryResult:
-    """Scatter-gather merge: k best hits across partial answers.
-
-    Used by the cluster coordinator for disjunctive BkNN queries whose
-    keywords span several shards: each shard answers over its owned
-    keyword subset, and the union's k smallest scores (dedup-ed by
-    object, keeping the minimum) is exactly the global answer.
-    """
-    best: dict[int, Hit] = {}
-    for part in parts:
-        for hit in part.hits:
-            kept = best.get(hit.object)
-            if kept is None or hit.score < kept.score:
-                best[hit.object] = hit
-    merged = sorted(best.values(), key=lambda h: (h.score, h.object))[:k]
-    stats = merge_stat_dicts(part.stats for part in parts)
-    workers = sorted({part.worker for part in parts if part.worker})
-    return QueryResult(
-        hits=tuple(merged),
-        stats=stats,
-        cached=bool(parts) and all(part.cached for part in parts),
-        worker=",".join(workers) if workers else None,
-    )
 
 
 @dataclass(frozen=True)
@@ -498,12 +471,18 @@ def execute_many_sequential(
 def batch_error_object(exc: BaseException) -> dict:
     """Map an exception to the per-item error envelope used in batches.
 
-    Mirrors the HTTP tier's status mapping: malformed or unsupported
-    queries are ``bad_request``; anything else is ``internal``.
+    Mirrors the HTTP tier's status mapping: an exception that carries
+    its own string ``code`` (a worker's error reply) keeps it; otherwise
+    malformed or unsupported queries are ``bad_request`` and anything
+    else is ``internal``.
     """
-    if isinstance(exc, (UnsupportedQueryError, KeyError, ValueError, TypeError)):
-        return {"code": "bad_request", "message": str(exc) or exc.__class__.__name__}
-    return {"code": "internal", "message": f"{exc.__class__.__name__}: {exc}"}
+    code = getattr(exc, "code", None)
+    if not isinstance(code, str):
+        bad = (UnsupportedQueryError, KeyError, ValueError, TypeError)
+        code = "bad_request" if isinstance(exc, bad) else "internal"
+    if code == "bad_request":
+        return {"code": code, "message": str(exc) or exc.__class__.__name__}
+    return {"code": code, "message": f"{exc.__class__.__name__}: {exc}"}
 
 
 def execute_batch(engine: QueryEngine, batch: QueryBatch) -> BatchResult:

@@ -235,6 +235,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     if args.workers < 1:
         print("error: --workers must be at least 1", file=sys.stderr)
         return 2
+    if args.cluster < 0:
+        print("error: --cluster must be non-negative", file=sys.stderr)
+        return 2
     if args.cache_size < 0:
         print("error: --cache-size must be non-negative", file=sys.stderr)
         return 2
@@ -258,12 +261,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     if args.cluster > 0:
         from repro.serve import ClusterCoordinator
 
-        print(f"Forking {args.cluster} worker processes "
-              f"({args.placement} placement) ...")
+        print(f"Forking {args.cluster} worker processes ...")
         cluster = ClusterCoordinator(
             kspin,
             num_workers=args.cluster,
-            placement=args.placement,
             cache_size=args.cache_size,
             snapshot_path=args.index or None,
         ).start()
@@ -612,9 +613,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--cluster", type=int, default=0,
                        help="worker processes forked after index build "
                             "(0 = single-process thread engine)")
-    serve.add_argument("--placement", default="replicate",
-                       choices=["replicate", "shard-by-keyword"],
-                       help="cluster placement policy")
     serve.add_argument("--cache-size", type=int, default=1024,
                        help="result-cache entries (0 disables caching)")
     serve.add_argument("--queue-size", type=int, default=64,

@@ -65,7 +65,7 @@ class QueryStats:
         """Fold ``other``'s counters into this one; returns self.
 
         The single merge implementation behind every aggregation site
-        (server totals, cluster metrics merge, scatter-gather stats).
+        (server totals, cluster metrics merge).
         """
         for name in self.FIELDS:
             setattr(self, name, getattr(self, name) + getattr(other, name, 0))

@@ -236,10 +236,7 @@ def render_prometheus(snapshot: Mapping, namespace: str = "repro") -> str:
             ("retried_requests", "Requests retried after a worker death."),
             ("updates_applied", "Updates fanned out across the cluster."),
             ("supervisor_sweeps", "Supervisor health sweeps completed."),
-            ("dispatches", "Per-shard dispatches issued by the router."),
-            ("skipped_shards",
-             "Shard dispatches avoided because every keyword the shard "
-             "would have served has no live object."),
+            ("dispatches", "Queries the router sent to a worker."),
             ("short_circuits",
              "Queries answered empty without any dispatch (a needed "
              "keyword has no live object)."),

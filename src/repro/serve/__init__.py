@@ -3,11 +3,11 @@
 Turns a built :class:`~repro.core.framework.KSpin` into a long-running
 service: a thread-safe :class:`Engine` with a keyword-aware LRU result
 cache, a process-parallel :class:`ClusterCoordinator` that forks workers
-after index build (copy-on-write sharing) with placement routing,
-scatter-gather merging and supervised restarts, a bounded
-:class:`WorkerPool` that sheds overload instead of queueing it, and a
-stdlib HTTP/JSON front end (:class:`QueryServer`) with a
-load-generation client (:class:`ServeClient`).
+after index build (copy-on-write sharing) with least-loaded routing and
+supervised restarts, a bounded :class:`WorkerPool` that sheds overload
+instead of queueing it, and a stdlib HTTP/JSON front end
+(:class:`QueryServer`) with a load-generation client
+(:class:`ServeClient`).
 
 Quick use::
 
@@ -34,24 +34,22 @@ from repro.api import (
 )
 from repro.serve.admission import DeadlineExceeded, ServerSaturated, WorkerPool
 from repro.serve.cache import ResultCache, result_key
-from repro.serve.cluster import PLACEMENTS, ClusterCoordinator
+from repro.serve.cluster import ClusterCoordinator
 from repro.serve.engine import Engine
 from repro.serve.http import QueryServer
 from repro.serve.ipc import WorkerDied, WorkerError, WorkerHandle
 from repro.serve.loadgen import LoadResult, ServeClient, replay
 from repro.serve.locks import ReadWriteLock
 from repro.serve.metrics import LatencyRecorder, ServerMetrics
-from repro.serve.placement import KeywordShardRouter, ReplicateRouter, shard_of
+from repro.serve.placement import ReplicateRouter
 from repro.serve.supervisor import Supervisor
 
 __all__ = [
-    "PLACEMENTS",
     "BatchResult",
     "ClusterCoordinator",
     "DeadlineExceeded",
     "Engine",
     "Hit",
-    "KeywordShardRouter",
     "LatencyRecorder",
     "LoadResult",
     "Query",
@@ -74,5 +72,4 @@ __all__ = [
     "execute_batch",
     "replay",
     "result_key",
-    "shard_of",
 ]

@@ -1,4 +1,4 @@
-"""The process-sharded serving cluster (scatter-gather coordinator).
+"""The process serving cluster (batch dispatch coordinator).
 
 Python's GIL caps the thread-based :class:`~repro.serve.engine.Engine`
 at one core of query execution.  :class:`ClusterCoordinator` escapes it
@@ -18,12 +18,10 @@ index — shared:
   snapshot + journal), so the replacement is always current — restarts
   lose no updates.
 * **Placement is routing, not partitioning.**  Every worker holds the
-  full index; the :mod:`~repro.serve.placement` router decides which
-  worker(s) answer for throughput/cache-affinity.  Disjunctive BkNN
-  queries spanning several keyword shards scatter and the coordinator
-  merges with :func:`repro.api.merge_results`.  The router reads the
-  parent's exact ``index.inverted_size``: a query that needs a keyword
-  no live object carries is answered empty without a dispatch.
+  full index; the :mod:`~repro.serve.placement` router sends each whole
+  query to the least-loaded worker.  The router reads the parent's
+  exact ``index.inverted_size``: a query that needs a keyword no live
+  object carries is answered empty without a dispatch.
 * **No request is lost.**  A request that hits a dead worker retries on
   the surviving workers and, as a last resort, runs on the parent's own
   in-process engine; the supervisor is kicked to restart the casualty
@@ -36,7 +34,7 @@ import multiprocessing
 import os
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
-from typing import Sequence
+from typing import Sequence, cast
 
 from repro.analysis.lockdebug import make_lock
 from repro.api import (
@@ -44,7 +42,6 @@ from repro.api import (
     QueryResult,
     UpdateOp,
     ensure_supported,
-    merge_results,
     merge_stat_dicts,
     stats_to_dict,
 )
@@ -56,11 +53,8 @@ from repro.obs.trace import span as trace_span
 from repro.serve.engine import Engine
 from repro.serve.metrics import merge_latency_payloads
 from repro.serve.ipc import WorkerDied, WorkerError, WorkerHandle, worker_main
-from repro.serve.placement import KeywordShardRouter, ReplicateRouter
+from repro.serve.placement import ReplicateRouter
 from repro.serve.supervisor import Supervisor
-
-#: Recognised placement policy names (CLI surface).
-PLACEMENTS = ("replicate", "shard-by-keyword")
 
 
 def _preferred_context(start_method: str | None) -> multiprocessing.context.BaseContext:
@@ -86,8 +80,6 @@ class ClusterCoordinator:
         The built framework; stays authoritative in the parent.
     num_workers:
         Worker process count (the cluster size).
-    placement:
-        ``"replicate"`` or ``"shard-by-keyword"``.
     cache_size:
         Per-worker result-cache capacity (0 disables worker caches).
     start_method:
@@ -109,7 +101,7 @@ class ClusterCoordinator:
         ),
         "_stats_lock": (
             "fallback_queries", "retried_requests", "dispatches",
-            "short_circuits", "skipped_shards",
+            "short_circuits",
         ),
     }
 
@@ -117,7 +109,6 @@ class ClusterCoordinator:
         self,
         kspin: KSpin,
         num_workers: int = 2,
-        placement: str = "replicate",
         cache_size: int = 1024,
         start_method: str | None = None,
         snapshot_path: str | None = None,
@@ -127,13 +118,8 @@ class ClusterCoordinator:
     ) -> None:
         if num_workers < 1:
             raise ValueError("num_workers must be positive")
-        if placement not in PLACEMENTS:
-            raise ValueError(
-                f"placement must be one of {PLACEMENTS}, got {placement!r}"
-            )
         self._kspin = kspin
         self.num_workers = num_workers
-        self.placement = placement
         self.cache_size = cache_size
         self._ctx = _preferred_context(start_method)
         self._snapshot_path = snapshot_path
@@ -144,8 +130,7 @@ class ClusterCoordinator:
         self._fallback = Engine(kspin, cache_size=0)
         # The router reads the parent's exact |inv(t)|: every applied
         # update is visible to the next routing decision.
-        router = ReplicateRouter if placement == "replicate" else KeywordShardRouter
-        self.router = router(num_workers, kspin.index.inverted_size)
+        self.router = ReplicateRouter(num_workers, kspin.index.inverted_size)
         self.workers: list[WorkerHandle | None] = [None] * num_workers
         self._journal: list[dict] = []
         # Reentrant: apply() restarts diverged workers while holding it.
@@ -164,7 +149,6 @@ class ClusterCoordinator:
         self.fallback_queries = 0
         self.retried_requests = 0
         self.dispatches = 0
-        self.skipped_shards = 0
         self.short_circuits = 0
         self.last_error: str | None = None
 
@@ -308,13 +292,12 @@ class ClusterCoordinator:
         """Route a batch of queries with one pipe round-trip per worker.
 
         The native batch path (``execute`` is a one-element batch):
-        every query is planned individually (so short circuits and
-        shard skipping stay per-query exact), the per-worker
-        sub-queries are grouped, and each worker receives its whole
-        share in **one** ``query_batch`` IPC request.  Gathering is one
-        reply per worker; scattered queries are merged per-query with
-        :func:`repro.api.merge_results`.  Result-identical (same hits
-        per query, in order) to sequential execution.
+        every query is planned individually (so short circuits stay
+        per-query exact), the queries are grouped per target worker,
+        and each worker receives its whole share in **one**
+        ``query_batch`` IPC request.  Gathering is one reply per
+        worker, order-aligned with its share.  Result-identical (same
+        hits per query, in order) to sequential execution.
         """
         queries = list(queries)
         if not queries:
@@ -329,16 +312,15 @@ class ClusterCoordinator:
             batch=len(queries),
         ):
             results: list[QueryResult | None] = [None] * len(queries)
-            # Plan each query, then group (query-index, sub-query)
-            # pairs per target worker so one pipe round-trip carries a
-            # worker's entire share of the batch.
+            # Plan each query, then group (query-index, query) pairs per
+            # target worker so one pipe round-trip carries a worker's
+            # entire share of the batch.
             per_worker: dict[int, list[tuple[int, Query]]] = {}
-            scatter_k: dict[int, int] = {}
-            short_circuits = dispatches = skipped = 0
+            short_circuits = 0
             inflight = self._inflight()
             for i, query in enumerate(queries):
-                plan = self.router.plan(query, inflight)
-                if plan.empty:
+                target = self.router.plan(query, inflight)
+                if target is None:
                     # A needed keyword has no live object: answer
                     # without touching a single worker.
                     short_circuits += 1
@@ -347,19 +329,10 @@ class ClusterCoordinator:
                             hits=(), stats=stats_to_dict(None)
                         )
                     continue
-                dispatches += len(plan.assignments)
-                skipped += len(plan.skipped)
-                for target, subquery in plan.assignments.items():
-                    per_worker.setdefault(target, []).append((i, subquery))
-                if plan.scatter:
-                    scatter_k[i] = max(
-                        subquery.k
-                        for subquery in plan.assignments.values()
-                    )
+                per_worker.setdefault(target, []).append((i, query))
             with self._stats_lock:
                 self.short_circuits += short_circuits
-                self.dispatches += dispatches
-                self.skipped_shards += skipped
+                self.dispatches += len(queries) - short_circuits
             if per_worker:
                 assert self._pool is not None
                 # True batches (size > 1) leave a scatter/gather pair in
@@ -378,19 +351,21 @@ class ClusterCoordinator:
                     )
                     for target, items in per_worker.items()
                 }
-                gathered: dict[int, list[QueryResult]] = {}
                 for target, future in futures.items():
-                    for (i, _), part in zip(per_worker[target], future.result()):
-                        gathered.setdefault(i, []).append(part)
-                for i, parts in gathered.items():
-                    if i in scatter_k:
-                        with trace_span("cluster.merge", parts=len(parts)):
-                            results[i] = merge_results(parts, scatter_k[i])
-                    else:
-                        results[i] = parts[0]
+                    items = per_worker[target]
+                    # strict: a reply misaligned with its share is a
+                    # protocol fault, never a silently shorter answer.
+                    for (i, _), result in zip(
+                        items, future.result(), strict=True
+                    ):
+                        results[i] = result
                 if len(queries) > 1:
-                    EVENTS.emit("batch.gather", queries=len(gathered))
-            return [result for result in results if result is not None]
+                    EVENTS.emit(
+                        "batch.gather",
+                        queries=len(queries) - short_circuits,
+                    )
+            # Every slot is filled: a short circuit or a strict gather.
+            return cast("list[QueryResult]", results)
 
     def _inflight(self) -> list[int]:
         return [
@@ -406,7 +381,7 @@ class ClusterCoordinator:
     ) -> list[QueryResult]:
         """Run a worker's whole batch share in one pipe round-trip.
 
-        ``items`` is this worker's ``(query-index, sub-query)`` share;
+        ``items`` is this worker's ``(query-index, query)`` share;
         the reply is order-aligned with it.  On worker death the
         *whole sub-batch* retries on the survivors (any worker holds
         the full index), and a fleet with no survivors falls back to
@@ -431,7 +406,7 @@ class ClusterCoordinator:
                 if handle is None or not handle.is_alive():
                     continue
                 payload: dict = {
-                    "queries": [subquery.to_dict() for _, subquery in items]
+                    "queries": [query.to_dict() for _, query in items]
                 }
                 if dspan.trace_id:
                     payload["trace_id"] = dspan.trace_id
@@ -459,7 +434,7 @@ class ClusterCoordinator:
                 self.fallback_queries += len(items)
             dspan.annotate(fallback=True)
             return self._fallback.execute_many(
-                [subquery for _, subquery in items]
+                [query for _, query in items]
             )
 
     # ------------------------------------------------------------------
@@ -574,7 +549,6 @@ class ClusterCoordinator:
         base.update(
             {
                 "status": "ok" if len(alive) == self.num_workers else "degraded",
-                "placement": self.placement,
                 "workers": {
                     "total": self.num_workers,
                     "alive": len(alive),
@@ -606,7 +580,6 @@ class ClusterCoordinator:
                 self.supervisor.kick()
         merged = self._merge_metrics(list(per_worker.values()))
         merged["cluster"] = {
-            "placement": self.placement,
             "workers": self.num_workers,
             "alive": len(self._alive_indexes()),
             "restarts": sum(
@@ -618,7 +591,6 @@ class ClusterCoordinator:
             "fallback_queries": self.fallback_queries,
             "retried_requests": self.retried_requests,
             "dispatches": self.dispatches,
-            "skipped_shards": self.skipped_shards,
             "short_circuits": self.short_circuits,
             "updates_applied": self.updates_applied,
             "worker_status": {

@@ -110,13 +110,11 @@ LIVE_MUTATIONS = [
             (
                 "            with self._stats_lock:\n"
                 "                self.short_circuits += short_circuits\n"
-                "                self.dispatches += dispatches\n"
-                "                self.skipped_shards += skipped\n",
+                "                self.dispatches += len(queries) - short_circuits\n",
                 "            with self._stats_lock:\n"
                 "                with self._update_lock:\n"
                 "                    self.short_circuits += short_circuits\n"
-                "                    self.dispatches += dispatches\n"
-                "                    self.skipped_shards += skipped\n",
+                "                    self.dispatches += len(queries) - short_circuits\n",
             ),
             (
                 "            self.updates_applied += 1\n            evicted = 0\n",
@@ -191,7 +189,6 @@ class TestRuleFixtures:
             ("serve/metrics.py", "ServerMetrics", "rate_limited"),
             ("serve/cluster.py", "ClusterCoordinator", "dispatches"),
             ("serve/cluster.py", "ClusterCoordinator", "short_circuits"),
-            ("serve/cluster.py", "ClusterCoordinator", "skipped_shards"),
         ],
     )
     def test_counter_written_under_a_lock_is_registered(self, scope, cls, attr):

@@ -15,7 +15,6 @@ import pytest
 
 import repro
 from repro.api import (
-    Hit,
     Query,
     QueryEngine,
     QueryResult,
@@ -23,7 +22,6 @@ from repro.api import (
     UpdatableEngine,
     UpdateOp,
     hits_from_pairs,
-    merge_results,
 )
 from repro.baselines import FsFbs, GTreeSpatialKeyword, NetworkExpansion, Road
 from repro.core import KSpin, results_equivalent
@@ -170,19 +168,6 @@ class TestQueryResult:
         payload = result.to_dict()
         assert payload["results"] == [[3, 1.5], [7, 2.0]]
         assert QueryResult.from_dict(payload) == result
-
-    def test_merge_dedups_keeping_min_score(self):
-        left = QueryResult(hits=(Hit(1, 2.0, 2.0), Hit(2, 3.0, 3.0)))
-        right = QueryResult(hits=(Hit(1, 1.0, 1.0), Hit(3, 2.5, 2.5)))
-        merged = merge_results([left, right], k=2)
-        assert merged.pairs() == [(1, 1.0), (3, 2.5)]
-
-    def test_merge_sums_stats_and_joins_workers(self):
-        left = QueryResult(hits=(), stats={"iterations": 2}, worker="w0")
-        right = QueryResult(hits=(), stats={"iterations": 3}, worker="w1")
-        merged = merge_results([left, right], k=5)
-        assert merged.stats["iterations"] == 5
-        assert merged.worker == "w0,w1"
 
 
 # ----------------------------------------------------------------------

@@ -1,10 +1,10 @@
-"""The process-sharded serving cluster: equality, failover, rehydration.
+"""The process serving cluster: equality, failover, rehydration.
 
 The load-bearing properties:
 
-* **Equality** — for any query, under either placement, the cluster
-  answers exactly what a single-process KSpin answers (up to ties at
-  equal scores, which scatter-gather merging may order differently).
+* **Equality** — for any query, at 2 or 3 workers, the cluster answers
+  exactly what a single-process KSpin answers (up to ties at equal
+  scores).
 * **Updates** — fan-out keeps every worker in sync with the
   authoritative parent, including across worker restarts.
 * **Fault tolerance** — SIGKILL-ing a worker mid-stream loses no
@@ -24,14 +24,20 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.api import Query, UnsupportedQueryError, UpdateOp
+from repro.api import (
+    Query,
+    QueryBatch,
+    UnsupportedQueryError,
+    UpdateOp,
+    execute_batch,
+)
 from repro.core import KSpin, results_equivalent
 from repro.datasets import load_dataset
 from repro.datasets.workloads import WorkloadGenerator
 from repro.distance import DijkstraOracle
 from repro.lowerbound import AltLowerBounder
-from repro.serve import ClusterCoordinator, QueryServer, ServeClient
-from repro.serve.placement import KeywordShardRouter, ReplicateRouter, shard_of
+from repro.serve import ClusterCoordinator, Engine, QueryServer, ServeClient
+from repro.serve.placement import ReplicateRouter
 
 
 @pytest.fixture(scope="module")
@@ -54,12 +60,11 @@ def keywords(world):
     return sorted(world.keywords.keywords())
 
 
-@pytest.fixture(scope="module", params=["replicate", "shard-by-keyword"])
+@pytest.fixture(scope="module", params=[2, 3], ids=lambda n: f"{n}-workers")
 def cluster(request, kspin):
     coordinator = ClusterCoordinator(
         kspin,
-        num_workers=2,
-        placement=request.param,
+        num_workers=request.param,
         cache_size=0,
         health_interval=0.2,
         ping_timeout=2.0,
@@ -121,37 +126,20 @@ class TestClusterEquality:
             answer = cluster.execute(query)
             assert results_equivalent(answer.pairs(), _direct(kspin, query))
 
-    def test_scatter_merges_multi_shard_disjunction(self, kspin, keywords):
-        """Find a keyword pair spanning shards; the merge must be exact."""
-        with ClusterCoordinator(
-            kspin, num_workers=2, placement="shard-by-keyword",
-            cache_size=0, supervise=False,
-        ) as cluster:
-            pair = next(
-                (a, b)
-                for i, a in enumerate(keywords)
-                for b in keywords[i + 1:]
-                if shard_of(a, 2) != shard_of(b, 2)
-            )
-            query = Query(vertex=3, keywords=pair, k=5)
-            answer = cluster.execute(query)
-            assert answer.worker and "," in answer.worker  # really scattered
-            assert results_equivalent(answer.pairs(), _direct(kspin, query))
-
 
 # ----------------------------------------------------------------------
 # Updates through the cluster
 # ----------------------------------------------------------------------
 class TestClusterUpdates:
     def test_interleaved_updates_match_reference(self, world):
-        """Insert/delete through the cluster == the same ops on a clone."""
-        kspin = KSpin(
+        """Insert/delete through the cluster == the same ops on a clone,
+        at 2 and 3 workers."""
+        base = KSpin(
             world.graph,
             world.keywords,
             oracle=DijkstraOracle(world.graph),
             lower_bounder=AltLowerBounder(world.graph, num_landmarks=4),
         )
-        reference = pickle.loads(pickle.dumps(kspin))
         occupied = set(world.keywords.objects())
         free = [v for v in world.graph.vertices() if v not in occupied][:4]
         keywords = sorted(world.keywords.keywords())[:3]
@@ -168,18 +156,20 @@ class TestClusterUpdates:
             Query(vertex=7, keywords=(keywords[0], keywords[1]), k=5, mode="and"),
             Query(vertex=7, keywords=(keywords[2],), k=5, kind="topk"),
         ]
-        with ClusterCoordinator(
-            kspin, num_workers=2, placement="shard-by-keyword",
-            cache_size=16, supervise=False,
-        ) as cluster:
-            for op in ops:
-                cluster.apply(op)
-                reference.apply(op)
-                for query in probes:
-                    answer = cluster.execute(query)
-                    assert results_equivalent(
-                        answer.pairs(), _direct(reference, query)
-                    ), (op, query)
+        for num_workers in (2, 3):
+            kspin = pickle.loads(pickle.dumps(base))
+            reference = pickle.loads(pickle.dumps(base))
+            with ClusterCoordinator(
+                kspin, num_workers=num_workers, cache_size=16, supervise=False,
+            ) as cluster:
+                for op in ops:
+                    cluster.apply(op)
+                    reference.apply(op)
+                    for query in probes:
+                        answer = cluster.execute(query)
+                        assert results_equivalent(
+                            answer.pairs(), _direct(reference, query)
+                        ), (num_workers, op, query)
 
     def test_update_invalidates_worker_caches(self, world):
         kspin = KSpin(
@@ -193,8 +183,7 @@ class TestClusterUpdates:
         free = next(v for v in world.graph.vertices() if v not in occupied)
         query = Query(vertex=free, keywords=(keyword,), k=3)
         with ClusterCoordinator(
-            kspin, num_workers=1, placement="replicate",
-            cache_size=64, supervise=False,
+            kspin, num_workers=1, cache_size=64, supervise=False,
         ) as cluster:
             cluster.execute(query)
             assert cluster.execute(query).cached  # warm
@@ -214,8 +203,7 @@ class TestClusterFaultTolerance:
     def test_kill_dash_nine_loses_no_request(self, kspin, keywords):
         """SIGKILL a worker mid-stream: every request correct, none lost."""
         with ClusterCoordinator(
-            kspin, num_workers=2, placement="replicate",
-            cache_size=0, health_interval=0.2,
+            kspin, num_workers=2, cache_size=0, health_interval=0.2,
         ) as cluster:
             queries = [
                 Query(vertex=v, keywords=(keywords[v % 4],), k=3)
@@ -249,8 +237,7 @@ class TestClusterFaultTolerance:
         occupied = set(world.keywords.objects())
         free = next(v for v in world.graph.vertices() if v not in occupied)
         with ClusterCoordinator(
-            kspin, num_workers=1, placement="replicate",
-            cache_size=0, supervise=False,
+            kspin, num_workers=1, cache_size=0, supervise=False,
         ) as cluster:
             cluster.apply(
                 UpdateOp(op="insert", object=free, document=[keywords[0]])
@@ -266,8 +253,7 @@ class TestClusterFaultTolerance:
 
     def test_whole_fleet_down_falls_back_to_parent(self, kspin, keywords):
         with ClusterCoordinator(
-            kspin, num_workers=1, placement="replicate",
-            cache_size=0, supervise=False,
+            kspin, num_workers=1, cache_size=0, supervise=False,
         ) as cluster:
             os.kill(cluster.workers[0].process.pid, signal.SIGKILL)
             cluster.workers[0].process.join(timeout=5)
@@ -293,7 +279,7 @@ class TestSpawnMode:
             v for v in kspin.graph.vertices() if v not in occupied
         )
         with ClusterCoordinator(
-            kspin, num_workers=1, placement="replicate", cache_size=0,
+            kspin, num_workers=1, cache_size=0,
             start_method="spawn",
             snapshot_path=str(tmp_path / "cluster.idx"),
             supervise=False,
@@ -322,8 +308,7 @@ class TestSpawnMode:
 class TestClusterBehindHttp:
     def test_query_server_serves_cluster_backend(self, kspin, keywords):
         with ClusterCoordinator(
-            kspin, num_workers=2, placement="replicate",
-            cache_size=0, health_interval=0.2,
+            kspin, num_workers=2, cache_size=0, health_interval=0.2,
         ) as cluster:
             with QueryServer(
                 cluster, port=0, workers=4
@@ -348,8 +333,7 @@ class TestClusterBehindHttp:
     ):
         """Conjunctive top-k through the cluster must 400, not 500."""
         with ClusterCoordinator(
-            kspin, num_workers=1, placement="replicate",
-            cache_size=0, supervise=False,
+            kspin, num_workers=1, cache_size=0, supervise=False,
         ) as cluster:
             with pytest.raises(UnsupportedQueryError):
                 cluster.execute(
@@ -369,6 +353,26 @@ class TestClusterBehindHttp:
                 assert body["ok"] is False
                 assert body["error"]["code"] == "bad_request"
 
+    def test_batch_item_error_code_matches_engine(self, kspin, keywords):
+        """A bad batch item is ``bad_request`` on both backends.
+
+        The worker's error reply carries its code; the batch envelope
+        must keep it instead of reporting the ``WorkerError`` wrapper as
+        ``internal``.
+        """
+        batch = QueryBatch((
+            Query(vertex=0, keywords=(keywords[0],), k=2),
+            Query(vertex=10**6, keywords=(keywords[0],), k=2),
+        ))
+        expected = execute_batch(Engine(kspin, cache_size=0), batch)
+        with ClusterCoordinator(
+            kspin, num_workers=1, cache_size=0, supervise=False,
+        ) as cluster:
+            answered = execute_batch(cluster, batch)
+        assert expected.errors[1]["code"] == "bad_request"
+        assert answered.errors == expected.errors
+        assert answered.results[0].hits == expected.results[0].hits
+
 
 # ----------------------------------------------------------------------
 # Routers in isolation
@@ -379,67 +383,16 @@ def _all_live(keyword):
 
 
 class TestRouters:
-    def test_shard_of_pinned_values(self):
-        # Pinned: ownership feeds journal replay and rehydrated workers,
-        # so the values may never drift between processes or versions.
-        probes = ("kw0000", "kw0001", "thai", "zz", "café")
-        assert [shard_of(kw, 3) for kw in probes] == [1, 2, 2, 0, 2]
-        assert [shard_of(kw, 5) for kw in probes] == [1, 0, 4, 1, 2]
-
-    def test_shard_of_is_crc32_of_utf8(self):
-        # Old journal entries must still route identically.
-        from zlib import crc32
-
-        for key in ("kw0001", "thai", "zz", "café"):
-            assert shard_of(key, 1 << 32) == crc32(key.encode("utf-8"))
-
     def test_replicate_prefers_least_loaded(self):
         router = ReplicateRouter(3, _all_live)
         query = Query(vertex=0, keywords=("a",))
-        plan = router.plan(query, [5, 0, 5])
-        assert plan.single_target == 1
-        assert not plan.scatter
+        assert router.plan(query, [5, 0, 5]) == 1
 
     def test_replicate_round_robins_when_tied(self):
         router = ReplicateRouter(3, _all_live)
         query = Query(vertex=0, keywords=("a",))
-        targets = [router.plan(query, [0, 0, 0]).single_target for _ in range(6)]
+        targets = [router.plan(query, [0, 0, 0]) for _ in range(6)]
         assert set(targets) == {0, 1, 2}
-
-    def test_shard_single_keyword_routes_to_owner(self):
-        router = KeywordShardRouter(4, _all_live)
-        query = Query(vertex=0, keywords=("thai",))
-        plan = router.plan(query, [0, 0, 0, 0])
-        assert plan.single_target == shard_of("thai", 4)
-
-    def test_shard_conjunctive_goes_to_rarest_owner(self):
-        sizes = {"common": 100, "rare": 2}
-        router = KeywordShardRouter(4, lambda kw: sizes[kw])
-        query = Query(vertex=0, keywords=("common", "rare"), mode="and")
-        plan = router.plan(query, [0, 0, 0, 0])
-        assert not plan.scatter
-        assert plan.single_target == shard_of("rare", 4)
-
-    def test_shard_disjunctive_scatters_with_keyword_subsets(self):
-        router = KeywordShardRouter(2, _all_live)
-        spread = [
-            kw for kw in ("a", "b", "c", "d", "e", "f")
-        ]
-        by_shard = {}
-        for kw in spread:
-            by_shard.setdefault(shard_of(kw, 2), []).append(kw)
-        if len(by_shard) < 2:  # pragma: no cover - crc32 spreads these
-            pytest.skip("all probe keywords hashed to one shard")
-        query = Query(vertex=0, keywords=tuple(spread), k=3)
-        plan = router.plan(query, [0, 0])
-        assert plan.scatter
-        merged = sorted(
-            kw for sub in plan.assignments.values() for kw in sub.keywords
-        )
-        assert merged == sorted(spread)
-        for shard, sub in plan.assignments.items():
-            assert all(shard_of(kw, 2) == shard for kw in sub.keywords)
-            assert sub.k == query.k and sub.kind == query.kind
 
 
 class TestClusterPruning:
@@ -451,22 +404,23 @@ class TestClusterPruning:
         dead = Query(
             vertex=0, keywords=("kw0000", "zz-missing"), k=3, mode="and"
         )
-        with ClusterCoordinator(
-            kspin, num_workers=2, placement="shard-by-keyword",
-            cache_size=0, health_interval=5.0,
-        ) as cluster:
-            expected = kspin.execute(live).pairs()
-            assert cluster.execute(live).pairs() == expected
-            # A missing disjunctive keyword changes nothing (dead
-            # keywords contribute no heaps).
-            assert cluster.execute(salted).pairs() == expected
-            # Conjunctive on an absent keyword: answered empty with zero
-            # dispatches.
-            before = cluster.metrics_snapshot()["cluster"]
-            assert cluster.execute(dead).pairs() == []
-            after = cluster.metrics_snapshot()["cluster"]
-            assert after["short_circuits"] == before["short_circuits"] + 1
-            assert after["dispatches"] == before["dispatches"]
+        expected = kspin.execute(live).pairs()
+        for num_workers in (2, 3):
+            with ClusterCoordinator(
+                kspin, num_workers=num_workers, cache_size=0,
+                health_interval=5.0,
+            ) as cluster:
+                assert cluster.execute(live).pairs() == expected
+                # A missing disjunctive keyword changes nothing (dead
+                # keywords contribute no heaps).
+                assert cluster.execute(salted).pairs() == expected
+                # Conjunctive on an absent keyword: answered empty with
+                # zero dispatches.
+                before = cluster.metrics_snapshot()["cluster"]
+                assert cluster.execute(dead).pairs() == []
+                after = cluster.metrics_snapshot()["cluster"]
+                assert after["short_circuits"] == before["short_circuits"] + 1
+                assert after["dispatches"] == before["dispatches"]
 
 
 # ----------------------------------------------------------------------
@@ -541,7 +495,7 @@ class TestClusterBatches:
     def test_execute_many_matches_sequential(
         self, data, cluster, kspin, keywords
     ):
-        """Property: batched == one-at-a-time, under either placement."""
+        """Property: batched == one-at-a-time, at 2 or 3 workers."""
         queries = data.draw(
             st.lists(
                 st.builds(
@@ -569,8 +523,7 @@ class TestClusterBatches:
         for result, query in zip(batched, queries):
             assert results_equivalent(result.pairs(), _direct(kspin, query))
 
-    @pytest.mark.parametrize("placement", ["replicate", "shard-by-keyword"])
-    def test_mixed_batch_with_caches(self, kspin, keywords, placement):
+    def test_mixed_batch_with_caches(self, kspin, keywords):
         """Hits, misses, duplicates, and empty answers in one batch.
 
         ``dead`` is conjunctive on an absent keyword (the router
@@ -587,7 +540,6 @@ class TestClusterBatches:
         with ClusterCoordinator(
             kspin,
             num_workers=2,
-            placement=placement,
             cache_size=64,
             supervise=False,
         ) as coordinator:
@@ -601,7 +553,7 @@ class TestClusterBatches:
             assert results_equivalent(result.pairs(), _direct(kspin, query))
 
     def test_batch_is_one_round_trip_per_worker(self, kspin, keywords):
-        """A scattered batch dispatches once per worker, not per query."""
+        """A batch dispatches once per worker, not once per query."""
         with ClusterCoordinator(
             kspin, num_workers=2, cache_size=0, supervise=False
         ) as coordinator:
@@ -612,8 +564,8 @@ class TestClusterBatches:
             ]
             coordinator.execute_many(batch)
             after = coordinator.metrics_snapshot()["cluster"]
-            # Replicate placement: each query goes to one worker, so six
-            # queries dispatch six times but ride at most two pipe
+            # Each query goes to one worker, so six queries dispatch six
+            # times but ride at most two pipe
             # round trips (requests counts pipe messages per worker; the
             # 'after' snapshot itself costs one metrics probe per
             # worker, hence the +2 allowance — per-query dispatch would

@@ -397,12 +397,11 @@ class TestDirectedKSpin:
         for query in _query_mix(g, dataset, random.Random(12), count=12):
             assert clone.execute(query).pairs() == kspin.execute(query).pairs()
 
-    @pytest.mark.parametrize("placement", ["replicate", "shard-by-keyword"])
-    def test_cluster_matches_single_process(self, world, placement):
+    def test_cluster_matches_single_process(self, world):
         g, dataset, kspin = world
         queries = _query_mix(g, dataset, random.Random(13), count=18)
         with ClusterCoordinator(
-            kspin, num_workers=2, placement=placement, cache_size=0, supervise=False
+            kspin, num_workers=2, cache_size=0, supervise=False
         ) as cluster:
             for query in queries:
                 assert results_equivalent(

@@ -7,8 +7,8 @@ Three layers, each with its own contract:
   property over random connected graphs);
 * label-seeded candidate generation (:class:`LabelHeapGenerator`) must
   be **result-identical** to the paper's NVD+ALT seeding on serving
-  workloads — through the bare framework, the Engine, and both cluster
-  placements — and must see every lazy update at the very next query,
+  workloads — through the bare framework, the Engine, and the cluster —
+  and must see every lazy update at the very next query,
   with no rebuild and no second algorithm to fall back to;
 * the :class:`CompositeOracle` routes every query class to an exact
   backend, so routing (and :meth:`calibrate`) can only change speed.
@@ -148,16 +148,14 @@ class TestSeedingIdentity:
                 == nvd_engine.execute(query).pairs()
             ), query
 
-    @pytest.mark.parametrize("placement", ["replicate", "shard-by-keyword"])
-    def test_cluster_both_placements(
-        self, kspin_nvd, kspin_labels, workload, placement
+    def test_cluster_matches_single_process(
+        self, kspin_nvd, kspin_labels, workload
     ):
         """Label-seeded workers (forked with numpy label arrays) match
-        the NVD-seeded single-process answers under both placements."""
+        the NVD-seeded single-process answers."""
         queries = workload[:6]
         with ClusterCoordinator(
-            kspin_labels, num_workers=2, placement=placement,
-            cache_size=0, health_interval=5.0,
+            kspin_labels, num_workers=2, cache_size=0, health_interval=5.0,
         ) as cluster:
             for query in queries:
                 assert (

@@ -203,7 +203,7 @@ def test_instrument_watches_real_server_metrics() -> None:
     # every class declares its own shared state beside its lock
     assert {
         "ResultCache.hits", "ResultCache.invalidations",
-        "ClusterCoordinator.dispatches", "ClusterCoordinator.skipped_shards",
+        "ClusterCoordinator.dispatches", "ClusterCoordinator.short_circuits",
         "Engine.updates_applied",
     } <= set(installed)
     try:

@@ -499,8 +499,7 @@ class TestClusterEventStreams:
             Query(vertex, ("kw0000", "kw0001"), k=2) for vertex in range(6)
         ]
         with ClusterCoordinator(
-            kspin, num_workers=2, placement="replicate",
-            cache_size=16, health_interval=60.0,
+            kspin, num_workers=2, cache_size=16, health_interval=60.0,
         ) as cluster:
             cluster.execute_many(queries)  # batch.scatter/gather on main
             victim = cluster.workers[0]
@@ -532,8 +531,7 @@ class TestClusterEventStreams:
 
     def test_cluster_profile_scatter_merges_with_source_prefixes(self, kspin):
         with ClusterCoordinator(
-            kspin, num_workers=2, placement="replicate",
-            cache_size=0, health_interval=60.0,
+            kspin, num_workers=2, cache_size=0, health_interval=60.0,
         ) as cluster:
             started = cluster.profile("start", hz=200)
             assert started["enabled"] is True

@@ -277,3 +277,9 @@ class TestRateLimiterConfig:
     def test_cli_burst_without_rate_exits_2(self, capsys):
         assert main(["serve", "--rate-burst", "0.5"]) == 2
         assert "--rate-burst needs --rate-limit" in capsys.readouterr().err
+
+    def test_cli_negative_cluster_exits_2(self, capsys, tmp_path):
+        # Rejected before any index is opened (the path does not exist).
+        missing = str(tmp_path / "missing.kspin")
+        assert main(["serve", "--cluster", "-1", "--index", missing]) == 2
+        assert "--cluster must be non-negative" in capsys.readouterr().err
